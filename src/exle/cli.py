@@ -11,8 +11,9 @@ Numbers are printed with 12 significant digits and LF line endings, so
 identical inputs give byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 domain error, 3 I/O error, 4 budget
 exhausted.  A JSON config file (flat keys mirroring the flags) can seed
-any command; explicit flags win.  EXLE_NUM_WORKERS caps the thresholds
-worker pool.
+any command; explicit flags win.  Every config key is also a flag.  The
+tol of `continue` is the Picard step tolerance; elsewhere it is the width
+of the root bracket.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,31 +47,44 @@ EXIT_BUDGET = 4
 _IDENTITY_TOL = 1e-9
 _SIGN_GUARD = 1e-6
 
-# Per-command key sets accepted from flags and config files.
-_COMMAND_KEYS = {
-    "roots": {"p", "theta", "tol"},
-    "thresholds": {"grid", "tol", "out"},
-    "continue": {
-        "p", "theta", "sigma", "dim", "nodes", "tol", "bracket_tol", "s", "out",
-        "lambda_init", "growth", "max_iter", "max_steps", "blowup_cap", "eigen_tol",
-    },
-    "verify": {"p", "theta", "samples", "seed"},
-    "partial": {"p", "theta", "dim", "tol"},
-}
+# Per command, the options it accepts as (key, type, default, help); the
+# table builds argparse and defines the keys a config file may set.  A
+# None default leaves the key unset: required, or optional with no value.
+_P = ("p", float, None, "first exponent, the power of (v+1)")
+_THETA = ("theta", float, None, "second exponent, the power of (u+1)")
+_ROOT_TOL = ("tol", float, 1e-12, "width of the root bracket")
 
-_DEFAULTS = {
-    "tol": 1e-12,
-    "bracket_tol": 1e-4,
-    "samples": 200,
-    "seed": 0,
-    "sigma": 1.0,
-    "nodes": 256,
-    "lambda_init": 1e-3,
-    "growth": 2.0,
-    "max_iter": 10_000,
-    "max_steps": 200,
-    "blowup_cap": 1e8,
-    "eigen_tol": 1e-10,
+_OPTIONS = {
+    "roots": (_P, _THETA, _ROOT_TOL),
+    "thresholds": (
+        ("grid", str, None, '"pmin:pmax:step"'),
+        _ROOT_TOL,
+        ("out", str, None, "output CSV; stdout if unset"),
+    ),
+    "continue": (
+        _P,
+        _THETA,
+        ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
+        ("dim", int, 3, "space dimension N"),
+        ("nodes", int, 256, "radial grid nodes"),
+        ("tol", float, 1e-12, "Picard step tolerance"),
+        ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
+        ("s", float, None, "energy integrability exponent"),
+        ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
+        ("lambda_init", float, 1e-3, "first trial load"),
+        ("growth", float, 2.0, "load growth factor between trials"),
+        ("max_iter", int, 10_000, "Picard sweep budget per trial"),
+        ("max_steps", int, 200, "trial budget per branch"),
+        ("blowup_cap", float, 1e8, "sup norm above which a trial counts as divergent"),
+        ("eigen_tol", float, 1e-10, "mu1 power-iteration tolerance"),
+    ),
+    "verify": (
+        _P,
+        _THETA,
+        ("samples", int, 200, "sample points per check"),
+        ("seed", int, 0, "sampling seed"),
+    ),
+    "partial": (_P, _THETA, ("dim", int, None, "space dimension N"), _ROOT_TOL),
 }
 
 
@@ -93,8 +105,7 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
     """Merge documented defaults, config-file values, then explicit flags."""
-    allowed = _COMMAND_KEYS[command]
-    merged = {k: _DEFAULTS[k] for k in allowed if k in _DEFAULTS}
+    merged = {key: default for key, _, default, _ in _OPTIONS[command]}
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -102,14 +113,14 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(raw) - allowed
+        unknown = set(raw) - set(merged)
         if unknown:
             raise ConfigurationError(
                 f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
             )
-        merged.update(raw)
-    for key in allowed:
-        value = getattr(args, key, None)
+        merged.update((key, value) for key, value in raw.items() if value is not None)
+    for key in merged:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -133,6 +144,7 @@ def _pair_from(cfg: dict) -> ExponentPair:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    """threshold constants for one exponent pair"""
     cfg = _effective(args, "roots")
     _require(cfg, "roots", "p", "theta")
     rep = threshold_report(_pair_from(cfg), float(cfg["tol"]))
@@ -157,50 +169,25 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def _threshold_row(task: tuple[float, float, float]) -> tuple[float, ...]:
-    p, theta, tol = task
-    rep = threshold_report(ExponentPair(p, theta), tol)
-    return (p, theta, rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement)
-
-
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("EXLE_NUM_WORKERS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"EXLE_NUM_WORKERS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ConfigurationError(f"EXLE_NUM_WORKERS must be >= 1, got {cap}")
-    return max(1, min(cap, n_tasks))
-
-
 def cmd_thresholds(args: argparse.Namespace) -> int:
+    """threshold table over an exponent grid"""
     cfg = _effective(args, "thresholds")
     _require(cfg, "thresholds", "grid")
     values = _parse_grid(str(cfg["grid"]))
     tol = float(cfg["tol"])
-    tasks = [
-        (values[i], values[j], tol)
-        for i in range(len(values))
-        for j in range(i, len(values))
-    ]
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        rows = [_threshold_row(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_threshold_row, tasks, chunksize=64))
-    rows.sort(key=lambda row: (row[0], row[1]))
     lines = ["p,theta,t0,s0,x0,n_cowan,n_new,improvement"]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _write_lines(cfg.get("out"), lines)
+    for i, p in enumerate(values):
+        for theta in values[i:]:
+            rep = threshold_report(ExponentPair(p, theta), tol)
+            lines.append(",".join(_fmt(x) for x in (
+                p, theta, rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement,
+            )))
+    _write_lines(cfg["out"], lines)
     return EXIT_OK
 
 
 def cmd_partial(args: argparse.Namespace) -> int:
+    """singular-set dimension bounds"""
     cfg = _effective(args, "partial")
     _require(cfg, "partial", "p", "theta", "dim")
     pair = _pair_from(cfg)
@@ -217,6 +204,7 @@ def cmd_partial(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """identity and equivalence verification suite"""
     cfg = _effective(args, "verify")
     _require(cfg, "verify", "p", "theta")
     pair = _pair_from(cfg)
@@ -278,27 +266,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
+    """minimal-branch continuation along gamma = sigma*lambda"""
     cfg = _effective(args, "continue")
     _require(cfg, "continue", "p", "theta")
     pair = _pair_from(cfg)
     sigma = float(cfg["sigma"])
-    dim = int(cfg["dim"]) if "dim" in cfg and cfg["dim"] is not None else 3
+    dim = int(cfg["dim"])
     grid = RadialGrid.uniform(dim, int(cfg["nodes"]))
     run = ContinuationConfig(
         lambda_init=float(cfg["lambda_init"]),
         growth=float(cfg["growth"]),
         bracket_tol=float(cfg["bracket_tol"]),
-        tol=min(float(cfg["tol"]), 1e-10) if "tol" in cfg else 1e-10,
+        tol=float(cfg["tol"]),
         max_iter=int(cfg["max_iter"]),
         blowup_cap=float(cfg["blowup_cap"]),
         max_steps=int(cfg["max_steps"]),
         eigen_tol=float(cfg["eigen_tol"]),
     )
     p_lo, _ = pair.canonical()
-    s_energy = float(cfg["s"]) if cfg.get("s") is not None else 0.5 * (
+    s_energy = float(cfg["s"]) if cfg["s"] is not None else 0.5 * (
         p_lo + 1.0 + largest_root_L(pair)
     )
-    out = str(cfg.get("out") or "branch.csv")
+    out = str(cfg["out"])
 
     budget_hit = False
     try:
@@ -351,51 +340,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="exle", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
-        return cmd
-
-    roots = add("roots", "threshold constants for one exponent pair")
-    roots.add_argument("--p", type=float)
-    roots.add_argument("--theta", type=float)
-    roots.add_argument("--tol", type=float)
-
-    thresholds_cmd = add("thresholds", "threshold table over an exponent grid")
-    thresholds_cmd.add_argument("--grid", type=str, help='"pmin:pmax:step"')
-    thresholds_cmd.add_argument("--tol", type=float)
-    thresholds_cmd.add_argument("--out", type=str)
-
-    cont = add("continue", "minimal-branch continuation along gamma = sigma*lambda")
-    cont.add_argument("--p", type=float)
-    cont.add_argument("--theta", type=float)
-    cont.add_argument("--sigma", type=float)
-    cont.add_argument("--dim", type=int)
-    cont.add_argument("--nodes", type=int)
-    cont.add_argument("--tol", type=float)
-    cont.add_argument("--bracket-tol", type=float, dest="bracket_tol")
-    cont.add_argument("--s", type=float, help="energy integrability exponent")
-    cont.add_argument("--out", type=str)
-
-    verify = add("verify", "identity and equivalence verification suite")
-    verify.add_argument("--p", type=float)
-    verify.add_argument("--theta", type=float)
-    verify.add_argument("--samples", type=int)
-    verify.add_argument("--seed", type=int)
-
-    partial = add("partial", "singular-set dimension bounds")
-    partial.add_argument("--p", type=float)
-    partial.add_argument("--theta", type=float)
-    partial.add_argument("--dim", type=int)
-    partial.add_argument("--tol", type=float)
-
-    return parser
-
-
 _HANDLERS = {
     "roots": cmd_roots,
     "thresholds": cmd_thresholds,
@@ -403,6 +347,19 @@ _HANDLERS = {
     "verify": cmd_verify,
     "partial": cmd_partial,
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="exle", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler in _HANDLERS.items():
+        cmd = sub.add_parser(name, help=handler.__doc__)
+        cmd.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
+        for key, kind, default, help_text in _OPTIONS[name]:
+            if default is not None:
+                help_text = f"{help_text} (default: {default})"
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_text)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

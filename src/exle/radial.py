@@ -324,6 +324,14 @@ class ContinuationConfig:
             raise ConfigurationError(f"bracket_tol must be positive, got {self.bracket_tol}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not (self.tol > 0):
+            raise ConfigurationError(f"tol must be positive, got {self.tol}")
+        if not (self.eigen_tol > 0):
+            raise ConfigurationError(f"eigen_tol must be positive, got {self.eigen_tol}")
+        if self.max_iter < 1:
+            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (self.blowup_cap > 0):
+            raise ConfigurationError(f"blowup_cap must be positive, got {self.blowup_cap}")
 
 
 @dataclass

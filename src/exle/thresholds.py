@@ -202,15 +202,15 @@ def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
     p, theta = _canon(e)
     c2, c1, c0 = _energy_coeffs(p, theta)
 
-    def f(s: float) -> float:
-        return ((s * s) - c2) * (s * s) + c1 * s - c0
-
-    f_lo = f(2.0)
+    # L is written out inline and evaluated once per point: this loop runs
+    # for every pair of a threshold table.  The operation order matches
+    # eval_L, so the root is the same to the last bit.
+    f_lo = (4.0 - c2) * 4.0 + c1 * 2.0 - c0
     if not f_lo < 0:
         raise NumericalError(f"expected L(2) < 0, got {f_lo}; pair {e}")
     lo = 2.0
     hi = 4.0
-    while f(hi) <= 0.0:
+    while ((hi * hi) - c2) * (hi * hi) + c1 * hi - c0 <= 0.0:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise NumericalError("no sign change of the energy quartic below 2^60")
@@ -220,12 +220,16 @@ def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
             return 0.5 * (lo + hi)
         # Newton from the midpoint, clipped to the bracket.
         x = 0.5 * (lo + hi)
+        xx = x * x
+        fx = (xx - c2) * xx + c1 * x - c0
         d = 4.0 * x ** 3 - 2.0 * c2 * x + c1
         if d != 0.0:
-            x_newton = x - f(x) / d
+            x_newton = x - fx / d
             if lo < x_newton < hi:
                 x = x_newton
-        if f(x) < 0.0:
+                xx = x * x
+                fx = (xx - c2) * xx + c1 * x - c0
+        if fx < 0.0:
             lo = x
         else:
             hi = x
@@ -233,7 +237,8 @@ def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
         # even when Newton keeps landing next to one endpoint.
         if hi - lo > 0.5 * width:
             mid = 0.5 * (lo + hi)
-            if f(mid) < 0.0:
+            xx = mid * mid
+            if (xx - c2) * xx + c1 * mid - c0 < 0.0:
                 lo = mid
             else:
                 hi = mid

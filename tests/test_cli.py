@@ -1,14 +1,21 @@
 """CLI surface: formats, determinism, exit codes, and config handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from exle import cli
 
 ROOTS_22_ROW = "3.41421356237,6.82842712475,6.82842712475,15.6568542495,15.6568542495,0"
+# The last digit of improvement flips if the bracket-midpoint arithmetic of
+# largest_root_L moves by one ulp.
+ROOTS_101_166_ROW = (
+    "20.0532167758,40.2993773523,4.25578447979,10.4708175988,10.5115689596,0.0407513607689"
+)
 
 
 def run(argv, capsys):
@@ -19,10 +26,11 @@ def run(argv, capsys):
 
 class TestRoots:
     def test_symmetric_pair_exact_bytes(self, capsys):
-        code, out, err = run(["roots", "--p", "2", "--theta", "2"], capsys)
-        assert code == 0
-        assert out == "t0,s0,x0,n_cowan,n_new,improvement\n" + ROOTS_22_ROW + "\n"
-        assert err == ""
+        for p, theta, row in (("2", "2", ROOTS_22_ROW), ("10.1", "16.6", ROOTS_101_166_ROW)):
+            code, out, err = run(["roots", "--p", p, "--theta", theta], capsys)
+            assert code == 0
+            assert out == "t0,s0,x0,n_cowan,n_new,improvement\n" + row + "\n"
+            assert err == ""
 
     def test_degenerate_pair_exits_2(self, capsys):
         code, out, err = run(["roots", "--p", "1", "--theta", "1"], capsys)
@@ -57,11 +65,10 @@ class TestThresholds:
         assert keys == sorted(keys)
         assert all(p <= th for p, th in keys)
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path, capsys, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         run(["thresholds", "--grid", "1.5:3:0.5", "--out", str(a)], capsys)
-        monkeypatch.setenv("EXLE_NUM_WORKERS", "1")
         run(["thresholds", "--grid", "1.5:3:0.5", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
@@ -77,12 +84,6 @@ class TestThresholds:
             code, _, err = run(["thresholds", "--grid", bad], capsys)
             assert code == 2
             assert "grid" in err
-
-    def test_bad_worker_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXLE_NUM_WORKERS", "zero")
-        code, _, err = run(["thresholds", "--grid", "2:3:1"], capsys)
-        assert code == 2
-        assert "EXLE_NUM_WORKERS" in err
 
     def test_unwritable_out_exits_3(self, capsys):
         code, _, err = run(
@@ -222,22 +223,52 @@ class TestContinue:
         out = tmp_path / "partial.csv"
         argv = [
             "continue", "--p", "2", "--theta", "2", "--nodes", "64",
-            "--dim", "3", "--out", str(out), "--config", str(cfg),
+            "--dim", "3", "--out", str(out),
         ]
-        code, _, _ = run(argv, capsys)
-        assert code == 4
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 + 4
-        summary = json.loads((tmp_path / "partial.summary.json").read_text())
-        assert summary["budget_exhausted"] is True
-        assert summary["lambda_hi"] is None
+        for budget in (["--config", str(cfg)], ["--max-steps", "4"]):
+            code, _, _ = run(argv + budget, capsys)
+            assert code == 4
+            lines = out.read_text().splitlines()
+            assert len(lines) == 1 + 4
+            summary = json.loads((tmp_path / "partial.summary.json").read_text())
+            assert summary["budget_exhausted"] is True
+            assert summary["lambda_hi"] is None
+
+    def test_tol_is_picard_step_tolerance(self, tmp_path, capsys):
+        sweeps = {}
+        for tol in ("1e-6", "1e-10"):
+            out = tmp_path / f"b{tol}.csv"
+            argv = [
+                "continue", "--p", "2", "--theta", "2", "--nodes", "64",
+                "--tol", tol, "--out", str(out),
+            ]
+            code, _, _ = run(argv, capsys)
+            assert code == 0
+            rows = out.read_text().splitlines()[1:]
+            sweeps[tol] = sum(int(row.split(",")[-1]) for row in rows)
+        assert sweeps["1e-6"] < sweeps["1e-10"]
+
+    def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
+        argv = [
+            "continue", "--p", "2", "--theta", "2", "--nodes", "16", "--tol", "0",
+            "--out", str(tmp_path / "b.csv"),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "tol must be positive" in err
+        assert not (tmp_path / "b.csv").exists()
 
 
 def test_console_script_installed():
+    # The child must import the same package as this process, installed or
+    # found through pytest's pythonpath setting.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "exle.cli", "roots", "--p", "2", "--theta", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert ROOTS_22_ROW in proc.stdout

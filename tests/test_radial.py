@@ -231,12 +231,17 @@ class TestStabilityMu1:
 
 class TestContinuation:
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ContinuationConfig(growth=0.9)
-        with pytest.raises(ConfigurationError):
-            ContinuationConfig(lambda_init=0.0)
-        with pytest.raises(ConfigurationError):
-            ContinuationConfig(max_steps=0)
+        for bad in (
+            {"growth": 0.9},
+            {"lambda_init": 0.0},
+            {"max_steps": 0},
+            {"tol": 0.0},
+            {"eigen_tol": 0.0},
+            {"max_iter": 0},
+            {"blowup_cap": 0.0},
+        ):
+            with pytest.raises(ConfigurationError):
+                ContinuationConfig(**bad)
 
     def test_sigma_validation(self):
         g = RadialGrid.uniform(3, 64)
