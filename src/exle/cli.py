@@ -73,9 +73,7 @@ _OPTIONS = {
         ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
         ("lambda_init", float, 1e-3, "first trial load"),
         ("growth", float, 2.0, "load growth factor between trials"),
-        ("max_iter", int, 10_000, "Picard sweep budget per trial"),
         ("max_steps", int, 200, "trial budget per branch"),
-        ("blowup_cap", float, 1e8, "sup norm above which a trial counts as divergent"),
         ("eigen_tol", float, 1e-10, "mu1 power-iteration tolerance"),
     ),
     "verify": (
@@ -278,8 +276,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
         growth=float(cfg["growth"]),
         bracket_tol=float(cfg["bracket_tol"]),
         tol=float(cfg["tol"]),
-        max_iter=int(cfg["max_iter"]),
-        blowup_cap=float(cfg["blowup_cap"]),
         max_steps=int(cfg["max_steps"]),
         eigen_tol=float(cfg["eigen_tol"]),
     )

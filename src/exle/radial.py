@@ -2,9 +2,9 @@
 
 Discretizes -Lap(w) = -(w'' + (N-1) w'/r) on [0, 1] with a symmetry row
 at r = 0 (from Lap w(0) = N * w''(0)) and a Dirichlet row at r = 1.
-On top of the operator sit the monotone fixed-point solver for the
-coupled system, the principal stability eigenvalue, and parameter
-continuation along a ray gamma = sigma * lambda up to the fold.
+On top of the operator sit the monotone Newton solver for the coupled
+system, the principal stability eigenvalue, and parameter continuation
+along a ray gamma = sigma * lambda up to the fold.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BudgetError,
@@ -24,6 +23,10 @@ from .errors import (
 from .thresholds import ExponentPair
 
 _MIN_INTERVALS = 16
+# Newton iterations per nonlinear solve; loads next to a fold take at most
+# about 15 up to m = 8192, so running out signals a fault, never a fold.
+_NEWTON_BUDGET = 50
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +167,8 @@ class RadialLaplacian:
         When f is nonnegative the discrete maximum principle applies and
         the solution is checked to be nonnegative up to roundoff.
         """
+        from scipy.linalg import solve_banded
+
         rhs = np.asarray(f, dtype=float).copy()
         rhs[-1] = 0.0
         sol = solve_banded((1, 1), self._ab, rhs)
@@ -176,7 +181,6 @@ class RadialLaplacian:
         return sol
 
     def to_dense(self) -> np.ndarray:
-        n = self.grid.m + 1
         a = np.diag(self._diag)
         a += np.diag(self._upper[:-1], 1)
         a += np.diag(self._lower[1:], -1)
@@ -190,12 +194,12 @@ def assemble_radial_laplacian(grid: RadialGrid) -> RadialLaplacian:
 
 @dataclass
 class MonotoneResult:
-    """Outcome of the monotone fixed-point iteration.
+    """Outcome of the monotone Newton iteration.
 
-    converged is False both when the sup norm passed the blow-up cap and
-    when the iteration budget ran out while the iterates were still
-    rising; in either case no state is returned and the parameter point
-    is treated as beyond the fold.
+    converged is False only when a Newton step turned negative, which
+    certifies that no solution exists at this load; no state is returned
+    then.  Budget exhaustion is not an outcome: it raises BudgetError.
+    iterations counts Newton iterations, the accepting one included.
     """
 
     state: StatePair | None
@@ -218,46 +222,56 @@ def solve_minimal(
     grid: RadialGrid,
     *,
     tol: float = 1e-10,
-    max_iter: int = 10_000,
-    blowup_cap: float = 1e8,
     seed: StatePair | None = None,
     operator: RadialLaplacian | None = None,
 ) -> MonotoneResult:
-    """Minimal-solution iteration u <- (-Lap)^{-1} lam (v+1)^p, then v.
+    """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
-    Starting from (0, 0) (or from a subsolution seed, e.g. the minimal
-    solution at a smaller lambda) the iterates increase pointwise toward
-    the minimal solution whenever one exists; that monotonicity is
-    asserted each sweep.  Divergence is reported as a value, not raised.
+    Each iteration takes the Picard step d = (-Lap)^{-1} F(u, v) - (u, v)
+    and accepts the Picard image once max d < tol (never below roundoff);
+    otherwise it moves by the Newton step delta: J delta = (-Lap) d, with
+    the Jacobian J = [[-Lap, -lam p (v+1)^(p-1)], [-gam theta (u+1)^(theta-1), -Lap]].
+    From (0, 0) or a subsolution seed (e.g. the minimal solution at a
+    smaller load) the iterates of this convex cooperative system stay
+    subsolutions below every solution, so d >= 0 (asserted) and, while a
+    solution exists, J is an M-matrix and delta >= 0: a negative delta
+    certifies that this load has no solution.
     """
+    from scipy.linalg import solve_banded
+
     _check_load(lam, gam)
     op = operator if operator is not None else assemble_radial_laplacian(grid)
     n = grid.m + 1
-    if seed is None:
-        u = np.zeros(n)
-        v = np.zeros(n)
-    else:
-        if seed.u.size != n:
-            raise ConfigurationError("seed state does not match the grid")
-        u = seed.u.copy()
-        v = seed.v.copy()
+    if seed is not None and seed.u.size != n:
+        raise ConfigurationError("seed state does not match the grid")
+    u, v = (np.zeros(n), np.zeros(n)) if seed is None else (seed.u, seed.v)
     p, theta = float(e.p), float(e.theta)
-    for k in range(1, max_iter + 1):
-        u_next = op.solve_dirichlet(lam * (v + 1.0) ** p)
-        v_next = op.solve_dirichlet(gam * (u_next + 1.0) ** theta)
-        du = u_next - u
-        dv = v_next - v
-        slack = -1e-9 * max(1.0, float(np.max(u_next)), float(np.max(v_next)))
-        if float(np.min(du)) < slack or float(np.min(dv)) < slack:
+    # J banded on interleaved (u0, v0, u1, ...); rows 1, 3 couple u_i, v_i.
+    ab = np.zeros((5, 2 * n))
+    ab[0, 2:] = np.repeat(op._upper[:-1], 2)
+    ab[2] = np.repeat(op._diag, 2)
+    ab[4, :-2] = np.repeat(op._lower[1:], 2)
+    for k in range(1, _NEWTON_BUDGET + 1):
+        du = op.solve_dirichlet(lam * (v + 1.0) ** p) - u
+        dv = op.solve_dirichlet(gam * (u + 1.0) ** theta) - v
+        scale = max(1.0, float(np.max(u + du)), float(np.max(v + dv)))
+        if min(float(np.min(du)), float(np.min(dv))) < -1e-9 * scale:
             raise NumericalError("monotone iteration decreased; seed not a subsolution?")
+        # A tol below the roundoff of an n-point solve reads as that roundoff.
+        if max(float(np.max(du)), float(np.max(dv))) < max(tol, n * _EPS * scale):
+            u, v = u + du, v + dv
+            return MonotoneResult(StatePair(u, v), True, k, float(np.max(u)), float(np.max(v)))
+        ab[1, 1::2] = -lam * p * (v + 1.0) ** (p - 1.0)
+        ab[3, 0::2] = -gam * theta * (u + 1.0) ** (theta - 1.0)
+        ab[1, -1] = ab[3, -2] = 0.0  # the Dirichlet rows are uncoupled
+        rhs = np.column_stack((op.apply(du), op.apply(dv))).ravel()
+        delta = solve_banded((2, 2), ab, rhs, check_finite=False)
+        u_next, v_next = u + delta[0::2], v + delta[1::2]
+        # Scaled by the new state, as the Picard image may be far larger.
+        if not float(np.min(delta)) >= -1e-9 * max(1.0, np.max(u_next), np.max(v_next)):
+            return MonotoneResult(None, False, k, float(np.max(u)), float(np.max(v)))
         u, v = u_next, v_next
-        sup_u = float(np.max(u))
-        sup_v = float(np.max(v))
-        if sup_u > blowup_cap or sup_v > blowup_cap:
-            return MonotoneResult(None, False, k, sup_u, sup_v)
-        if max(float(np.max(du)), float(np.max(dv))) < tol:
-            return MonotoneResult(StatePair(u, v), True, k, sup_u, sup_v)
-    return MonotoneResult(None, False, max_iter, float(np.max(u)), float(np.max(v)))
+    raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
 def stability_mu1(
@@ -268,7 +282,6 @@ def stability_mu1(
     grid: RadialGrid,
     *,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
     operator: RadialLaplacian | None = None,
 ) -> float:
     """Principal eigenvalue mu1 of -Lap(phi) = mu W phi, Dirichlet data.
@@ -290,7 +303,7 @@ def stability_mu1(
     x[-1] = 0.0
     x /= np.linalg.norm(x)
     rho_old = math.inf
-    for _ in range(max_iter):
+    for _ in range(100_000):
         y = op.solve_dirichlet(weight * x)
         rho = float(x @ y)
         if rho <= 0.0:
@@ -310,8 +323,6 @@ class ContinuationConfig:
     growth: float = 2.0
     bracket_tol: float = 1e-4  # relative to lambda_lo
     tol: float = 1e-10
-    max_iter: int = 10_000
-    blowup_cap: float = 1e8
     max_steps: int = 200
     eigen_tol: float = 1e-10
 
@@ -328,10 +339,6 @@ class ContinuationConfig:
             raise ConfigurationError(f"tol must be positive, got {self.tol}")
         if not (self.eigen_tol > 0):
             raise ConfigurationError(f"eigen_tol must be positive, got {self.eigen_tol}")
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.blowup_cap > 0):
-            raise ConfigurationError(f"blowup_cap must be positive, got {self.blowup_cap}")
 
 
 @dataclass
@@ -352,7 +359,8 @@ class Branch:
     """Minimal branch along gamma = sigma * lambda up to the fold bracket.
 
     points are sorted by increasing lambda and pointwise nondecreasing;
-    lambda_hi is the smallest tried load where the iteration diverged.
+    lambda_hi is the smallest tried load where a negative Newton step
+    certified that no solution exists; budget exhaustion never sets it.
     mu1_violations lists indices where mu1 failed to be nonincreasing
     (diagnostic only; small wiggles at eigensolver tolerance happen).
     """
@@ -383,12 +391,13 @@ def continue_ray(
     """Walk the minimal branch along gamma = sigma * lambda to the fold.
 
     Lambda grows geometrically from config.lambda_init while the
-    monotone solver converges; the first divergence starts a bisection
-    that shrinks the bracket to config.bracket_tol relative width.
-    Every accepted state seeds the next solve (it is a subsolution for
-    any larger load), so states are pointwise nondecreasing along the
-    branch, which is asserted.  Budget exhaustion raises BudgetError
-    carrying the partial branch.
+    monotone solver converges; the first load certified to have no
+    solution starts a bisection that shrinks the bracket to
+    config.bracket_tol relative width.  Every accepted state seeds the
+    next solve (it is a subsolution for any larger load), so states are
+    pointwise nondecreasing along the branch, which is asserted.  Running
+    out of trial loads or of Newton iterations in one solve raises
+    BudgetError carrying the partial branch.
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
@@ -407,17 +416,12 @@ def continue_ray(
                 partial=branch,
             )
         steps += 1
-        result = solve_minimal(
-            e,
-            trial,
-            sigma * trial,
-            grid,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            blowup_cap=config.blowup_cap,
-            seed=state,
-            operator=op,
-        )
+        try:
+            result = solve_minimal(
+                e, trial, sigma * trial, grid, tol=config.tol, seed=state, operator=op
+            )
+        except BudgetError as exc:
+            raise BudgetError(str(exc), partial=branch) from exc
         if result.converged:
             assert result.state is not None
             if state is not None:

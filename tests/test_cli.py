@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from exle import cli
+from exle import cli, radial
 
 ROOTS_22_ROW = "3.41421356237,6.82842712475,6.82842712475,15.6568542495,15.6568542495,0"
 # The last digit of improvement flips if the bracket-midpoint arithmetic of
@@ -109,10 +109,12 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"p": 2.0, "theta": 3.0, "bogus": 1}))
-        code, _, err = run(["roots", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert "bogus" in err
+        # max_iter and blowup_cap were the Picard knobs of continue
+        for command, key in (("roots", "bogus"), ("continue", "max_iter"), ("continue", "blowup_cap")):
+            cfg.write_text(json.dumps({"p": 2.0, "theta": 3.0, key: 1}))
+            code, _, err = run([command, "--config", str(cfg)], capsys)
+            assert code == 2
+            assert f"unknown config keys for {command}: {key}" in err
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -248,6 +250,16 @@ class TestContinue:
             sweeps[tol] = sum(int(row.split(",")[-1]) for row in rows)
         assert sweeps["1e-6"] < sweeps["1e-10"]
 
+    def test_newton_budget_exhaustion_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(radial, "_NEWTON_BUDGET", 1)
+        out = tmp_path / "b.csv"
+        argv = ["continue", "--p", "2", "--theta", "2", "--nodes", "64", "--out", str(out)]
+        code, _, _ = run(argv, capsys)
+        assert code == 4
+        summary = json.loads((tmp_path / "b.summary.json").read_text())
+        assert summary["budget_exhausted"] is True
+        assert summary["lambda_hi"] is None
+
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
         argv = [
             "continue", "--p", "2", "--theta", "2", "--nodes", "16", "--tol", "0",
@@ -259,16 +271,27 @@ class TestContinue:
         assert not (tmp_path / "b.csv").exists()
 
 
-def test_console_script_installed():
+def run_child(*args):
     # The child must import the same package as this process, installed or
     # found through pytest's pythonpath setting.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "exle.cli", "roots", "--p", "2", "--theta", "2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_installed():
+    proc = run_child("-m", "exle.cli", "roots", "--p", "2", "--theta", "2")
     assert proc.returncode == 0
     assert ROOTS_22_ROW in proc.stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # Only continue solves banded systems; the other commands skip the import.
+    proc = run_child("-c", "import sys, exle.cli; print('scipy.linalg' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"

@@ -20,6 +20,7 @@ from exle import (
     solve_minimal,
     stability_mu1,
 )
+from exle import radial
 
 PAIR22 = ExponentPair(2.0, 2.0)
 
@@ -200,6 +201,14 @@ class TestSolveMinimal:
         assert warm.iterations <= cold.iterations
         assert np.abs(warm.state.u - cold.state.u).max() < 1e-8
 
+    def test_tol_below_roundoff_reads_as_roundoff(self):
+        # Here no Picard step falls below 1e-300; the solve must stop at roundoff.
+        g = RadialGrid.uniform(3, 1024)
+        res = solve_minimal(PAIR22, 2.3, 2.3, g, tol=1e-300)
+        ref = solve_minimal(PAIR22, 2.3, 2.3, g, tol=1e-10)
+        assert res.converged
+        assert np.abs(res.state.u - ref.state.u).max() < 1e-9
+
 
 class TestStabilityMu1:
     def test_matches_dense_eigensolver(self):
@@ -237,8 +246,6 @@ class TestContinuation:
             {"max_steps": 0},
             {"tol": 0.0},
             {"eigen_tol": 0.0},
-            {"max_iter": 0},
-            {"blowup_cap": 0.0},
         ):
             with pytest.raises(ConfigurationError):
                 ContinuationConfig(**bad)
@@ -281,4 +288,20 @@ class TestContinuation:
         partial = info.value.partial
         assert isinstance(partial, Branch)
         assert len(partial.points) == 3
+        assert partial.lambda_hi is None
+
+    def test_tight_bracket_sits_at_the_fold(self):
+        # mu1 tends to 1 at the fold, so the eigensolver independently
+        # checks that a tight bracket sits there and not below it.
+        g = RadialGrid.uniform(3, 256)
+        branch = continue_ray(PAIR22, 1.0, g, ContinuationConfig(bracket_tol=1e-8))
+        assert branch.bracket_rel_width <= 1e-8
+        assert 1.0 - 1e-6 <= branch.mu1_min <= 1.0 + 3e-4
+
+    def test_newton_budget_exhaustion_never_sets_lambda_hi(self, monkeypatch):
+        monkeypatch.setattr(radial, "_NEWTON_BUDGET", 1)
+        with pytest.raises(BudgetError) as info:
+            continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64))
+        partial = info.value.partial
+        assert isinstance(partial, Branch)
         assert partial.lambda_hi is None
