@@ -55,6 +55,7 @@ from .thresholds import (
     scaling_exponents,
     stability_product,
     threshold_report,
+    threshold_rows,
 )
 
 __all__ = [
@@ -98,6 +99,7 @@ __all__ = [
     "stability_mu1",
     "stability_product",
     "threshold_report",
+    "threshold_rows",
 ]
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ of the root bracket.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -86,19 +87,31 @@ _OPTIONS = {
 }
 
 
+# Every float of every output: 12 significant digits.
+_FLOAT = "%.12g"
+_TABLE_ROW = ",".join([_FLOAT] * 8)
+# Pairs per threshold_rows call; bounds the kernel's temporary arrays.
+_TABLE_BLOCK = 2048
+
+
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
-    return format(float(x), ".12g")
+    return _FLOAT % float(x)
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+def _write_lines(path: str | None, blocks: list[str]) -> None:
+    """Write each block, one line or several, with an LF after it.
+
+    Blocks go out one by one, so the whole text is never held twice.
+    """
     if path is None:
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        target = open(path, "w", encoding="utf-8", newline="")
+    with target as fh:
+        for block in blocks:
+            fh.write(block + "\n")
 
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
@@ -161,6 +174,8 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(t) for t in parts)
     except ValueError as exc:
         raise DomainError(f"grid values must be numeric: {spec!r}") from exc
+    if not all(math.isfinite(t) for t in (lo, hi, step)):
+        raise DomainError(f"grid values must be finite: {spec!r}")
     if not (lo < hi) or not (step > 0):
         raise DomainError(f"grid needs pmin < pmax and step > 0, got {spec!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -171,16 +186,21 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     """threshold table over an exponent grid"""
     cfg = _effective(args, "thresholds")
     _require(cfg, "thresholds", "grid")
-    values = _parse_grid(str(cfg["grid"]))
+    values = np.array(_parse_grid(str(cfg["grid"])))
+    first, second = np.triu_indices(values.size)  # p <= theta, row by row
+    p, theta = values[first], values[second]
     tol = float(cfg["tol"])
-    lines = ["p,theta,t0,s0,x0,n_cowan,n_new,improvement"]
-    for i, p in enumerate(values):
-        for theta in values[i:]:
-            rep = threshold_report(ExponentPair(p, theta), tol)
-            lines.append(",".join(_fmt(x) for x in (
-                p, theta, rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement,
-            )))
-    _write_lines(cfg["out"], lines)
+    # Every block is computed before any byte is written, so a failing
+    # pair leaves no partial table behind.
+    blocks = ["p,theta,t0,s0,x0,n_cowan,n_new,improvement"]
+    for start in range(0, p.size, _TABLE_BLOCK):
+        rows = slice(start, start + _TABLE_BLOCK)
+        rep = thresholds.threshold_rows(p[rows], theta[rows], tol)
+        columns = (
+            p[rows], theta[rows], rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement,
+        )
+        blocks.append("\n".join(_TABLE_ROW % row for row in zip(*(c.tolist() for c in columns))))
+    _write_lines(cfg["out"], blocks)
     return EXIT_OK
 
 

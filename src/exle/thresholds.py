@@ -5,8 +5,9 @@ The system under study is
     -Lap(u) = lambda * (v+1)**p,    -Lap(v) = gamma * (u+1)**theta
 
 on a ball with zero Dirichlet data, where p, theta >= 1 and p*theta > 1.
-Everything in this module is scalar algebra on the exponent pair.  Two
-quartic polynomials carry the structure:
+Everything in this module is algebra on the exponent pair, one pair at a
+time, except threshold_rows, which gives threshold_report for many pairs
+at once.  Two quartic polynomials carry the structure:
 
 * the energy quartic  L(s) = s^4 - c2*s^2 + c1*s - c0  (coefficients
   below), whose negativity at s marks integrability exponents for which
@@ -25,12 +26,20 @@ quartic-root threshold is never worse.
 The energy quartic is not symmetric in (p, theta); all L-based
 quantities use the canonical order p <= theta.  The dimension quartic is
 fully symmetric, so the threshold itself does not depend on the order.
+
+threshold_rows agrees with threshold_report to the last bit.  It runs the
+same root iteration on numpy arrays, and +, -, *, /, sqrt and comparisons
+are correctly rounded in numpy as in Python.  Float powers are not: numpy's
+power loops may take a SIMD path that differs from the C library's pow in
+the last bit of a few percent of cubes.  So every float power of the array
+path is CPython's float pow, applied element by element (_float_pow).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -79,7 +88,8 @@ class ThresholdReport:
     n_cowan is the classical dimension threshold 2 + 4*(theta+1)*t0 /
     (p*theta - 1); n_new = 2 + 2*x0 is the quartic-root threshold.
     improvement = n_new - n_cowan is >= 0 up to root-finder tolerance,
-    with equality exactly on the diagonal p == theta.
+    with equality exactly on the diagonal p == theta.  threshold_rows
+    returns one whose fields are arrays, one entry per pair.
     """
 
     t0: float
@@ -132,9 +142,17 @@ def _canon(e: ExponentPair) -> tuple[float, float]:
     return e.canonical()
 
 
-def _energy_coeffs(p: float, theta: float) -> tuple[float, float, float]:
+def _float_pow(x, n: int):
+    """x ** n by CPython's float pow; element by element for an array."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(pow, x.tolist(), repeat(n)), float, x.size)
+    return x ** n
+
+
+def _energy_coeffs(p, theta):
     # Common factor 16*p*theta*(p+1)/(theta+1)^2 extracted for stability.
-    f = 16.0 * p * theta * (p + 1.0) / (theta + 1.0) ** 2
+    # p and theta are floats, or arrays for threshold_rows.
+    f = 16.0 * p * theta * (p + 1.0) / _float_pow(theta + 1.0, 2)
     return f * (theta + 1.0), f * (p + theta + 2.0), f * (p + 1.0)
 
 
@@ -262,6 +280,116 @@ def threshold_report(e: ExponentPair, tol: float = 1e-12) -> ThresholdReport:
         n_new=n_new,
         improvement=n_new - n_cowan,
     )
+
+
+def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
+    """threshold_report for many exponent pairs at once, bit for bit.
+
+    p and theta are 1-D arrays of equal length; each row may come in
+    either order.  Returns a ThresholdReport whose fields are arrays: row
+    i equals threshold_report(ExponentPair(p[i], theta[i]), tol) to the
+    last bit.  If rows fail, the first failing row raises the error it
+    would raise on its own, with the pair named.
+    """
+    p = np.asarray(p, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if p.ndim != 1 or p.shape != theta.shape:
+        raise DomainError(
+            f"p and theta must be 1-D arrays of one length, got {p.shape} and {theta.shape}"
+        )
+    valid = np.isfinite(p) & np.isfinite(theta) & (p >= 1.0) & (theta >= 1.0) & (p * theta > 1.0)
+    n = p.size if valid.all() else int(np.argmin(valid))  # rows before the first invalid one
+    if n > 0 and not (tol > 0):
+        raise DomainError(f"tol must be positive, got {tol}")
+    p_c, theta_c = np.minimum(p[:n], theta[:n]), np.maximum(p[:n], theta[:n])
+    # Python floats overflow to inf and nan without a word; so do these.
+    with np.errstate(all="ignore"):
+        s0, failure = _largest_roots(*_energy_coeffs(p_c, theta_c), tol)
+        # The operation order of eval_t0 and threshold_report.
+        m = p_c * theta_c * (p_c + 1.0) / (theta_c + 1.0)
+        root_m = np.sqrt(m)
+        t0 = root_m + np.sqrt(m - root_m)
+        k = (theta_c + 1.0) / (p_c * theta_c - 1.0)
+        x0 = k * s0
+        n_cowan = 2.0 + 4.0 * t0 * k
+        n_new = 2.0 + 2.0 * x0
+    if failure is not None:
+        row, message = failure
+        raise NumericalError(f"{message}; pair {ExponentPair(float(p[row]), float(theta[row]))}")
+    if n < p.size:
+        ExponentPair(float(p[n]), float(theta[n]))  # raises the row's DomainError
+    return ThresholdReport(
+        t0=t0, s0=s0, x0=x0, n_cowan=n_cowan, n_new=n_new, improvement=n_new - n_cowan
+    )
+
+
+def _quartic(s, c2, c1, c0):
+    # L(s) in the operation order of eval_L and largest_root_L.
+    ss = s * s
+    return (ss - c2) * ss + c1 * s - c0
+
+
+def _largest_roots(c2, c1, c0, tol: float):
+    """largest_root_L on arrays of energy-quartic coefficients.
+
+    Each row takes the steps the scalar loop takes, with masks, and is
+    dropped once its bracket is at most tol wide.  Returns the roots and
+    None, or the roots and (row, message) for the first row that fails.
+    """
+    s0 = np.full(c2.size, np.nan)
+    failed: dict[int, str] = {}
+
+    f_lo = (4.0 - c2) * 4.0 + c1 * 2.0 - c0
+    negative_at_2 = f_lo < 0
+    for row in np.flatnonzero(~negative_at_2).tolist():
+        failed[row] = f"expected L(2) < 0, got {float(f_lo[row])}"
+    hi = np.full(c2.size, 4.0)
+    grow = np.flatnonzero(negative_at_2 & (_quartic(hi, c2, c1, c0) <= 0.0))
+    while grow.size:
+        hi[grow] *= 2.0
+        over = hi[grow] > _BRACKET_CAP
+        for row in grow[over].tolist():
+            failed[row] = "no sign change of the energy quartic below 2^60"
+        grow = grow[~over]
+        grow = grow[_quartic(hi[grow], c2[grow], c1[grow], c0[grow]) <= 0.0]
+
+    idx = np.flatnonzero(negative_at_2)
+    if failed:
+        idx = idx[~np.isin(idx, list(failed))]
+    lo = np.full(idx.size, 2.0)
+    hi, c2, c1, c0 = hi[idx], c2[idx], c1[idx], c0[idx]
+    for _ in range(500):  # the sweep limit of largest_root_L
+        width = hi - lo
+        done = width <= tol
+        if done.any():
+            s0[idx[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            idx, lo, hi, width = idx[keep], lo[keep], hi[keep], width[keep]
+            c2, c1, c0 = c2[keep], c1[keep], c0[keep]
+        if not idx.size:
+            break
+        # Newton from the midpoint, clipped to the bracket.
+        x = 0.5 * (lo + hi)
+        fx = _quartic(x, c2, c1, c0)
+        d = 4.0 * _float_pow(x, 3) - 2.0 * c2 * x + c1
+        x_newton = x - fx / d
+        x = np.where((d != 0.0) & (lo < x_newton) & (x_newton < hi), x_newton, x)
+        below = _quartic(x, c2, c1, c0) < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        # The forced halving.
+        halve = hi - lo > 0.5 * width
+        mid = 0.5 * (lo + hi)
+        below = _quartic(mid, c2, c1, c0) < 0.0
+        lo = np.where(halve & below, mid, lo)
+        hi = np.where(halve & ~below, mid, hi)
+    else:
+        for row in idx.tolist():
+            failed[row] = "root refinement did not reach the requested width"
+    if failed:
+        row = min(failed)
+        return s0, (row, failed[row])
+    return s0, None
 
 
 def hausdorff_bound(e: ExponentPair, dim: int, tol: float = 1e-12) -> float:

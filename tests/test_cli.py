@@ -1,5 +1,6 @@
 """CLI surface: formats, determinism, exit codes, and config handling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,9 @@ import pytest
 
 from exle import cli, radial
 
+# sha256 of `exle thresholds --grid 1.1:6:0.1` (1275 pairs), as written by
+# the one-pair-at-a-time table that preceded threshold_rows.
+TABLE_11_6_SHA256 = "18b52b84237c4c01b93d94ce995c1fd4459516ae4cb2bfe010fa1ba7f2410eb1"
 ROOTS_22_ROW = "3.41421356237,6.82842712475,6.82842712475,15.6568542495,15.6568542495,0"
 # The last digit of improvement flips if the bracket-midpoint arithmetic of
 # largest_root_L moves by one ulp.
@@ -72,18 +76,56 @@ class TestThresholds:
         run(["thresholds", "--grid", "1.5:3:0.5", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_stdout_when_no_out(self, capsys):
-        code, out, _ = run(["thresholds", "--grid", "2:3:1"], capsys)
+    def test_stdout_when_no_out(self, tmp_path, capsysbinary):
+        code = cli.main(["thresholds", "--grid", "2:3:1"])
+        out = capsysbinary.readouterr().out
         assert code == 0
-        assert out.startswith("p,theta,")
+        assert out.startswith(b"p,theta,")
         assert len(out.splitlines()) == 4  # header + (2,2) (2,3) (3,3)
-        assert out.endswith("\n")
+        assert out.endswith(b"\n")
+        path = tmp_path / "t.csv"
+        assert cli.main(["thresholds", "--grid", "2:3:1", "--out", str(path)]) == 0
+        assert path.read_bytes() == out
+
+    def test_table_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, _, _ = run(["thresholds", "--grid", "1.1:6:0.1", "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_11_6_SHA256
+
+    def test_blocks_do_not_change_bytes(self, tmp_path, capsys, monkeypatch):
+        whole = tmp_path / "whole.csv"
+        run(["thresholds", "--grid", "1.1:3:0.1", "--out", str(whole)], capsys)
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 7)  # 210 pairs: 30 blocks
+        blocks = tmp_path / "blocks.csv"
+        code, _, _ = run(["thresholds", "--grid", "1.1:3:0.1", "--out", str(blocks)], capsys)
+        assert code == 0
+        assert blocks.read_bytes() == whole.read_bytes()
 
     def test_bad_grid_exits_2(self, capsys):
-        for bad in ("1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5"):
+        for bad in ("1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5", "1:inf:1", "1.5:2:inf", "nan:2:0.1"):
             code, _, err = run(["thresholds", "--grid", bad], capsys)
             assert code == 2
             assert "grid" in err
+
+    def test_invalid_pair_exits_2(self, capsys):
+        for grid, message in (
+            ("0.5:2:0.5", "exponents must satisfy p >= 1 and theta >= 1, got (0.5, 0.5)"),
+            ("1:2:0.5", "p*theta must exceed 1"),
+        ):
+            code, out, err = run(["thresholds", "--grid", grid], capsys)
+            assert code == 2
+            assert err == f"error: {message}\n"
+            assert out == ""
+
+    def test_unreachable_width_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, _, err = run(
+            ["thresholds", "--grid", "1.1:3:0.1", "--tol", "1e-300", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert "did not reach the requested width" in err
+        assert not out.exists()
 
     def test_unwritable_out_exits_3(self, capsys):
         code, _, err = run(
