@@ -75,7 +75,6 @@ _OPTIONS = {
         ("lambda_init", float, 1e-3, "first trial load"),
         ("growth", float, 2.0, "load growth factor between trials"),
         ("max_steps", int, 200, "trial budget per branch"),
-        ("eigen_tol", float, 1e-10, "mu1 power-iteration tolerance"),
     ),
     "verify": (
         _P,
@@ -297,7 +296,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
         bracket_tol=float(cfg["bracket_tol"]),
         tol=float(cfg["tol"]),
         max_steps=int(cfg["max_steps"]),
-        eigen_tol=float(cfg["eigen_tol"]),
     )
     p_lo, _ = pair.canonical()
     s_energy = float(cfg["s"]) if cfg["s"] is not None else 0.5 * (

@@ -27,6 +27,7 @@ _MIN_INTERVALS = 16
 # about 15 up to m = 8192, so running out signals a fault, never a fold.
 _NEWTON_BUDGET = 50
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,38 +282,31 @@ def stability_mu1(
     gam: float,
     grid: RadialGrid,
     *,
-    tol: float = 1e-10,
     operator: RadialLaplacian | None = None,
 ) -> float:
     """Principal eigenvalue mu1 of -Lap(phi) = mu W phi, Dirichlet data.
 
     W = sqrt(lam gam p theta (v+1)^(p-1) (u+1)^(theta-1)) is the
     geometric-mean linearized weight; mu1 >= 1 is the semi-stability
-    inequality satisfied by minimal solutions.  Power iteration on
-    (-Lap)^{-1} W with a Rayleigh-style quotient; W > 0 pointwise, so
-    the iteration converges to the dominant mode.
+    inequality satisfied by minimal solutions.  On the nodes 0..M-1, mu1
+    is the smallest eigenvalue of W^(-1/2) (-Lap) W^(-1/2).  Opposite
+    off-diagonals of the M-matrix -Lap have a positive product, so a
+    diagonal similarity makes it symmetric tridiagonal, and bisection
+    gives mu1 to full relative accuracy.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     _check_load(lam, gam)
     op = operator if operator is not None else assemble_radial_laplacian(grid)
     p, theta = float(e.p), float(e.theta)
-    weight = np.sqrt(
-        lam * gam * p * theta * (state.v + 1.0) ** (p - 1.0) * (state.u + 1.0) ** (theta - 1.0)
+    u, v = state.u[:-1], state.v[:-1]
+    w = np.sqrt(lam * gam * p * theta * (v + 1.0) ** (p - 1.0) * (u + 1.0) ** (theta - 1.0))
+    diag = op._diag[:-1] / w
+    off = -np.sqrt(op._upper[:-2] * op._lower[1:-1] / (w[:-1] * w[1:]))
+    mu = eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=2.0 * _TINY
     )
-    weight[-1] = 0.0
-    x = np.ones(grid.m + 1)
-    x[-1] = 0.0
-    x /= np.linalg.norm(x)
-    rho_old = math.inf
-    for _ in range(100_000):
-        y = op.solve_dirichlet(weight * x)
-        rho = float(x @ y)
-        if rho <= 0.0:
-            raise NumericalError("power iteration lost positivity")
-        x = y / np.linalg.norm(y)
-        if abs(rho - rho_old) <= tol * abs(rho):
-            return 1.0 / rho
-        rho_old = rho
-    raise NumericalError("eigenvalue iteration did not converge")
+    return float(mu[0])
 
 
 @dataclass(frozen=True)
@@ -324,7 +318,6 @@ class ContinuationConfig:
     bracket_tol: float = 1e-4  # relative to lambda_lo
     tol: float = 1e-10
     max_steps: int = 200
-    eigen_tol: float = 1e-10
 
     def __post_init__(self):
         if self.lambda_init <= 0 or not math.isfinite(self.lambda_init):
@@ -337,8 +330,6 @@ class ContinuationConfig:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.tol > 0):
             raise ConfigurationError(f"tol must be positive, got {self.tol}")
-        if not (self.eigen_tol > 0):
-            raise ConfigurationError(f"eigen_tol must be positive, got {self.eigen_tol}")
 
 
 @dataclass
@@ -362,7 +353,7 @@ class Branch:
     lambda_hi is the smallest tried load where a negative Newton step
     certified that no solution exists; budget exhaustion never sets it.
     mu1_violations lists indices where mu1 failed to be nonincreasing
-    (diagnostic only; small wiggles at eigensolver tolerance happen).
+    (diagnostic only).
     """
 
     sigma: float
@@ -433,9 +424,7 @@ def continue_ray(
                     raise NumericalError("branch states are not nondecreasing in lambda")
             state = result.state
             branch.lambda_lo = trial
-            mu1 = stability_mu1(
-                e, state, trial, sigma * trial, grid, tol=config.eigen_tol, operator=op
-            )
+            mu1 = stability_mu1(e, state, trial, sigma * trial, grid, operator=op)
             if branch.points and mu1 > branch.points[-1].mu1 + 1e-8:
                 branch.mu1_violations.append(len(branch.points))
             branch.points.append(

@@ -38,6 +38,7 @@ path is CPython's float pow, applied element by element (_float_pow).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -46,6 +47,9 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 _BRACKET_CAP = 2.0 ** 60
+# The largest exponent whose (exponent + 1)^2, a factor of the energy
+# coefficients, is a finite float.
+_EXPONENT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,10 @@ class ExponentPair:
         if self.p < 1 or self.theta < 1:
             raise DomainError(
                 f"exponents must satisfy p >= 1 and theta >= 1, got ({self.p}, {self.theta})"
+            )
+        if max(self.p, self.theta) > _EXPONENT_MAX:
+            raise DomainError(
+                f"exponents must not exceed {_EXPONENT_MAX:.6g}, got ({self.p}, {self.theta})"
             )
         if self.p * self.theta <= 1:
             raise DomainError("p*theta must exceed 1")
@@ -180,12 +188,6 @@ def eval_L(e: ExponentPair, s: float) -> float:
     return ((s * s) - c2) * (s * s) + c1 * s - c0
 
 
-def _eval_L_prime(e: ExponentPair, s: float) -> float:
-    p, theta = _canon(e)
-    c2, c1, _ = _energy_coeffs(p, theta)
-    return 4.0 * s ** 3 - 2.0 * c2 * s + c1
-
-
 def eval_H(e: ExponentPair, x: float) -> float:
     """Dimension quartic H(x); fully symmetric under p <-> theta."""
     p, theta = e.p, e.theta
@@ -297,7 +299,10 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
         raise DomainError(
             f"p and theta must be 1-D arrays of one length, got {p.shape} and {theta.shape}"
         )
-    valid = np.isfinite(p) & np.isfinite(theta) & (p >= 1.0) & (theta >= 1.0) & (p * theta > 1.0)
+    # The checks of ExponentPair; nan and inf fail the comparisons.
+    with np.errstate(over="ignore"):
+        valid = (p >= 1.0) & (theta >= 1.0) & (np.maximum(p, theta) <= _EXPONENT_MAX)
+        valid &= p * theta > 1.0
     n = p.size if valid.all() else int(np.argmin(valid))  # rows before the first invalid one
     if n > 0 and not (tol > 0):
         raise DomainError(f"tol must be positive, got {tol}")
@@ -448,20 +453,6 @@ def stability_product(e: ExponentPair, s: float) -> float:
     a1 = 4.0 * q * root_pt / ((q + 1.0) * (q + 1.0))
     a2 = 4.0 * r * root_pt / ((r + 1.0) * (r + 1.0))
     return a1 * a2
-
-
-def _k_certificate(p: float, theta: float) -> float:
-    """Cubic certificate K = (3p^2-1)th^3 + (2p^2-p)th^2 - 2(p^2+p)th + p.
-
-    Positive for theta >= p > 1; certifies L(2 theta (p+1)/(theta+1)) < 0
-    through -((theta+1)^4 / (16 theta (p+1)^2)) L(m) = K.
-    """
-    return (
-        (3.0 * p * p - 1.0) * theta ** 3
-        + (2.0 * p * p - p) * theta ** 2
-        - 2.0 * (p * p + p) * theta
-        + p
-    )
 
 
 def check_polynomial_identities(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,12 @@ class TestRoots:
         code, out, err = run(["roots", "--p", "1", "--theta", "1"], capsys)
         assert code == 2
         assert "p*theta must exceed 1" in err
+        assert out == ""
+
+    def test_exponent_past_square_overflow_exits_2(self, capsys):
+        code, out, err = run(["roots", "--p", "1.5", "--theta", "1e200"], capsys)
+        assert code == 2
+        assert "exponents must not exceed" in err
         assert out == ""
 
     def test_missing_flag_exits_2(self, capsys):
@@ -118,6 +125,17 @@ class TestThresholds:
             assert err == f"error: {message}\n"
             assert out == ""
 
+    def test_exponent_past_square_overflow_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                ["thresholds", "--grid", "1.5:1e200:1e199", "--out", str(out)], capsys
+            )
+        assert code == 2
+        assert err == "error: exponents must not exceed 1.34078e+154, got (1.5, 1e+199)\n"
+        assert not out.exists()
+
     def test_unreachable_width_leaves_no_file(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code, _, err = run(
@@ -151,8 +169,14 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        # max_iter and blowup_cap were the Picard knobs of continue
-        for command, key in (("roots", "bogus"), ("continue", "max_iter"), ("continue", "blowup_cap")):
+        # max_iter and blowup_cap were the Picard knobs of continue, eigen_tol
+        # the tolerance of its mu1 power iteration
+        for command, key in (
+            ("roots", "bogus"),
+            ("continue", "max_iter"),
+            ("continue", "blowup_cap"),
+            ("continue", "eigen_tol"),
+        ):
             cfg.write_text(json.dumps({"p": 2.0, "theta": 3.0, key: 1}))
             code, _, err = run([command, "--config", str(cfg)], capsys)
             assert code == 2
@@ -205,6 +229,12 @@ class TestVerify:
         assert "RESULT FAIL worst" in out
         assert "rescale" in out
 
+    def test_exponent_past_square_overflow_exits_2(self, capsys):
+        code, out, err = run(["verify", "--p", "1.5", "--theta", "1e200"], capsys)
+        assert code == 2
+        assert "exponents must not exceed" in err
+        assert out == ""
+
     def test_samples_validated(self, capsys):
         code, _, _ = run(["verify", "--p", "2", "--theta", "3", "--samples", "0"], capsys)
         assert code == 2
@@ -221,6 +251,13 @@ class TestPartial:
         assert float(n_new) == pytest.approx(15.65685424949238, abs=1e-9)
         assert float(bound) == pytest.approx(16.0 - 15.65685424949238, abs=1e-9)
         assert float(proof) > float(bound)
+
+    def test_exponent_past_square_overflow_exits_2(self, capsys):
+        argv = ["partial", "--p", "1.5", "--theta", "1e200", "--dim", "16"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "exponents must not exceed" in err
+        assert out == ""
 
     def test_everything_regular_below_threshold(self, capsys):
         code, out, _ = run(["partial", "--p", "2", "--theta", "2", "--dim", "10"], capsys)
@@ -301,6 +338,15 @@ class TestContinue:
         summary = json.loads((tmp_path / "b.summary.json").read_text())
         assert summary["budget_exhausted"] is True
         assert summary["lambda_hi"] is None
+
+    def test_eigen_tol_flag_exits_2(self, tmp_path, capsys):
+        # mu1 comes from a direct eigen-solve; its power-iteration knob is gone
+        argv = ["continue", "--p", "2", "--theta", "2", "--eigen-tol", "1e-10"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--out", str(tmp_path / "b.csv")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --eigen-tol" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
         argv = [

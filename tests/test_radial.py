@@ -212,16 +212,33 @@ class TestSolveMinimal:
 
 class TestStabilityMu1:
     def test_matches_dense_eigensolver(self):
-        g = RadialGrid.uniform(3, 64)
-        op = assemble_radial_laplacian(g)
-        res = solve_minimal(PAIR22, 1.0, 1.0, g, operator=op)
-        mu = stability_mu1(PAIR22, res.state, 1.0, 1.0, g, operator=op)
-        u, v = res.state.u, res.state.v
-        w = np.sqrt(1.0 * 1.0 * 4.0 * (v + 1.0) ** 1.0 * (u + 1.0) ** 1.0)
-        w[-1] = 0.0
-        inv = np.linalg.inv(op.to_dense())
-        rho = np.max(np.abs(scipy.linalg.eigvals(inv * w[None, :])))
-        assert mu == pytest.approx(1.0 / float(rho), rel=1e-8)
+        # At N = 20 the rows with r < 9.5 h take the flux form; the N = 5
+        # grid is graded towards the boundary.
+        for pair, g, lam, sigma in (
+            (PAIR22, RadialGrid.uniform(3, 64), 1.0, 1.0),
+            (ExponentPair(1.5, 4.0), RadialGrid.uniform(20, 64), 0.5, 32.0 / 17.0),
+            (ExponentPair(2.0, 3.0), RadialGrid(5, boundary_graded_nodes(80)), 0.3, 1.0),
+        ):
+            gam = sigma * lam
+            op = assemble_radial_laplacian(g)
+            res = solve_minimal(pair, lam, gam, g, operator=op)
+            mu = stability_mu1(pair, res.state, lam, gam, g, operator=op)
+            u, v = res.state.u, res.state.v
+            w = np.sqrt(
+                lam * gam * pair.p * pair.theta
+                * (v + 1.0) ** (pair.p - 1.0) * (u + 1.0) ** (pair.theta - 1.0)
+            )
+            w[-1] = 0.0
+            inv = np.linalg.inv(op.to_dense())
+            rho = np.max(np.abs(scipy.linalg.eigvals(inv * w[None, :])))
+            assert mu == pytest.approx(1.0 / float(rho), rel=1e-10)
+
+    def test_strictly_decreasing_along_asymmetric_ray(self):
+        g = RadialGrid.uniform(20, 256)
+        branch = continue_ray(ExponentPair(1.5, 4.0), 32.0 / 17.0, g)
+        mus = [pt.mu1 for pt in branch.points]
+        assert all(b < a for a, b in zip(mus, mus[1:]))
+        assert branch.mu1_violations == []
 
     def test_interval_closed_form(self):
         # dim 1 with near-zero state: -w'' = mu c w, w'(0)=0, w(1)=0
@@ -245,7 +262,6 @@ class TestContinuation:
             {"lambda_init": 0.0},
             {"max_steps": 0},
             {"tol": 0.0},
-            {"eigen_tol": 0.0},
         ):
             with pytest.raises(ConfigurationError):
                 ContinuationConfig(**bad)

@@ -1,6 +1,7 @@
 """threshold_rows against threshold_report, the single-pair oracle, bit for bit."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_first_failing_row_decides_the_error():
         threshold_rows([2.0, 0.5], [3.0, 2.0], 1e-300)
     with pytest.raises(DomainError, match="must be a finite number"):
         threshold_rows([math.nan, 2.0], [2.0, 3.0], 0.0)
+
+
+def test_exponent_whose_square_overflows_raises_domain_error_on_both_paths():
+    edge = math.sqrt(sys.float_info.max)  # (edge + 1)^2 is still finite
+    rows = threshold_rows([2.0, 1.5], [3.0, edge], 1e-12)
+    expected = [threshold_report(ExponentPair(a, b)) for a, b in ((2.0, 3.0), (1.5, edge))]
+    for name in FIELDS:
+        assert hexes(getattr(rows, name)) == hexes(getattr(rep, name) for rep in expected), name
+    over = math.nextafter(edge, math.inf)
+    with pytest.raises(DomainError, match="exponents must not exceed") as scalar:
+        ExponentPair(over, 1.5)
+    with pytest.raises(DomainError) as array:
+        threshold_rows([2.0, over, 1.0], [3.0, 1.5, 1.0], 1e-12)
+    assert str(array.value) == str(scalar.value)
 
 
 def test_empty_and_misshaped_input():

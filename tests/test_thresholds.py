@@ -307,10 +307,18 @@ class TestDimensionBounds:
 
 
 def test_k_certificate_positive_on_grid():
-    # positivity of (3p^2 - 1) th^3 + (2p^2 - p) th^2 - 2(p^2 + p) th + p
-    # for theta >= p > 1 backs the strict-improvement claim
-    from exle.thresholds import _k_certificate
-
+    # K = (3p^2 - 1) th^3 + (2p^2 - p) th^2 - 2(p^2 + p) th + p equals
+    # -((th+1)^4 / (16 th (p+1)^2)) L(m) at m = 2 th (p+1)/(th+1); its
+    # positivity for theta >= p > 1 backs the strict-improvement claim
     for p in np.linspace(1.001, 20.0, 60):
         for theta in np.linspace(p, 20.0, 40):
-            assert _k_certificate(p, theta) > 0.0
+            k = (
+                (3.0 * p * p - 1.0) * theta**3
+                + (2.0 * p * p - p) * theta**2
+                - 2.0 * (p * p + p) * theta
+                + p
+            )
+            assert k > 0.0
+            mid = 2.0 * theta * (p + 1.0) / (theta + 1.0)
+            scale = (theta + 1.0) ** 4 / (16.0 * theta * (p + 1.0) ** 2)
+            assert -scale * eval_L(ExponentPair(p, theta), mid) == pytest.approx(k, rel=1e-9)
