@@ -5,9 +5,8 @@ The system under study is
     -Lap(u) = lambda * (v+1)**p,    -Lap(v) = gamma * (u+1)**theta
 
 on a ball with zero Dirichlet data, where p, theta >= 1 and p*theta > 1.
-Everything in this module is algebra on the exponent pair, one pair at a
-time, except threshold_rows, which gives threshold_report for many pairs
-at once.  Two quartic polynomials carry the structure:
+Everything in this module is algebra on the exponent pair.  Two quartic
+polynomials carry the structure:
 
 * the energy quartic  L(s) = s^4 - c2*s^2 + c1*s - c0  (coefficients
   below), whose negativity at s marks integrability exponents for which
@@ -27,19 +26,22 @@ The energy quartic is not symmetric in (p, theta); all L-based
 quantities use the canonical order p <= theta.  The dimension quartic is
 fully symmetric, so the threshold itself does not depend on the order.
 
-threshold_rows agrees with threshold_report to the last bit.  It runs the
-same root iteration on numpy arrays, and +, -, *, /, sqrt and comparisons
-are correctly rounded in numpy as in Python.  Float powers are not: numpy's
-power loops may take a SIMD path that differs from the C library's pow in
-the last bit of a few percent of cubes.  So every float power of the array
-path is CPython's float pow, applied element by element (_float_pow).
+There is one root iteration, _largest_roots, on numpy arrays of pairs:
+threshold_rows runs it for a whole table, and threshold_report (and with
+it largest_root_L) is row 0 of threshold_rows for one pair.  It replaced a
+scalar loop of the same steps and matched it to the last bit, so no output
+changed: +, -, *, /, sqrt and comparisons are correctly rounded in numpy
+as in Python.  Float powers are not: numpy's power loops may take a SIMD
+path that differs from the C library's pow in the last bit of a few
+percent of cubes.  So every float power on arrays is CPython's float pow,
+applied element by element (_float_pow).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -146,10 +148,6 @@ class IdentityReport:
         )
 
 
-def _canon(e: ExponentPair) -> tuple[float, float]:
-    return e.canonical()
-
-
 def _float_pow(x, n: int):
     """x ** n by CPython's float pow; element by element for an array."""
     if isinstance(x, np.ndarray):
@@ -171,7 +169,7 @@ def eval_t0(e: ExponentPair) -> float:
     m > 1 holds throughout the validity domain, so the inner radicand
     sqrt(m)*(sqrt(m)-1) is positive.
     """
-    p, theta = _canon(e)
+    p, theta = e.canonical()
     m = p * theta * (p + 1.0) / (theta + 1.0)
     root_m = math.sqrt(m)
     return root_m + math.sqrt(m - root_m)
@@ -183,7 +181,7 @@ def eval_L(e: ExponentPair, s: float) -> float:
     c2 = 16 p th (p+1)/(th+1), c1 = 16 p th (p+1)(p+th+2)/(th+1)^2,
     c0 = 16 p th (p+1)^2/(th+1)^2.
     """
-    p, theta = _canon(e)
+    p, theta = e.canonical()
     c2, c1, c0 = _energy_coeffs(p, theta)
     return ((s * s) - c2) * (s * s) + c1 * s - c0
 
@@ -202,7 +200,7 @@ def eval_H(e: ExponentPair, x: float) -> float:
 
 
 def _monomial_scale_L(e: ExponentPair, s: float) -> float:
-    p, theta = _canon(e)
+    p, theta = e.canonical()
     c2, c1, c0 = _energy_coeffs(p, theta)
     s2 = s * s
     return max(s2 * s2, c2 * s2, c1 * abs(s), c0, 1.0)
@@ -213,85 +211,28 @@ def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
 
     L(2) < 0 throughout the domain and L is eventually positive, so a
     sign change exists beyond 2; L'' = 12 s^2 - 2 c2 is increasing, which
-    makes the root unique there.  Bracketing bisection with safeguarded
-    Newton steps; returns the bracket midpoint once the bracket width is
-    at most tol.
+    makes the root unique there.  The s0 of threshold_report(e, tol).
     """
-    if not (tol > 0):
-        raise DomainError(f"tol must be positive, got {tol}")
-    p, theta = _canon(e)
-    c2, c1, c0 = _energy_coeffs(p, theta)
-
-    # L is written out inline and evaluated once per point: this loop runs
-    # for every pair of a threshold table.  The operation order matches
-    # eval_L, so the root is the same to the last bit.
-    f_lo = (4.0 - c2) * 4.0 + c1 * 2.0 - c0
-    if not f_lo < 0:
-        raise NumericalError(f"expected L(2) < 0, got {f_lo}; pair {e}")
-    lo = 2.0
-    hi = 4.0
-    while ((hi * hi) - c2) * (hi * hi) + c1 * hi - c0 <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise NumericalError("no sign change of the energy quartic below 2^60")
-    for _ in range(500):
-        width = hi - lo
-        if width <= tol:
-            return 0.5 * (lo + hi)
-        # Newton from the midpoint, clipped to the bracket.
-        x = 0.5 * (lo + hi)
-        xx = x * x
-        fx = (xx - c2) * xx + c1 * x - c0
-        d = 4.0 * x ** 3 - 2.0 * c2 * x + c1
-        if d != 0.0:
-            x_newton = x - fx / d
-            if lo < x_newton < hi:
-                x = x_newton
-                xx = x * x
-                fx = (xx - c2) * xx + c1 * x - c0
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        # Force at least a halving per iteration so progress is geometric
-        # even when Newton keeps landing next to one endpoint.
-        if hi - lo > 0.5 * width:
-            mid = 0.5 * (lo + hi)
-            xx = mid * mid
-            if (xx - c2) * xx + c1 * mid - c0 < 0.0:
-                lo = mid
-            else:
-                hi = mid
-    raise NumericalError("root refinement did not reach the requested width")
+    return threshold_report(e, tol).s0
 
 
 def threshold_report(e: ExponentPair, tol: float = 1e-12) -> ThresholdReport:
-    """Full threshold summary: t0, s0, x0 and both dimension thresholds."""
-    p, theta = _canon(e)
-    k = (theta + 1.0) / (p * theta - 1.0)
-    t0 = eval_t0(e)
-    s0 = largest_root_L(e, tol)
-    x0 = k * s0
-    n_cowan = 2.0 + 4.0 * t0 * k
-    n_new = 2.0 + 2.0 * x0
-    return ThresholdReport(
-        t0=t0,
-        s0=s0,
-        x0=x0,
-        n_cowan=n_cowan,
-        n_new=n_new,
-        improvement=n_new - n_cowan,
-    )
+    """Full threshold summary: t0, s0, x0 and both dimension thresholds.
+
+    Row 0 of threshold_rows([e.p], [e.theta], tol), as Python floats.
+    """
+    rows = threshold_rows([e.p], [e.theta], tol)
+    return ThresholdReport(*(float(getattr(rows, f.name)[0]) for f in fields(ThresholdReport)))
 
 
 def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
-    """threshold_report for many exponent pairs at once, bit for bit.
+    """threshold_report for many exponent pairs at once.
 
     p and theta are 1-D arrays of equal length; each row may come in
-    either order.  Returns a ThresholdReport whose fields are arrays: row
-    i equals threshold_report(ExponentPair(p[i], theta[i]), tol) to the
-    last bit.  If rows fail, the first failing row raises the error it
-    would raise on its own, with the pair named.
+    either order.  Returns a ThresholdReport whose fields are arrays, one
+    entry per pair; a row does not depend on the other rows.  If rows
+    fail, the first failing row raises the error it would raise on its
+    own, with the pair named.
     """
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -310,7 +251,7 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
     # Python floats overflow to inf and nan without a word; so do these.
     with np.errstate(all="ignore"):
         s0, failure = _largest_roots(*_energy_coeffs(p_c, theta_c), tol)
-        # The operation order of eval_t0 and threshold_report.
+        # The operation order of eval_t0.
         m = p_c * theta_c * (p_c + 1.0) / (theta_c + 1.0)
         root_m = np.sqrt(m)
         t0 = root_m + np.sqrt(m - root_m)
@@ -329,17 +270,19 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
 
 
 def _quartic(s, c2, c1, c0):
-    # L(s) in the operation order of eval_L and largest_root_L.
+    # L(s) in the operation order of eval_L.
     ss = s * s
     return (ss - c2) * ss + c1 * s - c0
 
 
 def _largest_roots(c2, c1, c0, tol: float):
-    """largest_root_L on arrays of energy-quartic coefficients.
+    """Largest roots in (2, inf) for arrays of energy-quartic coefficients.
 
-    Each row takes the steps the scalar loop takes, with masks, and is
-    dropped once its bracket is at most tol wide.  Returns the roots and
-    None, or the roots and (row, message) for the first row that fails.
+    Bracketing bisection with safeguarded Newton steps, on every row at
+    once with masks.  A row is done, at its bracket midpoint, once the
+    bracket is at most tol wide or its ends are adjacent floats (a width
+    below roundoff counts as that roundoff).  Returns the roots and None,
+    or the roots and (row, message) for the first row that fails.
     """
     s0 = np.full(c2.size, np.nan)
     failed: dict[int, str] = {}
@@ -363,26 +306,28 @@ def _largest_roots(c2, c1, c0, tol: float):
         idx = idx[~np.isin(idx, list(failed))]
     lo = np.full(idx.size, 2.0)
     hi, c2, c1, c0 = hi[idx], c2[idx], c1[idx], c0[idx]
-    for _ in range(500):  # the sweep limit of largest_root_L
+    for _ in range(500):
         width = hi - lo
-        done = width <= tol
+        x = 0.5 * (lo + hi)
+        done = (width <= tol) | (x == lo) | (x == hi)
         if done.any():
-            s0[idx[done]] = 0.5 * (lo[done] + hi[done])
+            s0[idx[done]] = x[done]
             keep = ~done
-            idx, lo, hi, width = idx[keep], lo[keep], hi[keep], width[keep]
+            idx, lo, hi, width, x = idx[keep], lo[keep], hi[keep], width[keep], x[keep]
             c2, c1, c0 = c2[keep], c1[keep], c0[keep]
         if not idx.size:
             break
-        # Newton from the midpoint, clipped to the bracket.
-        x = 0.5 * (lo + hi)
+        # Newton from the midpoint, kept only inside the bracket (a zero d
+        # gives inf or nan, which fails the test).
         fx = _quartic(x, c2, c1, c0)
         d = 4.0 * _float_pow(x, 3) - 2.0 * c2 * x + c1
         x_newton = x - fx / d
-        x = np.where((d != 0.0) & (lo < x_newton) & (x_newton < hi), x_newton, x)
+        x = np.where((lo < x_newton) & (x_newton < hi), x_newton, x)
         below = _quartic(x, c2, c1, c0) < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        # The forced halving.
+        # Force at least a halving per sweep so progress is geometric
+        # even when Newton keeps landing next to one endpoint.
         halve = hi - lo > 0.5 * width
         mid = 0.5 * (lo + hi)
         below = _quartic(mid, c2, c1, c0) < 0.0
@@ -444,7 +389,7 @@ def stability_product(e: ExponentPair, s: float) -> float:
     Algebraically a1*a2 - 1 = -L(s)/s^4, so the product exceeds 1
     exactly where the energy quartic is negative.
     """
-    p, theta = _canon(e)
+    p, theta = e.canonical()
     if not (s > p + 1.0):
         raise DomainError(f"s must exceed p+1 = {p + 1.0}, got {s}")
     r = s - 1.0
@@ -467,7 +412,7 @@ def check_polynomial_identities(
     """
     if sample_count < 1:
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
-    p, theta = _canon(e)
+    p, theta = e.canonical()
     canon = ExponentPair(p, theta)
     s0 = largest_root_L(canon, tol)
     k = (theta + 1.0) / (p * theta - 1.0)
@@ -486,16 +431,18 @@ def check_polynomial_identities(
 
     t0 = eval_t0(canon)
     two_t0 = 2.0 * t0
+    # Each factor of theta is divided by theta + 1 before the products are
+    # formed; formed first, they overflow for small p and theta near 1e153.
     rhs_2t0 = (
-        16.0 * p * theta * (p + 1.0) * (theta - p) * (1.0 - two_t0) / (theta + 1.0) ** 2
+        16.0 * p * (p + 1.0) * (theta / (theta + 1.0)) * ((theta - p) / (theta + 1.0))
+        * (1.0 - two_t0)
     )
     res_2t0 = abs(eval_L(canon, two_t0) - rhs_2t0) / _monomial_scale_L(canon, two_t0)
 
     closed_p1 = (
         (p + 1.0) ** 2
-        * (5.0 * p * theta + theta + p + 1.0)
-        * (3.0 * p * theta - theta - p - 1.0)
-        / (theta + 1.0) ** 2
+        * ((5.0 * p * theta + theta + p + 1.0) / (theta + 1.0))
+        * ((3.0 * p * theta - theta - p - 1.0) / (theta + 1.0))
     )
     res_p1 = abs(eval_L(canon, p + 1.0) + closed_p1) / _monomial_scale_L(canon, p + 1.0)
 

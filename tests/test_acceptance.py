@@ -29,6 +29,7 @@ from exle import (
     souplet_check,
     stability_product,
     threshold_report,
+    threshold_rows,
 )
 
 PAIR22 = ExponentPair(2.0, 2.0)
@@ -43,13 +44,12 @@ def line(num, name, ok, detail):
 def grid_reports():
     values = np.round(1.1 + 0.1 * np.arange(190), 10)
     assert values[-1] == 20.0
+    i, j = np.triu_indices(values.size)
+    p, theta = values[i], values[j]
     start = time.perf_counter()
-    rows = []
-    for i, p in enumerate(values):
-        for theta in values[i:]:
-            rows.append((p, theta, threshold_report(ExponentPair(p, theta))))
+    rep = threshold_rows(p, theta)
     elapsed = time.perf_counter() - start
-    return elapsed, rows
+    return elapsed, p, theta, rep
 
 
 def run_branch(m):
@@ -87,29 +87,25 @@ def test_criterion_1_symmetric_closed_forms():
 
 
 def test_criterion_2_strict_improvement_on_grid(grid_reports):
-    elapsed, rows = grid_reports
-    worst_off = math.inf
-    worst_diag = 0.0
-    for p, theta, rep in rows:
-        if p == theta:
-            worst_diag = max(worst_diag, abs(rep.improvement))
-        else:
-            worst_off = min(worst_off, rep.improvement)
+    elapsed, p, theta, rep = grid_reports
+    diagonal = p == theta
+    worst_off = float(rep.improvement[~diagonal].min())
+    worst_diag = float(np.abs(rep.improvement[diagonal]).max())
     ok = worst_off > 0.0 and worst_diag < 1e-8 and elapsed < 30.0
     assert line(
         2,
         "grid-improvement",
         ok,
-        f"{len(rows)} pairs, min off-diagonal {worst_off:.3e}, "
+        f"{p.size} pairs, min off-diagonal {worst_off:.3e}, "
         f"max diagonal {worst_diag:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_3_x0_exceeds_four(grid_reports):
-    _, rows = grid_reports
-    min_x0 = min(rep.x0 for _, _, rep in rows)
+    _, p, _, rep = grid_reports
+    min_x0 = float(rep.x0.min())
     ok = min_x0 > 4.0
-    assert line(3, "x0-above-four", ok, f"min x0 {min_x0:.6f} over {len(rows)} pairs")
+    assert line(3, "x0-above-four", ok, f"min x0 {min_x0:.6f} over {p.size} pairs")
 
 
 def test_criterion_4_identity_residuals():

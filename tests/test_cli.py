@@ -21,6 +21,21 @@ ROOTS_22_ROW = "3.41421356237,6.82842712475,6.82842712475,15.6568542495,15.65685
 ROOTS_101_166_ROW = (
     "20.0532167758,40.2993773523,4.25578447979,10.4708175988,10.5115689596,0.0407513607689"
 )
+ROOTS_101_20_ROW = (
+    "2.12732974001,4.91544928291,5.37627265319,11.3070676126,12.7525453064,1.44547769381"
+)
+ROOTS_100_5000_ROW = (
+    "200.476165537,401.443784337,4.01524876144,10.0206664721,10.0304975229,0.00983105075113"
+)
+# Adjacent floats near s0 ~ 4e4 are 7.3e-12 apart, wider than the default
+# tol; the scalar root loop exited 1 here.
+ROOTS_10000_ROW = "19999.4999875,39998.999975,4.0003000275,10.000600055,10.000600055,0"
+# `exle partial` rows, as written by the scalar root loop that preceded the
+# single array path.
+PARTIAL_ROWS = (
+    ("2", "2", "16", "16,15.6568542495,0.343145750508,0.392166572009"),
+    ("1.5", "4", "20", "20,14.1293906774,5.87060932258,6.52289924732"),
+)
 
 
 def run(argv, capsys):
@@ -31,7 +46,13 @@ def run(argv, capsys):
 
 class TestRoots:
     def test_symmetric_pair_exact_bytes(self, capsys):
-        for p, theta, row in (("2", "2", ROOTS_22_ROW), ("10.1", "16.6", ROOTS_101_166_ROW)):
+        for p, theta, row in (
+            ("2", "2", ROOTS_22_ROW),
+            ("10.1", "16.6", ROOTS_101_166_ROW),
+            ("1.01", "20", ROOTS_101_20_ROW),
+            ("100", "5000", ROOTS_100_5000_ROW),
+            ("10000", "10000", ROOTS_10000_ROW),
+        ):
             code, out, err = run(["roots", "--p", p, "--theta", theta], capsys)
             assert code == 0
             assert out == "t0,s0,x0,n_cowan,n_new,improvement\n" + row + "\n"
@@ -137,12 +158,11 @@ class TestThresholds:
         assert not out.exists()
 
     def test_unreachable_width_leaves_no_file(self, tmp_path, capsys):
+        # Exponents of 1e18 put the root of the energy quartic past 2^60.
         out = tmp_path / "t.csv"
-        code, _, err = run(
-            ["thresholds", "--grid", "1.1:3:0.1", "--tol", "1e-300", "--out", str(out)], capsys
-        )
+        code, _, err = run(["thresholds", "--grid", "1e18:2e18:1e18", "--out", str(out)], capsys)
         assert code == 1
-        assert "did not reach the requested width" in err
+        assert "no sign change of the energy quartic below 2^60" in err
         assert not out.exists()
 
     def test_unwritable_out_exits_3(self, capsys):
@@ -201,14 +221,17 @@ class TestConfigFile:
 
 class TestVerify:
     def test_passes_for_valid_pair(self, capsys):
-        code, out, _ = run(
-            ["verify", "--p", "2", "--theta", "3", "--samples", "100", "--seed", "1"],
-            capsys,
-        )
-        assert code == 0
-        assert "RESULT PASS" in out
-        assert "equivalence_scan disagreements 0" in out
-        assert "FAIL" not in out
+        # At theta = 1e153 the closed forms overflowed to inf when their
+        # products were formed before the division by (theta + 1)^2.
+        for argv in (
+            ["--p", "2", "--theta", "3", "--samples", "100", "--seed", "1"],
+            ["--p", "1.5", "--theta", "1e153"],
+        ):
+            code, out, _ = run(["verify", *argv], capsys)
+            assert code == 0
+            assert "RESULT PASS" in out
+            assert "equivalence_scan disagreements 0" in out
+            assert "FAIL" not in out
 
     def test_symmetric_pair_reports_split_identity(self, capsys):
         code, out, _ = run(["verify", "--p", "2", "--theta", "2"], capsys)
@@ -251,6 +274,11 @@ class TestPartial:
         assert float(n_new) == pytest.approx(15.65685424949238, abs=1e-9)
         assert float(bound) == pytest.approx(16.0 - 15.65685424949238, abs=1e-9)
         assert float(proof) > float(bound)
+        for p, theta, dim, row in PARTIAL_ROWS:
+            code, out, err = run(["partial", "--p", p, "--theta", theta, "--dim", dim], capsys)
+            assert code == 0
+            assert out == "dim,n_new,bound,bound_proof_form\n" + row + "\n"
+            assert err == ""
 
     def test_exponent_past_square_overflow_exits_2(self, capsys):
         argv = ["partial", "--p", "1.5", "--theta", "1e200", "--dim", "16"]

@@ -1,7 +1,8 @@
-"""threshold_rows against threshold_report, the single-pair oracle, bit for bit."""
+"""threshold_rows, the one root path, against exact rational arithmetic."""
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,24 +34,61 @@ def hexes(values):
     return [float(x).hex() for x in values]
 
 
+def exact_L(p, theta, s):
+    """L(s) and the sum of its monomials' magnitudes, in exact rationals.
+
+    Computed from the float exponents in canonical order.  The coefficients
+    are written out from their definitions, not taken from the module:
+    c2 = 16 p th (p+1)/(th+1), c1 = c2 (p+th+2)/(th+1), c0 = c2 (p+1)/(th+1).
+    """
+    p, theta = sorted((Fraction(p), Fraction(theta)))
+    c2 = 16 * p * theta * (p + 1) / (theta + 1)
+    c1 = c2 * (p + theta + 2) / (theta + 1)
+    c0 = c2 * (p + 1) / (theta + 1)
+    return s**4 - c2 * s**2 + c1 * s - c0, s**4 + c2 * s**2 + c1 * s + c0
+
+
+# A bound on the error of L evaluated in floats, relative to the sum of its
+# monomials: about 10 roundings in the coefficients and 4 in the evaluation.
+# Within it no float computation can tell the sign of L.
+ROUNDOFF = Fraction(16, 2**53)
+
+
+def brackets_root(p, theta, s0, tol):
+    """L < 0 at max(s0 - m, 2) and L > 0 at s0 + m, m = max(tol, 4 ulp(s0)).
+
+    s0 is the largest root in (2, inf); near p = theta = 1 a smaller root
+    lies just below 2, since L has a double root at s = 2 in the limit.
+    There the root is ill-conditioned, and a sign may also be off where |L|
+    is below the float roundoff bound.
+    """
+    m = Fraction(max(tol, 4.0 * math.ulp(s0)))
+    below, scale_below = exact_L(p, theta, max(Fraction(s0) - m, Fraction(2)))
+    above, scale_above = exact_L(p, theta, Fraction(s0) + m)
+    return below < ROUNDOFF * scale_below and above > -ROUNDOFF * scale_above
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(pairs(), min_size=1, max_size=24), tol=st.sampled_from(TOLS), swap=st.booleans())
-def test_rows_equal_threshold_report_bit_for_bit(rows, tol, swap):
-    if swap:  # the user's order; both paths reorder to p <= theta
+def test_rows_bracket_the_exact_root(rows, tol, swap):
+    if swap:  # the user's order; the path reorders to p <= theta
         rows = [(b, a) for a, b in rows]
-    expected = []
-    for a, b in rows:
-        try:
-            expected.append(threshold_report(ExponentPair(a, b), tol))
-        except NumericalError as exc:
-            # tol below the root's ulp: the kernel names the same first failure
-            with pytest.raises(NumericalError) as info:
-                threshold_rows([a for a, _ in rows], [b for _, b in rows], tol)
-            assert str(info.value) == f"{exc}; pair {ExponentPair(a, b)}"
-            return
     got = threshold_rows([a for a, _ in rows], [b for _, b in rows], tol)
+    for (a, b), s0 in zip(rows, got.s0.tolist()):
+        assert brackets_root(a, b, s0, tol), (a, b, s0)
+    # Either order of every pair gives the same row, to the last bit.
+    flipped = threshold_rows([b for _, b in rows], [a for a, _ in rows], tol)
     for name in FIELDS:
-        assert hexes(getattr(got, name)) == hexes(getattr(rep, name) for rep in expected), name
+        assert hexes(getattr(got, name)) == hexes(getattr(flipped, name)), name
+
+
+def test_width_below_roundoff_counts_as_roundoff():
+    # At s0 ~ 4e4 the adjacent floats are 7.3e-12 apart, wider than tol.
+    s0 = threshold_report(ExponentPair(10000.0, 10000.0), 1e-12).s0
+    assert s0 == 39998.99997499875
+    for tol in (1e-12, 1e-300):
+        for a, b in ((10000.0, 10000.0), (2.0, 3.0), (1.0, 7.5)):
+            assert brackets_root(a, b, threshold_report(ExponentPair(a, b), tol).s0, tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
@@ -63,11 +101,16 @@ def test_nonpositive_tol_raises_domain_error_on_both_paths(tol):
 
 
 def test_unreachable_width_raises_numerical_error_on_both_paths():
-    with pytest.raises(NumericalError, match="did not reach the requested width"):
-        threshold_report(ExponentPair(2.0, 3.0), 1e-300)
-    with pytest.raises(NumericalError, match="did not reach the requested width") as info:
-        threshold_rows([2.0, 1.5], [3.0, 4.0], 1e-300)
-    assert str(info.value).endswith("; pair ExponentPair(p=2.0, theta=3.0)")
+    # Exponents of 1e18 put the root of the energy quartic past 2^60.
+    message = (
+        "no sign change of the energy quartic below 2^60; pair ExponentPair(p=1e+18, theta=1e+18)"
+    )
+    with pytest.raises(NumericalError) as scalar:
+        threshold_report(ExponentPair(1e18, 1e18))
+    assert str(scalar.value) == message
+    with pytest.raises(NumericalError) as info:
+        threshold_rows([2.0, 1e18, 1e18], [3.0, 1e18, 2e18])
+    assert str(info.value) == message
 
 
 def test_first_failing_row_decides_the_error():
@@ -78,8 +121,8 @@ def test_first_failing_row_decides_the_error():
         threshold_rows([2.0, 1.0, 0.5], [3.0, 1.0, 2.0], 1e-12)
     # ... unless an earlier row fails first, and a bad tol is never reached
     # past an invalid first row, as in threshold_report(ExponentPair(...), tol).
-    with pytest.raises(NumericalError, match=r"pair ExponentPair\(p=2.0, theta=3.0\)"):
-        threshold_rows([2.0, 0.5], [3.0, 2.0], 1e-300)
+    with pytest.raises(NumericalError, match=r"pair ExponentPair\(p=1e\+18, theta=1e\+18\)"):
+        threshold_rows([2.0, 1e18, 0.5], [3.0, 1e18, 2.0], 1e-12)
     with pytest.raises(DomainError, match="must be a finite number"):
         threshold_rows([math.nan, 2.0], [2.0, 3.0], 0.0)
 

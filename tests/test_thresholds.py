@@ -176,6 +176,26 @@ class TestIdentities:
                 scale = max(1.0, abs(left), abs(right))
                 assert abs(left - right) < 1e-12 * scale
 
+    def test_dimension_quartic_in_scaling_exponents(self):
+        # H(x) = x^4 - p theta alpha (2x - alpha) beta (2x - beta), so in
+        # particular H(alpha) = alpha^4 and H(beta) = beta^4.
+        rng = np.random.default_rng(37)
+        for a, b in 10.0 ** rng.uniform(0.0, 4.0, size=(400, 2)):
+            if a * b <= 1.0:
+                continue
+            pair = ExponentPair(a, b)
+            ab = scaling_exponents(pair)
+            alpha, beta, pt = ab.alpha, ab.beta, a * b
+            for x in (alpha, beta, *rng.uniform(-10.0, 40.0, size=3)):
+                right = x**4 - pt * alpha * (2.0 * x - alpha) * beta * (2.0 * x - beta)
+                scale = max(
+                    x**4,
+                    4.0 * pt * alpha * beta * x * x,
+                    2.0 * pt * alpha * beta * (alpha + beta) * abs(x),
+                    pt * (alpha * beta) ** 2,
+                )
+                assert abs(eval_H(pair, x) - right) <= 1e-12 * scale, (a, b, x)
+
     def test_value_at_twice_t0_closed_form(self):
         for pair in _sample_pairs(30, seed=23):
             p, theta = pair.canonical()
