@@ -12,8 +12,8 @@ identical inputs give byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 domain error, 3 I/O error, 4 budget
 exhausted.  A JSON config file (flat keys mirroring the flags) can seed
 any command; explicit flags win.  Every config key is also a flag.  The
-tol of `continue` is the Picard step tolerance; elsewhere it is the width
-of the root bracket.
+tol of `continue` is the Newton correction tolerance; elsewhere it is the
+width of the root bracket.
 """
 
 from __future__ import annotations
@@ -68,12 +68,10 @@ _OPTIONS = {
         ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
         ("dim", int, 3, "space dimension N"),
         ("nodes", int, 256, "radial grid nodes"),
-        ("tol", float, 1e-12, "Picard step tolerance"),
+        ("tol", float, 1e-12, "Newton correction tolerance"),
         ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
         ("s", float, None, "energy integrability exponent"),
         ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
-        ("lambda_init", float, 1e-3, "first trial load"),
-        ("growth", float, 2.0, "load growth factor between trials"),
         ("max_steps", int, 200, "trial budget per branch"),
     ),
     "verify": (
@@ -291,8 +289,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
     dim = int(cfg["dim"])
     grid = RadialGrid.uniform(dim, int(cfg["nodes"]))
     run = ContinuationConfig(
-        lambda_init=float(cfg["lambda_init"]),
-        growth=float(cfg["growth"]),
         bracket_tol=float(cfg["bracket_tol"]),
         tol=float(cfg["tol"]),
         max_steps=int(cfg["max_steps"]),

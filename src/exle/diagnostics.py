@@ -27,17 +27,14 @@ from .thresholds import ExponentPair, scaling_exponents, threshold_report
 # Log-log growth slope separating plateauing from blowing-up branch
 # tails; desk-scale runs sit near -0.04 (bounded) and -0.6 (unbounded).
 _GROWTH_SLOPE_CUT = -0.15
+# Accepted branch points the tail slope is fitted over.
+_TAIL_POINTS = 8
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Integral diagnostics for one state at integrability exponent s.
+    """Integral diagnostics for one state at integrability exponent s."""
 
-    souplet_margin_min is NaN unless the loads were supplied to
-    energy_report (the comparison inequality needs lam and gam).
-    """
-
-    souplet_margin_min: float
     energy_J2: float
     energy_power: float
     local_ratio: float
@@ -116,31 +113,23 @@ def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: int) -> float:
 
 
 def energy_report(
-    e: ExponentPair,
-    state: StatePair,
-    s: float,
-    grid: RadialGrid,
-    half_radius_node: int | None = None,
-    lam: float | None = None,
-    gam: float | None = None,
+    e: ExponentPair, state: StatePair, s: float, grid: RadialGrid
 ) -> DiagnosticsReport:
     """Weighted energy integrals for one state.
 
     energy_J2 integrates (u+1)^((theta-1)/2) (v+1)^((p+2s-1)/2) over the
     ball; energy_power integrates (u+1)^(theta + (theta+1)(s-1)/(p+1)).
     local_ratio compares the mixed integrand over the half-radius ball
-    against the plain power of (v+1) over the full ball, the discrete
-    form of the interior doubling estimate at R = 1.  The zero state
+    (the nodes up to m // 2) against the plain power of (v+1) over the full
+    ball, the discrete form of the interior doubling estimate at R = 1.  The zero state
     makes both energies equal the ball volume and local_ratio = 2^-dim.
     """
-    p, theta, u, v, lam, gam = _orient(e, state, lam, gam)
+    p, theta, u, v, _, _ = _orient(e, state, None, None)
     if not (s > p + 1.0):
         raise DomainError(f"s must exceed p+1 = {p + 1.0}, got {s}")
     if u.size != grid.m + 1:
         raise DomainError("state does not match the grid")
-    half = grid.m // 2 if half_radius_node is None else int(half_radius_node)
-    if not (0 < half <= grid.m):
-        raise DomainError(f"half_radius_node out of range, got {half}")
+    half = grid.m // 2
     nodes = grid.nodes
     j2 = _ball_integral(
         (u + 1.0) ** ((theta - 1.0) / 2.0) * (v + 1.0) ** ((p + 2.0 * s - 1.0) / 2.0),
@@ -156,11 +145,7 @@ def energy_report(
         grid.dim,
     )
     local_den = _ball_integral((v + 1.0) ** s, nodes, grid.dim)
-    margin = math.nan
-    if lam is not None and gam is not None:
-        margin = souplet_check(e, state, float(lam), float(gam))
     return DiagnosticsReport(
-        souplet_margin_min=margin,
         energy_J2=j2,
         energy_power=power,
         local_ratio=local_num / local_den,
@@ -227,13 +212,11 @@ def singular_profile(
     return a_amp, b_amp
 
 
-def extremal_extrapolate(
-    branch: Branch, e: ExponentPair, dim: int, tail_points: int = 8
-) -> GrowthDiagnostic:
+def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDiagnostic:
     """Classify the branch tail as bounded- or unbounded-looking.
 
     Fits the slope of log sup-norm against log(lambda_hi - lambda) over
-    the last tail_points accepted points.  A plateauing branch has slope
+    the last 8 accepted points.  A plateauing branch has slope
     near 0; a branch heading for an unbounded extremal state keeps a
     markedly negative slope.  Needs at least 5 points and a closed
     bracket.  The report carries the dimension threshold 2 + 2*x0 for
@@ -241,7 +224,7 @@ def extremal_extrapolate(
     """
     if branch.lambda_hi is None:
         raise DiagnosticError("branch has no fold bracket to extrapolate toward")
-    pts = branch.points[-max(5, int(tail_points)) :]
+    pts = branch.points[-_TAIL_POINTS:]
     if len(pts) < 5:
         raise DiagnosticError(f"need at least 5 branch points, got {len(pts)}")
     gaps = np.array([branch.lambda_hi - pt.lam for pt in pts])

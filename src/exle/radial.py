@@ -28,6 +28,10 @@ _MIN_INTERVALS = 16
 _NEWTON_BUDGET = 50
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# continue_ray's first trial load, and the factor between trials until
+# the first load without a solution.
+_LAMBDA_INIT = 1e-3
+_GROWTH = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +201,10 @@ def assemble_radial_laplacian(grid: RadialGrid) -> RadialLaplacian:
 class MonotoneResult:
     """Outcome of the monotone Newton iteration.
 
-    converged is False only when a Newton step turned negative, which
-    certifies that no solution exists at this load; no state is returned
-    then.  Budget exhaustion is not an outcome: it raises BudgetError.
+    converged is False only when the Newton correction of solve_minimal
+    turned negative or non-finite, which certifies that no representable
+    solution exists at this load; no state is returned then.  Budget
+    exhaustion is not an outcome: it raises BudgetError.
     iterations counts Newton iterations, the accepting one included.
     """
 
@@ -229,14 +234,16 @@ def solve_minimal(
     """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
     Each iteration takes the Picard step d = (-Lap)^{-1} F(u, v) - (u, v)
-    and accepts the Picard image once max d < tol (never below roundoff);
-    otherwise it moves by the Newton step delta: J delta = (-Lap) d, with
-    the Jacobian J = [[-Lap, -lam p (v+1)^(p-1)], [-gam theta (u+1)^(theta-1), -Lap]].
-    From (0, 0) or a subsolution seed (e.g. the minimal solution at a
-    smaller load) the iterates of this convex cooperative system stay
-    subsolutions below every solution, so d >= 0 (asserted) and, while a
-    solution exists, J is an M-matrix and delta >= 0: a negative delta
-    certifies that this load has no solution.
+    and then the Newton step delta, J delta = (-Lap) d, with the Jacobian
+    J = (-Lap) - f' and f' the cross-coupled diagonal lam p (v+1)^(p-1),
+    gam theta (u+1)^(theta-1).  It is formed as delta = d + e with
+    J e = f' max(d, 0), so the Laplacian is never applied to d.  A state is
+    accepted once max delta < tol (never below roundoff).  From (0, 0) or a
+    subsolution seed (e.g. the minimal solution at a smaller load) the
+    iterates of this convex cooperative system stay subsolutions below
+    every solution, so d >= 0 (asserted) and, while a solution exists, J is
+    an M-matrix and e >= 0: a negative or non-finite e certifies that this
+    load has no (representable) solution.
     """
     from scipy.linalg import solve_banded
 
@@ -258,20 +265,21 @@ def solve_minimal(
         scale = max(1.0, float(np.max(u + du)), float(np.max(v + dv)))
         if min(float(np.min(du)), float(np.min(dv))) < -1e-9 * scale:
             raise NumericalError("monotone iteration decreased; seed not a subsolution?")
+        fu = lam * p * (v + 1.0) ** (p - 1.0)
+        fv = gam * theta * (u + 1.0) ** (theta - 1.0)
+        ab[1, 1::2] = -fu
+        ab[3, 0::2] = -fv
+        ab[1, -1] = ab[3, -2] = 0.0  # the Dirichlet rows are uncoupled
+        rhs = np.column_stack((fu * np.maximum(dv, 0.0), fv * np.maximum(du, 0.0))).ravel()
+        corr = solve_banded((2, 2), ab, rhs, check_finite=False)
+        if not float(np.min(corr)) >= 0.0:
+            return MonotoneResult(None, False, k, float(np.max(u)), float(np.max(v)))
+        du += corr[0::2]
+        dv += corr[1::2]
+        u, v = u + du, v + dv
         # A tol below the roundoff of an n-point solve reads as that roundoff.
         if max(float(np.max(du)), float(np.max(dv))) < max(tol, n * _EPS * scale):
-            u, v = u + du, v + dv
             return MonotoneResult(StatePair(u, v), True, k, float(np.max(u)), float(np.max(v)))
-        ab[1, 1::2] = -lam * p * (v + 1.0) ** (p - 1.0)
-        ab[3, 0::2] = -gam * theta * (u + 1.0) ** (theta - 1.0)
-        ab[1, -1] = ab[3, -2] = 0.0  # the Dirichlet rows are uncoupled
-        rhs = np.column_stack((op.apply(du), op.apply(dv))).ravel()
-        delta = solve_banded((2, 2), ab, rhs, check_finite=False)
-        u_next, v_next = u + delta[0::2], v + delta[1::2]
-        # Scaled by the new state, as the Picard image may be far larger.
-        if not float(np.min(delta)) >= -1e-9 * max(1.0, np.max(u_next), np.max(v_next)):
-            return MonotoneResult(None, False, k, float(np.max(u)), float(np.max(v)))
-        u, v = u_next, v_next
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
@@ -313,17 +321,11 @@ def stability_mu1(
 class ContinuationConfig:
     """Knobs for continue_ray; defaults match the desk-scale studies."""
 
-    lambda_init: float = 1e-3
-    growth: float = 2.0
     bracket_tol: float = 1e-4  # relative to lambda_lo
     tol: float = 1e-10
     max_steps: int = 200
 
     def __post_init__(self):
-        if self.lambda_init <= 0 or not math.isfinite(self.lambda_init):
-            raise ConfigurationError(f"lambda_init must be positive, got {self.lambda_init}")
-        if self.growth <= 1.0:
-            raise ConfigurationError(f"growth must exceed 1, got {self.growth}")
         if self.bracket_tol <= 0:
             raise ConfigurationError(f"bracket_tol must be positive, got {self.bracket_tol}")
         if self.max_steps < 1:
@@ -381,21 +383,20 @@ def continue_ray(
 ) -> Branch:
     """Walk the minimal branch along gamma = sigma * lambda to the fold.
 
-    Lambda grows geometrically from config.lambda_init while the
-    monotone solver converges; the first load certified to have no
-    solution starts a bisection that shrinks the bracket to
-    config.bracket_tol relative width.  Every accepted state seeds the
-    next solve (it is a subsolution for any larger load), so states are
-    pointwise nondecreasing along the branch, which is asserted.  Running
-    out of trial loads or of Newton iterations in one solve raises
-    BudgetError carrying the partial branch.
+    Lambda doubles from 1e-3 while the monotone solver converges; the
+    first load certified to have no solution starts a bisection that
+    shrinks the bracket to config.bracket_tol relative width.  Every
+    accepted state seeds the next solve (it is a subsolution for any larger
+    load), so states are pointwise nondecreasing along the branch, which is
+    asserted.  Running out of trial loads or of Newton iterations in one
+    solve raises BudgetError carrying the partial branch.
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     op = assemble_radial_laplacian(grid)
     branch = Branch(sigma=sigma)
     state: StatePair | None = None
-    trial = config.lambda_init
+    trial = _LAMBDA_INIT
     steps = 0
     while True:
         if branch.lambda_lo is not None and branch.lambda_hi is not None:
@@ -439,13 +440,13 @@ def continue_ray(
                 )
             )
             if branch.lambda_hi is None:
-                trial = trial * config.growth
+                trial = trial * _GROWTH
             else:
                 trial = 0.5 * (branch.lambda_lo + branch.lambda_hi)
         else:
             branch.lambda_hi = trial
             if branch.lambda_lo is None:
-                trial = trial / config.growth
+                trial = trial / _GROWTH
                 if trial < 1e-300:
                     raise NumericalError("no convergent load found above 1e-300")
             else:

@@ -52,6 +52,9 @@ _BRACKET_CAP = 2.0 ** 60
 # The largest exponent whose (exponent + 1)^2, a factor of the energy
 # coefficients, is a finite float.
 _EXPONENT_MAX = math.sqrt(sys.float_info.max)
+# The largest smaller exponent: s0 is about 4 min(p, theta), so its root
+# bracket stays below _BRACKET_CAP (one ulp above this, it does not).
+_SMALLER_EXPONENT_MAX = 2.0 ** 58
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,11 @@ class ExponentPair:
         if max(self.p, self.theta) > _EXPONENT_MAX:
             raise DomainError(
                 f"exponents must not exceed {_EXPONENT_MAX:.6g}, got ({self.p}, {self.theta})"
+            )
+        if min(self.p, self.theta) > _SMALLER_EXPONENT_MAX:
+            raise DomainError(
+                f"the smaller exponent must not exceed {_SMALLER_EXPONENT_MAX:.6g}, "
+                f"got ({self.p}, {self.theta})"
             )
         if self.p * self.theta <= 1:
             raise DomainError("p*theta must exceed 1")
@@ -243,6 +251,7 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
     # The checks of ExponentPair; nan and inf fail the comparisons.
     with np.errstate(over="ignore"):
         valid = (p >= 1.0) & (theta >= 1.0) & (np.maximum(p, theta) <= _EXPONENT_MAX)
+        valid &= np.minimum(p, theta) <= _SMALLER_EXPONENT_MAX
         valid &= p * theta > 1.0
     n = p.size if valid.all() else int(np.argmin(valid))  # rows before the first invalid one
     if n > 0 and not (tol > 0):
@@ -395,7 +404,8 @@ def stability_product(e: ExponentPair, s: float) -> float:
     r = s - 1.0
     q = (theta + 1.0) * s / (p + 1.0) - 1.0
     root_pt = math.sqrt(p * theta)
-    a1 = 4.0 * q * root_pt / ((q + 1.0) * (q + 1.0))
+    # (q + 1)^2 overflows for theta near 1e154; q / (q + 1) does not.
+    a1 = 4.0 * root_pt * (q / (q + 1.0)) / (q + 1.0)
     a2 = 4.0 * r * root_pt / ((r + 1.0) * (r + 1.0))
     return a1 * a2
 

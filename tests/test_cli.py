@@ -70,6 +70,14 @@ class TestRoots:
         assert "exponents must not exceed" in err
         assert out == ""
 
+    def test_smaller_exponent_past_bound_exits_2(self, capsys):
+        # These exited 1: no sign change below 2^60, and L(2) = nan.
+        for p, theta in (("1e60", "1e60"), ("1e100", "1e150")):
+            code, out, err = run(["roots", "--p", p, "--theta", theta], capsys)
+            assert code == 2
+            assert "the smaller exponent must not exceed 2.8823e+17" in err
+            assert out == ""
+
     def test_missing_flag_exits_2(self, capsys):
         code, _, err = run(["roots", "--p", "2"], capsys)
         assert code == 2
@@ -158,11 +166,12 @@ class TestThresholds:
         assert not out.exists()
 
     def test_unreachable_width_leaves_no_file(self, tmp_path, capsys):
-        # Exponents of 1e18 put the root of the energy quartic past 2^60.
+        # Exponents of 1e18 would put the root of the energy quartic past
+        # 2^60, so the pair is outside the domain.
         out = tmp_path / "t.csv"
         code, _, err = run(["thresholds", "--grid", "1e18:2e18:1e18", "--out", str(out)], capsys)
-        assert code == 1
-        assert "no sign change of the energy quartic below 2^60" in err
+        assert code == 2
+        assert "the smaller exponent must not exceed 2.8823e+17" in err
         assert not out.exists()
 
     def test_unwritable_out_exits_3(self, capsys):
@@ -190,12 +199,15 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         # max_iter and blowup_cap were the Picard knobs of continue, eigen_tol
-        # the tolerance of its mu1 power iteration
+        # the tolerance of its mu1 power iteration; lambda_init and growth
+        # set the geometric search for the first load without a solution
         for command, key in (
             ("roots", "bogus"),
             ("continue", "max_iter"),
             ("continue", "blowup_cap"),
             ("continue", "eigen_tol"),
+            ("continue", "lambda_init"),
+            ("continue", "growth"),
         ):
             cfg.write_text(json.dumps({"p": 2.0, "theta": 3.0, key: 1}))
             code, _, err = run([command, "--config", str(cfg)], capsys)
@@ -222,10 +234,12 @@ class TestConfigFile:
 class TestVerify:
     def test_passes_for_valid_pair(self, capsys):
         # At theta = 1e153 the closed forms overflowed to inf when their
-        # products were formed before the division by (theta + 1)^2.
+        # products were formed before the division by (theta + 1)^2; at
+        # 1.3e154 stability_product squared q + 1 and read 0.
         for argv in (
             ["--p", "2", "--theta", "3", "--samples", "100", "--seed", "1"],
             ["--p", "1.5", "--theta", "1e153"],
+            ["--p", "1.5", "--theta", "1.3e154"],
         ):
             code, out, _ = run(["verify", *argv], capsys)
             assert code == 0
@@ -368,13 +382,15 @@ class TestContinue:
         assert summary["lambda_hi"] is None
 
     def test_eigen_tol_flag_exits_2(self, tmp_path, capsys):
-        # mu1 comes from a direct eigen-solve; its power-iteration knob is gone
-        argv = ["continue", "--p", "2", "--theta", "2", "--eigen-tol", "1e-10"]
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv + ["--out", str(tmp_path / "b.csv")])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --eigen-tol" in capsys.readouterr().err
-        assert not (tmp_path / "b.csv").exists()
+        # mu1 comes from a direct eigen-solve; its power-iteration knob is
+        # gone, and so are the first trial load and the growth factor
+        for flag, value in (("--eigen-tol", "1e-10"), ("--lambda-init", "0.01"), ("--growth", "3")):
+            argv = ["continue", "--p", "2", "--theta", "2", flag, value]
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv + ["--out", str(tmp_path / "b.csv")])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not (tmp_path / "b.csv").exists()
 
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
         argv = [

@@ -107,14 +107,6 @@ class TestEnergyReport:
         with pytest.raises(DomainError):
             energy_report(PAIR22, zero, 5.0, grid)
 
-    def test_souplet_field_optional(self, solved_23):
-        grid, state = solved_23
-        without = energy_report(PAIR23, state, 4.5, grid)
-        with_loads = energy_report(PAIR23, state, 4.5, grid, lam=0.5, gam=1.0)
-        assert math.isnan(without.souplet_margin_min)
-        assert with_loads.souplet_margin_min == souplet_check(PAIR23, state, 0.5, 1.0)
-        assert with_loads.s_used == 4.5
-
     def test_monotone_in_state(self, solved_23):
         grid, state = solved_23
         zero = StatePair(np.zeros(state.u.size), np.zeros(state.v.size))
@@ -122,6 +114,7 @@ class TestEnergyReport:
         high = energy_report(PAIR23, state, 4.5, grid)
         assert high.energy_J2 > low.energy_J2
         assert high.energy_power > low.energy_power
+        assert high.s_used == 4.5
 
 
 class TestRescale:

@@ -201,6 +201,23 @@ class TestSolveMinimal:
         assert warm.iterations <= cold.iterations
         assert np.abs(warm.state.u - cold.state.u).max() < 1e-8
 
+    def test_overflowing_step_past_fold_certifies(self):
+        # Seeded from the solution at a = 2.468662109375 on the singular ray,
+        # the step at this load has a max of 1.2e16; a slack of -1e-9 times
+        # that let a -2.6e6 step pass, v fell below -1, and the next Picard
+        # source was nan, which scipy rejected with ValueError.
+        e = ExponentPair(1.01, 20.0)
+        sigma = 8.694929803671808
+        g = RadialGrid.uniform(14, 16384)
+        op = assemble_radial_laplacian(g)
+        a = 2.468662109375
+        below = solve_minimal(e, a, sigma * a, g, tol=1e-12, operator=op)
+        assert below.converged
+        lam = 2.777244873046875
+        res = solve_minimal(e, lam, sigma * lam, g, tol=1e-12, seed=below.state, operator=op)
+        assert not res.converged
+        assert res.state is None
+
     def test_tol_below_roundoff_reads_as_roundoff(self):
         # Here no Picard step falls below 1e-300; the solve must stop at roundoff.
         g = RadialGrid.uniform(3, 1024)
@@ -258,8 +275,6 @@ class TestStabilityMu1:
 class TestContinuation:
     def test_config_validation(self):
         for bad in (
-            {"growth": 0.9},
-            {"lambda_init": 0.0},
             {"max_steps": 0},
             {"tol": 0.0},
         ):

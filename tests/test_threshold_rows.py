@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exle import DomainError, ExponentPair, NumericalError, threshold_report, threshold_rows
+from exle import DomainError, ExponentPair, threshold_report, threshold_rows
 
 FIELDS = ("t0", "s0", "x0", "n_cowan", "n_new", "improvement")
 TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5)
@@ -100,17 +100,24 @@ def test_nonpositive_tol_raises_domain_error_on_both_paths(tol):
     assert str(rows.value) == str(scalar.value)
 
 
-def test_unreachable_width_raises_numerical_error_on_both_paths():
-    # Exponents of 1e18 put the root of the energy quartic past 2^60.
-    message = (
-        "no sign change of the energy quartic below 2^60; pair ExponentPair(p=1e+18, theta=1e+18)"
-    )
-    with pytest.raises(NumericalError) as scalar:
-        threshold_report(ExponentPair(1e18, 1e18))
-    assert str(scalar.value) == message
-    with pytest.raises(NumericalError) as info:
-        threshold_rows([2.0, 1e18, 1e18], [3.0, 1e18, 2e18])
-    assert str(info.value) == message
+def test_smaller_exponent_past_bound_raises_domain_error_on_both_paths():
+    # s0 is about 4 min(p, theta); one ulp above 2^58 its bracket passed 2^60
+    # and the pair raised NumericalError.
+    edge = 2.0**58
+    rows = threshold_rows([2.0, edge, 1e154, edge], [3.0, edge, edge, 1.0], 1e-12)
+    expected = [
+        threshold_report(ExponentPair(a, b))
+        for a, b in ((2.0, 3.0), (edge, edge), (1e154, edge), (edge, 1.0))
+    ]
+    for name in FIELDS:
+        assert hexes(getattr(rows, name)) == hexes(getattr(rep, name) for rep in expected), name
+    over = math.nextafter(edge, math.inf)
+    for p, theta in ((over, over), (1e60, 1e60), (1e100, 1e150)):
+        with pytest.raises(DomainError, match="the smaller exponent must not exceed") as scalar:
+            ExponentPair(p, theta)
+        with pytest.raises(DomainError) as array:
+            threshold_rows([2.0, p, 1.0], [3.0, theta, 1.0], 1e-12)
+        assert str(array.value) == str(scalar.value)
 
 
 def test_first_failing_row_decides_the_error():
@@ -121,7 +128,7 @@ def test_first_failing_row_decides_the_error():
         threshold_rows([2.0, 1.0, 0.5], [3.0, 1.0, 2.0], 1e-12)
     # ... unless an earlier row fails first, and a bad tol is never reached
     # past an invalid first row, as in threshold_report(ExponentPair(...), tol).
-    with pytest.raises(NumericalError, match=r"pair ExponentPair\(p=1e\+18, theta=1e\+18\)"):
+    with pytest.raises(DomainError, match=r"must not exceed 2.8823e\+17, got \(1e\+18, 1e\+18\)"):
         threshold_rows([2.0, 1e18, 0.5], [3.0, 1e18, 2.0], 1e-12)
     with pytest.raises(DomainError, match="must be a finite number"):
         threshold_rows([math.nan, 2.0], [2.0, 3.0], 0.0)
