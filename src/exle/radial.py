@@ -5,6 +5,15 @@ at r = 0 (from Lap w(0) = N * w''(0)) and a Dirichlet row at r = 1.
 On top of the operator sit the monotone Newton solver for the coupled
 system, the principal stability eigenvalue, and parameter continuation
 along a ray gamma = sigma * lambda up to the fold.
+
+Every linear system here is a tridiagonal M-matrix (-Lap, and -Lap
+shifted for mu1) or, while a solution exists, a 2x2-block tridiagonal
+M-matrix (the Newton Jacobian).  They are solved by odd-even cyclic
+reduction in numpy (`_cyclic`): an M-matrix needs no pivoting, and the
+reduction adds terms of one sign only, so nonnegative data give a
+solution whose sign is exact.  -Lap is factored once per grid, from its
+off-diagonals and its row sums (zero but at the Dirichlet row), which
+makes its solves accurate entry by entry.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cyclic import Tridiagonal, smallest_eigenvalue, solve_block_tridiagonal
 from .errors import (
     BudgetError,
     ConfigurationError,
@@ -27,7 +37,6 @@ _MIN_INTERVALS = 16
 # about 15 up to m = 8192, so running out signals a fault, never a fold.
 _NEWTON_BUDGET = 50
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 # continue_ray's first trial load, and the factor between trials until
 # the first load without a solution.
 _LAMBDA_INIT = 1e-3
@@ -111,7 +120,9 @@ class RadialLaplacian:
     only for r < (N-1)h/2, so only for N >= 4 next to the axis) fall
     back to the conservative flux form, which keeps every off-diagonal
     nonpositive.  The matrix is then an M-matrix for every dimension and
-    the discrete maximum principle is asserted on each solve.
+    the discrete maximum principle is asserted on each solve.  Every row
+    but the Dirichlet one annihilates constants, which the cached
+    cyclic-reduction factors use to form each pivot without cancellation.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -152,11 +163,9 @@ class RadialLaplacian:
         self._lower = lower
         self._diag = diag
         self._upper = upper
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        self._ab = ab
+        rowsum = np.zeros(n)
+        rowsum[grid.m] = 1.0
+        self._factors = Tridiagonal(lower, diag, upper, rowsum)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Row action: -Lap w at nodes 0..M-1, plain w at the boundary row."""
@@ -172,11 +181,9 @@ class RadialLaplacian:
         When f is nonnegative the discrete maximum principle applies and
         the solution is checked to be nonnegative up to roundoff.
         """
-        from scipy.linalg import solve_banded
-
         rhs = np.asarray(f, dtype=float).copy()
         rhs[-1] = 0.0
-        sol = solve_banded((1, 1), self._ab, rhs)
+        sol = self._factors.solve(rhs)
         if np.all(rhs >= 0.0):
             floor = -1e-12 * max(1.0, float(np.max(np.abs(sol))))
             if np.min(sol) < floor:
@@ -244,9 +251,15 @@ def solve_minimal(
     every solution, so d >= 0 (asserted) and, while a solution exists, J is
     an M-matrix and e >= 0: a negative or non-finite e certifies that this
     load has no (representable) solution.
-    """
-    from scipy.linalg import solve_banded
 
+    The two Picard solves reuse the factors of -Lap.  J e = f' max(d, 0)
+    is solved by 2x2-block cyclic reduction on the blocks (u_i, v_i),
+    without pivoting: while J is an M-matrix every block pivot is one too,
+    with a nonnegative inverse, so e is a sum of nonnegative terms and its
+    sign does not rest on cancellation.  It can turn negative or non-finite
+    only through a pivot that has lost that sign pattern, as past the fold
+    (or within roundoff of it).
+    """
     _check_load(lam, gam)
     op = operator if operator is not None else assemble_radial_laplacian(grid)
     n = grid.m + 1
@@ -254,11 +267,12 @@ def solve_minimal(
         raise ConfigurationError("seed state does not match the grid")
     u, v = (np.zeros(n), np.zeros(n)) if seed is None else (seed.u, seed.v)
     p, theta = float(e.p), float(e.theta)
-    # J banded on interleaved (u0, v0, u1, ...); rows 1, 3 couple u_i, v_i.
-    ab = np.zeros((5, 2 * n))
-    ab[0, 2:] = np.repeat(op._upper[:-1], 2)
-    ab[2] = np.repeat(op._diag, 2)
-    ab[4, :-2] = np.repeat(op._lower[1:], 2)
+    # J as 2x2 blocks on the nodes; block i couples (u_i, v_i).
+    lower = np.zeros((2, 2, n))
+    diag = np.zeros((2, 2, n))
+    upper = np.zeros((2, 2, n))
+    for i in range(2):
+        lower[i, i], diag[i, i], upper[i, i] = op._lower, op._diag, op._upper
     for k in range(1, _NEWTON_BUDGET + 1):
         du = op.solve_dirichlet(lam * (v + 1.0) ** p) - u
         dv = op.solve_dirichlet(gam * (u + 1.0) ** theta) - v
@@ -267,15 +281,15 @@ def solve_minimal(
             raise NumericalError("monotone iteration decreased; seed not a subsolution?")
         fu = lam * p * (v + 1.0) ** (p - 1.0)
         fv = gam * theta * (u + 1.0) ** (theta - 1.0)
-        ab[1, 1::2] = -fu
-        ab[3, 0::2] = -fv
-        ab[1, -1] = ab[3, -2] = 0.0  # the Dirichlet rows are uncoupled
-        rhs = np.column_stack((fu * np.maximum(dv, 0.0), fv * np.maximum(du, 0.0))).ravel()
-        corr = solve_banded((2, 2), ab, rhs, check_finite=False)
+        # the Dirichlet rows are uncoupled
+        diag[0, 1, :-1] = -fu[:-1]
+        diag[1, 0, :-1] = -fv[:-1]
+        rhs = np.stack((fu * np.maximum(dv, 0.0), fv * np.maximum(du, 0.0)))
+        corr = solve_block_tridiagonal(lower, diag, upper, rhs)
         if not float(np.min(corr)) >= 0.0:
             return MonotoneResult(None, False, k, float(np.max(u)), float(np.max(v)))
-        du += corr[0::2]
-        dv += corr[1::2]
+        du += corr[0]
+        dv += corr[1]
         u, v = u + du, v + dv
         # A tol below the roundoff of an n-point solve reads as that roundoff.
         if max(float(np.max(du)), float(np.max(dv))) < max(tol, n * _EPS * scale):
@@ -298,12 +312,11 @@ def stability_mu1(
     geometric-mean linearized weight; mu1 >= 1 is the semi-stability
     inequality satisfied by minimal solutions.  On the nodes 0..M-1, mu1
     is the smallest eigenvalue of W^(-1/2) (-Lap) W^(-1/2).  Opposite
-    off-diagonals of the M-matrix -Lap have a positive product, so a
-    diagonal similarity makes it symmetric tridiagonal, and bisection
-    gives mu1 to full relative accuracy.
+    off-diagonals of the M-matrix -Lap have a nonnegative product, so a
+    diagonal similarity makes it a symmetric tridiagonal M-matrix, and
+    shifted inverse iteration on it brackets mu1 from both sides until the
+    bracket is a few eps wide (`_cyclic.smallest_eigenvalue`).
     """
-    from scipy.linalg import eigh_tridiagonal
-
     _check_load(lam, gam)
     op = operator if operator is not None else assemble_radial_laplacian(grid)
     p, theta = float(e.p), float(e.theta)
@@ -311,10 +324,7 @@ def stability_mu1(
     w = np.sqrt(lam * gam * p * theta * (v + 1.0) ** (p - 1.0) * (u + 1.0) ** (theta - 1.0))
     diag = op._diag[:-1] / w
     off = -np.sqrt(op._upper[:-2] * op._lower[1:-1] / (w[:-1] * w[1:]))
-    mu = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=2.0 * _TINY
-    )
-    return float(mu[0])
+    return smallest_eigenvalue(diag, off)
 
 
 @dataclass(frozen=True)
@@ -326,7 +336,7 @@ class ContinuationConfig:
     max_steps: int = 200
 
     def __post_init__(self):
-        if self.bracket_tol <= 0:
+        if not (self.bracket_tol > 0):
             raise ConfigurationError(f"bracket_tol must be positive, got {self.bracket_tol}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
@@ -385,7 +395,8 @@ def continue_ray(
 
     Lambda doubles from 1e-3 while the monotone solver converges; the
     first load certified to have no solution starts a bisection that
-    shrinks the bracket to config.bracket_tol relative width.  Every
+    shrinks the bracket to config.bracket_tol relative width, or until its
+    ends are adjacent floats, whichever comes first.  Every
     accepted state seeds the next solve (it is a subsolution for any larger
     load), so states are pointwise nondecreasing along the branch, which is
     asserted.  Running out of trial loads or of Newton iterations in one
@@ -400,7 +411,9 @@ def continue_ray(
     steps = 0
     while True:
         if branch.lambda_lo is not None and branch.lambda_hi is not None:
-            if branch.lambda_hi - branch.lambda_lo <= config.bracket_tol * branch.lambda_lo:
+            lo, hi = branch.lambda_lo, branch.lambda_hi
+            # A midpoint equal to an end means the ends are adjacent floats.
+            if hi - lo <= config.bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi):
                 break
         if steps >= config.max_steps:
             raise BudgetError(

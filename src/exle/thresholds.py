@@ -33,8 +33,9 @@ scalar loop of the same steps and matched it to the last bit, so no output
 changed: +, -, *, /, sqrt and comparisons are correctly rounded in numpy
 as in Python.  Float powers are not: numpy's power loops may take a SIMD
 path that differs from the C library's pow in the last bit of a few
-percent of cubes.  So every float power on arrays is CPython's float pow,
-applied element by element (_float_pow).
+percent of cubes.  So every float power on arrays is np.float_power,
+which calls the C library's pow for each element, as CPython's float pow
+does (_float_pow).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -157,9 +157,9 @@ class IdentityReport:
 
 
 def _float_pow(x, n: int):
-    """x ** n by CPython's float pow; element by element for an array."""
+    """x ** n by the C library's pow, as CPython's float pow computes it."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(pow, x.tolist(), repeat(n)), float, x.size)
+        return np.float_power(x, n)
     return x ** n
 
 

@@ -402,6 +402,17 @@ class TestContinue:
         assert "tol must be positive" in err
         assert not (tmp_path / "b.csv").exists()
 
+    def test_nan_bracket_tol_exits_2(self, tmp_path, capsys):
+        # nan > 0 is false: nan is not a positive width
+        argv = [
+            "continue", "--p", "2", "--theta", "2", "--nodes", "16", "--bracket-tol", "nan",
+            "--out", str(tmp_path / "b.csv"),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "bracket_tol must be positive" in err
+        assert not (tmp_path / "b.csv").exists()
+
 
 def run_child(*args):
     # The child must import the same package as this process, installed or
@@ -422,8 +433,19 @@ def test_console_script_installed():
     assert ROOTS_22_ROW in proc.stdout
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # Only continue solves banded systems; the other commands skip the import.
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
     proc = run_child("-c", "import sys, exle.cli; print('scipy.linalg' in sys.modules)")
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+    # continue too: the radial solves and mu1 are numpy kernels, and scipy
+    # is only a test extra.
+    out = tmp_path / "b.csv"
+    code = (
+        "import sys, exle.cli\n"
+        f"code = exle.cli.main(['continue', '--p', '2', '--theta', '2', '--nodes', '64', '--out', {str(out)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    assert out.exists()

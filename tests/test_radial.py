@@ -20,9 +20,10 @@ from exle import (
     solve_minimal,
     stability_mu1,
 )
-from exle import radial
+from exle import _cyclic, radial
 
 PAIR22 = ExponentPair(2.0, 2.0)
+DIMS = (1, 3, 20)
 
 
 def boundary_graded_nodes(m, strength=1.5):
@@ -277,6 +278,8 @@ class TestContinuation:
         for bad in (
             {"max_steps": 0},
             {"tol": 0.0},
+            {"bracket_tol": 0.0},
+            {"bracket_tol": math.nan},
         ):
             with pytest.raises(ConfigurationError):
                 ContinuationConfig(**bad)
@@ -329,6 +332,22 @@ class TestContinuation:
         assert branch.bracket_rel_width <= 1e-8
         assert 1.0 - 1e-6 <= branch.mu1_min <= 1.0 + 3e-4
 
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        # Below roundoff the midpoint equals an end; retrying an end from a
+        # newer seed could accept a load already certified to have no solution.
+        trials = []
+        solve = radial.solve_minimal
+
+        def recording(e, lam, gam, grid, **kwargs):
+            trials.append(lam)
+            return solve(e, lam, gam, grid, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_minimal", recording)
+        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), ContinuationConfig(bracket_tol=1e-300))
+        assert branch.lambda_lo < branch.lambda_hi
+        assert np.nextafter(branch.lambda_lo, math.inf) == branch.lambda_hi
+        assert len(set(trials)) == len(trials)
+
     def test_newton_budget_exhaustion_never_sets_lambda_hi(self, monkeypatch):
         monkeypatch.setattr(radial, "_NEWTON_BUDGET", 1)
         with pytest.raises(BudgetError) as info:
@@ -336,3 +355,112 @@ class TestContinuation:
         partial = info.value.partial
         assert isinstance(partial, Branch)
         assert partial.lambda_hi is None
+
+
+def grid_of(dim, m, kind):
+    if kind == "uniform":
+        return RadialGrid.uniform(dim, m)
+    return RadialGrid(dim, boundary_graded_nodes(m))
+
+
+def jacobian_blocks(op, fu, fv):
+    """J = (-Lap) - f' as the (2, 2, n) block stacks solve_minimal builds."""
+    n = op._diag.size
+    lower, diag, upper = (np.zeros((2, 2, n)) for _ in range(3))
+    for i in range(2):
+        lower[i, i], diag[i, i], upper[i, i] = op._lower, op._diag, op._upper
+    diag[0, 1, :-1] = -fu[:-1]
+    diag[1, 0, :-1] = -fv[:-1]
+    return lower, diag, upper
+
+
+def dense_jacobian(op, fu, fv):
+    """J on interleaved (u0, v0, u1, ...), built from the dense operator."""
+    jac = np.kron(op.to_dense(), np.eye(2))
+    m = op._diag.size - 1
+    jac[2 * np.arange(m), 2 * np.arange(m) + 1] -= fu[:-1]
+    jac[2 * np.arange(m) + 1, 2 * np.arange(m)] -= fv[:-1]
+    return jac
+
+
+def coupling(pair, lam, gam, state):
+    fu = lam * pair.p * (state.v + 1.0) ** (pair.p - 1.0)
+    fv = gam * pair.theta * (state.u + 1.0) ** (pair.theta - 1.0)
+    return fu, fv
+
+
+def nonnegative_data(rng, shape):
+    """Nonnegative entries over 300 decades, with some exact zeros."""
+    data = np.exp(rng.uniform(-700.0, 0.0, shape)) * (rng.uniform(size=shape) > 0.1)
+    data[..., -1] = 0.0
+    return data
+
+
+class TestCyclicReduction:
+    """The numpy kernels against dense LAPACK solves and eigenvalues."""
+
+    @pytest.mark.parametrize("kind", ("uniform", "graded"))
+    @pytest.mark.parametrize("m", (16, 17, 1024))
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_solves_match_dense(self, dim, m, kind):
+        g = grid_of(dim, m, kind)
+        op = assemble_radial_laplacian(g)
+        rng = np.random.default_rng(dim * m)
+        f = rng.standard_normal(m + 1)
+        f[-1] = 0.0
+        ref = np.linalg.solve(op.to_dense(), f)
+        assert np.abs(op.solve_dirichlet(f) - ref).max() <= 1e-10 * np.abs(ref).max()
+        # the Jacobian at a state well below the fold of every dimension
+        res = solve_minimal(PAIR22, 0.25, 0.25, g, operator=op)
+        fu, fv = coupling(PAIR22, 0.25, 0.25, res.state)
+        rhs = rng.standard_normal((2, m + 1))
+        rhs[:, -1] = 0.0
+        got = _cyclic.solve_block_tridiagonal(*jacobian_blocks(op, fu, fv), rhs)
+        ref = np.linalg.solve(dense_jacobian(op, fu, fv), rhs.T.ravel()).reshape(-1, 2).T
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_block_solve_next_to_the_fold(self):
+        # bracket 1e-8: J has a condition number of about 5e9 here
+        g = RadialGrid.uniform(3, 64)
+        op = assemble_radial_laplacian(g)
+        pt = continue_ray(PAIR22, 1.0, g, ContinuationConfig(bracket_tol=1e-8)).points[-1]
+        fu, fv = coupling(PAIR22, pt.lam, pt.gam, pt.state)
+        rhs = np.random.default_rng(4).standard_normal((2, 65))
+        rhs[:, -1] = 0.0
+        got = _cyclic.solve_block_tridiagonal(*jacobian_blocks(op, fu, fv), rhs)
+        ref = np.linalg.solve(dense_jacobian(op, fu, fv), rhs.T.ravel()).reshape(-1, 2).T
+        assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_nonnegative_data_give_nonnegative_solutions(self, dim):
+        # exact signs, not signs up to roundoff: the sweeps never cancel
+        rng = np.random.default_rng(dim)
+        for kind in ("uniform", "graded"):
+            g = grid_of(dim, 256, kind)
+            op = assemble_radial_laplacian(g)
+            for _ in range(5):
+                assert op.solve_dirichlet(nonnegative_data(rng, 257)).min() >= 0.0
+            pt = continue_ray(PAIR22, 1.0, g).points[-1]
+            blocks = jacobian_blocks(op, *coupling(PAIR22, pt.lam, pt.gam, pt.state))
+            for _ in range(5):
+                rhs = nonnegative_data(rng, (2, 257))
+                assert _cyclic.solve_block_tridiagonal(*blocks, rhs).min() >= 0.0
+
+    @pytest.mark.parametrize("kind", ("uniform", "graded"))
+    @pytest.mark.parametrize("m", (16, 17, 256))
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_mu1_matches_eigvalsh(self, dim, m, kind):
+        # On a uniform N = 3 grid lower[1] == 0: the symmetrized matrix is
+        # reducible, and the row at the axis has an eigenvalue of its own.
+        g = grid_of(dim, m, kind)
+        op = assemble_radial_laplacian(g)
+        if dim == 3 and kind == "uniform":
+            assert op._lower[1] == 0.0
+        pt = continue_ray(PAIR22, 1.0, g).points[-1]
+        mu = stability_mu1(PAIR22, pt.state, pt.lam, pt.gam, g, operator=op)
+        a = op.to_dense()[:-1, :-1]
+        u, v = pt.state.u[:-1], pt.state.v[:-1]
+        w = np.sqrt(pt.lam * pt.gam * 4.0 * (v + 1.0) * (u + 1.0))
+        off = -np.sqrt(np.diag(a, 1) * np.diag(a, -1) / (w[:-1] * w[1:]))
+        sym = np.diag(np.diag(a) / w) + np.diag(off, 1) + np.diag(off, -1)
+        assert mu == pytest.approx(float(np.linalg.eigvalsh(sym)[0]), rel=1e-10)

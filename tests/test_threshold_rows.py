@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exle import DomainError, ExponentPair, threshold_report, threshold_rows
+from exle import DomainError, ExponentPair, thresholds, threshold_report, threshold_rows
 
 FIELDS = ("t0", "s0", "x0", "n_cowan", "n_new", "improvement")
 TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5)
@@ -155,3 +155,15 @@ def test_empty_and_misshaped_input():
         threshold_rows([2.0, 3.0], [3.0], 1e-12)
     with pytest.raises(DomainError, match="1-D arrays of one length"):
         threshold_rows(np.full((2, 2), 2.0), np.full((2, 2), 3.0), 1e-12)
+
+
+def test_float_pow_matches_cpython_pow_bit_for_bit():
+    # numpy's ** may round a few percent of cubes differently from the C
+    # library's pow; _float_pow must not, or the table bytes would move.
+    rng = np.random.default_rng(20)
+    x = np.exp(rng.uniform(0.0, 60.0 * math.log(2.0), 200_000))
+    x = np.concatenate((x, [1.0, 2.0**60, np.nextafter(2.0**60, 0.0)]))
+    for n in (2, 3):
+        got = thresholds._float_pow(x, n)
+        assert got.dtype == np.float64
+        assert hexes(got) == hexes(pow(v, n) for v in x.tolist())
