@@ -14,15 +14,27 @@ exhausted.  A JSON config file (flat keys mirroring the flags) can seed
 any command; explicit flags win.  Every config key is also a flag.  The
 tol of `continue` is the Newton correction tolerance; elsewhere it is the
 width of the root bracket.
+
+No command calls BLAS, so this module sets OPENBLAS_NUM_THREADS=1 before
+it first imports numpy; otherwise numpy's OpenBLAS starts a worker thread
+that spins for about 0.1 s of CPU in every process.  It leaves the
+variable alone when the caller has set it, or when numpy was imported
+before this module, since the variable then no longer takes effect.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+
+# One BLAS thread unless the caller chose a count (see the docstring).
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import contextlib
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +123,20 @@ def _write_lines(path: str | None, blocks: list[str]) -> None:
             fh.write(block + "\n")
 
 
+def _convert(key: str, kind: type, value):
+    """Convert a JSON config value as argparse converts the flag's text.
+
+    So {"samples": 2.5} fails as --samples 2.5 does; a list, an object or
+    a boolean has no flag text and fails too.
+    """
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return kind(str(value))
+    raise ConfigurationError(
+        f"config key {key}: invalid {kind.__name__} value: {json.dumps(value)}"
+    )
+
+
 def _effective(args: argparse.Namespace, command: str) -> dict:
     """Merge documented defaults, config-file values, then explicit flags."""
     merged = {key: default for key, _, default, _ in _OPTIONS[command]}
@@ -126,7 +152,10 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
             raise ConfigurationError(
                 f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
             )
-        merged.update((key, value) for key, value in raw.items() if value is not None)
+        kinds = {key: kind for key, kind, _, _ in _OPTIONS[command]}
+        for key, value in raw.items():
+            if value is not None:
+                merged[key] = _convert(key, kinds[key], value)
     for key in merged:
         value = getattr(args, key)
         if value is not None:
@@ -297,6 +326,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     s_energy = float(cfg["s"]) if cfg["s"] is not None else 0.5 * (
         p_lo + 1.0 + largest_root_L(pair)
     )
+    thresholds.check_energy_exponent(pair, s_energy)
     out = str(cfg["out"])
 
     budget_hit = False

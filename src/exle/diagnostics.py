@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError
 from .radial import Branch, RadialGrid, StatePair
-from .thresholds import ExponentPair, scaling_exponents, threshold_report
+from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents, threshold_report
 
 # Log-log growth slope separating plateauing from blowing-up branch
 # tails; desk-scale runs sit near -0.04 (bounded) and -0.6 (unbounded).
@@ -124,9 +124,8 @@ def energy_report(
     ball, the discrete form of the interior doubling estimate at R = 1.  The zero state
     makes both energies equal the ball volume and local_ratio = 2^-dim.
     """
+    check_energy_exponent(e, s)
     p, theta, u, v, _, _ = _orient(e, state, None, None)
-    if not (s > p + 1.0):
-        raise DomainError(f"s must exceed p+1 = {p + 1.0}, got {s}")
     if u.size != grid.m + 1:
         raise DomainError("state does not match the grid")
     half = grid.m // 2

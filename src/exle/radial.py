@@ -396,17 +396,28 @@ def continue_ray(
     Lambda doubles from 1e-3 while the monotone solver converges; the
     first load certified to have no solution starts a bisection that
     shrinks the bracket to config.bracket_tol relative width, or until its
-    ends are adjacent floats, whichever comes first.  Every
-    accepted state seeds the next solve (it is a subsolution for any larger
-    load), so states are pointwise nondecreasing along the branch, which is
-    asserted.  Running out of trial loads or of Newton iterations in one
-    solve raises BudgetError carrying the partial branch.
+    ends are adjacent floats, whichever comes first.  States are pointwise
+    nondecreasing along the branch, which is asserted.  Running out of
+    trial loads or of Newton iterations in one solve raises BudgetError
+    carrying the partial branch.
+
+    Each trial load lam is seeded with the secant z = w1 + (lam - lam1) s,
+    s = (w1 - w0) / (lam1 - lam0), through the last two accepted points
+    (lam0, w0), (lam1, w1); the state 0 at load 0 counts as the first
+    point, so the first seed is (lam / lam1) w1.  Every trial lies above
+    lam1, and s >= 0, so z >= w0.  Writing w1 as a convex combination of z
+    and w0, convexity of (.+1)^p gives, in the u component,
+    -Lap z <= lam1 (z_v+1)^p + (lam - lam1) (w0_v+1)^p <= lam (z_v+1)^p,
+    and likewise in v: z is a subsolution at lam, so solve_minimal keeps
+    d >= 0 and its "no solution" certificate.
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     op = assemble_radial_laplacian(grid)
     branch = Branch(sigma=sigma)
-    state: StatePair | None = None
+    zero = np.zeros(grid.m + 1)
+    # The last two accepted points, oldest first: (load, state).
+    older = latest = (0.0, StatePair(zero, zero))
     trial = _LAMBDA_INIT
     steps = 0
     while True:
@@ -421,22 +432,24 @@ def continue_ray(
                 partial=branch,
             )
         steps += 1
+        (lam0, w0), (lam1, w1) = older, latest
+        seed = None
+        if lam1 > 0.0:
+            t = (trial - lam1) / (lam1 - lam0)
+            seed = StatePair(w1.u + t * (w1.u - w0.u), w1.v + t * (w1.v - w0.v))
         try:
             result = solve_minimal(
-                e, trial, sigma * trial, grid, tol=config.tol, seed=state, operator=op
+                e, trial, sigma * trial, grid, tol=config.tol, seed=seed, operator=op
             )
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
         if result.converged:
             assert result.state is not None
-            if state is not None:
-                slack = -1e-9 * max(1.0, result.sup_u, result.sup_v)
-                if (
-                    float(np.min(result.state.u - state.u)) < slack
-                    or float(np.min(result.state.v - state.v)) < slack
-                ):
-                    raise NumericalError("branch states are not nondecreasing in lambda")
             state = result.state
+            slack = -1e-9 * max(1.0, result.sup_u, result.sup_v)
+            if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
+                raise NumericalError("branch states are not nondecreasing in lambda")
+            older, latest = latest, (trial, state)
             branch.lambda_lo = trial
             mu1 = stability_mu1(e, state, trial, sigma * trial, grid, operator=op)
             if branch.points and mu1 > branch.points[-1].mu1 + 1e-8:

@@ -390,6 +390,13 @@ def scaling_exponents(e: ExponentPair) -> ScalingExponents:
     return ScalingExponents(alpha=2.0 * (e.p + 1.0) / d, beta=2.0 * (e.theta + 1.0) / d)
 
 
+def check_energy_exponent(e: ExponentPair, s: float) -> None:
+    """Raise DomainError unless s is finite and exceeds p+1 (canonical p)."""
+    p, _ = e.canonical()
+    if not (math.isfinite(s) and s > p + 1.0):
+        raise DomainError(f"s must be finite and exceed p+1 = {p + 1.0}, got {s}")
+
+
 def stability_product(e: ExponentPair, s: float) -> float:
     """Product a1*a2 of the two one-sided stability coefficients.
 
@@ -398,9 +405,8 @@ def stability_product(e: ExponentPair, s: float) -> float:
     Algebraically a1*a2 - 1 = -L(s)/s^4, so the product exceeds 1
     exactly where the energy quartic is negative.
     """
+    check_energy_exponent(e, s)
     p, theta = e.canonical()
-    if not (s > p + 1.0):
-        raise DomainError(f"s must exceed p+1 = {p + 1.0}, got {s}")
     r = s - 1.0
     q = (theta + 1.0) * s / (p + 1.0) - 1.0
     root_pt = math.sqrt(p * theta)

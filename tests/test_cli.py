@@ -226,6 +226,32 @@ class TestConfigFile:
         code, _, err = run(["roots", "--config", str(cfg)], capsys)
         assert code == 2
 
+    def test_values_typed_like_flags(self, tmp_path, capsys):
+        # These ended in a traceback with exit 1, or, for samples, were
+        # silently truncated although --samples 2.5 exits 2.
+        cfg = tmp_path / "c.json"
+        out = tmp_path / "b.csv"
+        for command, raw, key in (
+            ("continue", {"p": 2, "theta": 2, "nodes": "abc", "out": str(out)}, "nodes"),
+            ("roots", {"p": [2], "theta": 2}, "p"),
+            ("verify", {"p": 2, "theta": 3, "samples": 2.5}, "samples"),
+            ("continue", {"p": 2, "theta": 2, "dim": True, "out": str(out)}, "dim"),
+            ("partial", {"p": 2, "theta": 2, "dim": {"n": 16}}, "dim"),
+        ):
+            cfg.write_text(json.dumps(raw))
+            code, stdout, err = run([command, "--config", str(cfg)], capsys)
+            assert code == 2, (raw, err)
+            assert f"config key {key}: invalid" in err
+            assert stdout == ""
+            assert not out.exists()
+
+    def test_numeric_text_converts_like_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"p": "2", "theta": 2}))
+        code, out, _ = run(["roots", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == ROOTS_22_ROW
+
     def test_missing_config_file_exits_3(self, capsys):
         code, _, _ = run(["roots", "--config", "/no/such/file.json"], capsys)
         assert code == 3
@@ -414,17 +440,87 @@ class TestContinue:
         assert not (tmp_path / "b.csv").exists()
 
 
-def run_child(*args):
+    def test_bad_energy_exponent_exits_2_before_the_branch(self, tmp_path, capsys, monkeypatch):
+        # s = 2.5 is below p + 1 = 3; it failed only after the whole branch.
+        # s = inf wrote nan energies and a NaN into the summary JSON.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("continue_ray called")
+
+        monkeypatch.setattr(cli, "continue_ray", forbidden)
+        out = tmp_path / "b.csv"
+        for s in ("inf", "nan", "2.5"):
+            argv = ["continue", "--p", "2", "--theta", "2", "--s", s, "--out", str(out)]
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert "s must be finite and exceed p+1 = 3" in err
+            assert list(tmp_path.iterdir()) == []
+
+
+def run_child(*args, **env):
+    """Run python with args; env adds variables, and OPENBLAS_NUM_THREADS
+    is set only when given (this process may have set it)."""
     # The child must import the same package as this process, installed or
     # found through pytest's pythonpath setting.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**base, "PYTHONPATH": path, **env},
     )
+
+
+def test_package_import_loads_no_numpy():
+    proc = run_child("-c", "import sys, exle; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    code = (
+        "import exle\n"
+        "missing = [n for n in exle.__all__ if n not in dir(exle)]\n"
+        "values = [getattr(exle, n) for n in exle.__all__]\n"
+        "from exle import RadialGrid, threshold_rows\n"
+        "try:\n"
+        "    exle.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(missing, len(values), exc)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 41 module 'exle' has no attribute 'no_such_name'\n"
+
+
+CLI_THREADS = (
+    "import os, exle.cli\n"
+    "status = dict(ln.split(':', 1) for ln in open('/proc/self/status'))\n"
+    "print(status['Threads'].strip(), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_cli_import_runs_one_blas_thread():
+    proc = run_child("-c", CLI_THREADS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 1\n"
+
+
+def test_cli_keeps_the_callers_blas_threads():
+    code = "import os, exle.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = run_child("-c", code, OPENBLAS_NUM_THREADS="3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"
+
+
+def test_cli_after_numpy_leaves_blas_threads_unset():
+    # numpy has read the variable already; setting it would change nothing.
+    code = "import os, numpy, exle.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
 
 
 def test_console_script_installed():

@@ -348,6 +348,44 @@ class TestContinuation:
         assert np.nextafter(branch.lambda_lo, math.inf) == branch.lambda_hi
         assert len(set(trials)) == len(trials)
 
+    @pytest.mark.parametrize(
+        "pair, sigma, dim, m",
+        [
+            (PAIR22, 1.0, 3, 256),
+            (ExponentPair(1.5, 4.0), 32.0 / 17.0, 20, 512),
+            # the singular ray sigma = b/a of (1.01, 20) at N = 14
+            (ExponentPair(1.01, 20.0), 8.694929803671808, 14, 1024),
+        ],
+    )
+    def test_secant_seeds_are_subsolutions(self, monkeypatch, pair, sigma, dim, m):
+        # -Lap z <= F(z) row by row, up to the roundoff of applying -Lap.
+        seeds = []
+        solve = radial.solve_minimal
+
+        def recording(e, lam, gam, grid, **kwargs):
+            if kwargs["seed"] is not None:
+                seeds.append((lam, gam, kwargs["seed"]))
+            return solve(e, lam, gam, grid, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_minimal", recording)
+        g = RadialGrid.uniform(dim, m)
+        continue_ray(pair, sigma, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-8))
+        assert len(seeds) > 20
+        op = assemble_radial_laplacian(g)
+        size = np.abs(op.to_dense())
+        eps = np.finfo(float).eps
+        for lam, gam, z in seeds:
+            for w, f in ((z.u, lam * (z.v + 1.0) ** pair.p), (z.v, gam * (z.u + 1.0) ** pair.theta)):
+                excess = (op.apply(w) - f)[:-1]
+                roundoff = 64.0 * eps * (size @ np.abs(w) + f)[:-1]
+                assert np.all(excess <= roundoff), (lam, float(np.max(excess / roundoff)))
+
+    def test_secant_seeds_save_newton_iterations(self):
+        # 76 iterations when each trial was seeded with the last accepted state.
+        g = RadialGrid.uniform(3, 256)
+        branch = continue_ray(PAIR22, 1.0, g, ContinuationConfig(tol=1e-12))
+        assert sum(pt.iterations for pt in branch.points) < 76
+
     def test_newton_budget_exhaustion_never_sets_lambda_hi(self, monkeypatch):
         monkeypatch.setattr(radial, "_NEWTON_BUDGET", 1)
         with pytest.raises(BudgetError) as info:

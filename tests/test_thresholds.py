@@ -236,8 +236,10 @@ class TestStabilityProduct:
         assert stability_product(pair, 8.0) == pytest.approx(49.0 / 64.0, abs=1e-14)
 
     def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            stability_product(ExponentPair(2.0, 3.0), 3.0)
+        # s = inf returned nan: q / (q + 1) is inf / inf
+        for s in (3.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                stability_product(ExponentPair(2.0, 3.0), s)
 
     def test_sign_equivalence_sampled(self):
         # product > 1 exactly where L < 0, whenever L is clearly nonzero
