@@ -23,7 +23,6 @@ _SUBMODULES = {
         "restrict_state",
         "singular_profile",
         "souplet_check",
-        "souplet_weak_margin",
     ),
     "errors": (
         "BudgetError",

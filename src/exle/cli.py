@@ -10,7 +10,8 @@ Usage:
 Numbers are printed with 12 significant digits and LF line endings, so
 identical inputs give byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 domain error, 3 I/O error, 4 budget
-exhausted.  A JSON config file (flat keys mirroring the flags) can seed
+exhausted (stderr names the budget; `continue` still writes the partial
+branch).  A JSON config file (flat keys mirroring the flags) can seed
 any command; explicit flags win.  Every config key is also a flag.  The
 tol of `continue` is the Newton correction tolerance; elsewhere it is the
 width of the root bracket.
@@ -333,6 +334,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     try:
         branch = continue_ray(pair, sigma, grid, run)
     except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         branch = exc.partial
         budget_hit = True
 

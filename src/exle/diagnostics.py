@@ -89,23 +89,6 @@ def souplet_check(e: ExponentPair, state: StatePair, lam: float, gam: float) -> 
     return float(np.min(margin))
 
 
-def souplet_weak_margin(
-    e: ExponentPair, state: StatePair, lam: float, gam: float
-) -> float:
-    """Minimum margin of the shift-free weakened form.
-
-    Dividing the shifted inequality by (alpha+1)^(p+1) gives
-    (v+1)^(p+1) >= kappa / (alpha+1)^(p+1) * (u+1)^(theta+1).
-    """
-    p, theta, u, v, lam, gam = _orient(e, state, lam, gam)
-    kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
-    alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
-    margin = (v + 1.0) ** (p + 1.0) - kappa / (alpha + 1.0) ** (p + 1.0) * (
-        u + 1.0
-    ) ** (theta + 1.0)
-    return float(np.min(margin))
-
-
 def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: int) -> float:
     """Integral over the ball of a radial function sampled on nodes."""
     solid_angle = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)

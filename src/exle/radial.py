@@ -13,11 +13,13 @@ reduction in numpy (`_cyclic`): an M-matrix needs no pivoting, and the
 reduction adds terms of one sign only, so nonnegative data give a
 solution whose sign is exact.  -Lap is factored once per grid, from its
 off-diagonals and its row sums (zero but at the Dirichlet row), which
-makes its solves accurate entry by entry.
+makes its solves accurate entry by entry.  The grid owns that factored
+operator (`RadialGrid.laplacian`), so every solver on one grid shares it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +83,11 @@ class RadialGrid:
         """Mesh width of a uniform grid (max spacing otherwise)."""
         return float(np.max(np.diff(self.nodes)))
 
+    @functools.cached_property
+    def laplacian(self) -> "RadialLaplacian":
+        """The factored -Lap of this grid, assembled on first use."""
+        return assemble_radial_laplacian(self)
+
 
 @dataclass
 class StatePair:
@@ -141,25 +148,24 @@ class RadialLaplacian:
         h1 = r[1] - r[0]
         diag[0] = 2.0 * dim / (h1 * h1)
         upper[0] = -2.0 * dim / (h1 * h1)
-        for i in range(1, grid.m):
-            hm = r[i] - r[i - 1]
-            hp = r[i + 1] - r[i]
-            denom = hm * hp * (hm + hp)
-            # -w'' and -(N-1)/r w' by three-point formulas.
-            w = -2.0 * hp / denom + (dim - 1.0) / r[i] * hp * hp / denom
-            e = -2.0 * hm / denom - (dim - 1.0) / r[i] * hm * hm / denom
-            if w > 0.0:
-                # Flux form over the cell [r - hm/2, r + hp/2].
-                rw = r[i] - 0.5 * hm
-                re = r[i] + 0.5 * hp
-                cell = 0.5 * (hm + hp) * r[i] ** (dim - 1.0)
-                w = -(rw ** (dim - 1.0)) / (hm * cell)
-                e = -(re ** (dim - 1.0)) / (hp * cell)
-            lower[i] = w
-            diag[i] = -(w + e)
-            upper[i] = e
+        # Interior rows 1..M-1: -w'' and -(N-1)/r w' by three-point formulas.
+        ri = r[1:-1]
+        hm = ri - r[:-2]
+        hp = r[2:] - ri
+        denom = hm * hp * (hm + hp)
+        w = -2.0 * hp / denom + (dim - 1.0) / ri * hp * hp / denom
+        e = -2.0 * hm / denom - (dim - 1.0) / ri * hm * hm / denom
+        # Flux form over the cell [r - hm/2, r + hp/2] where w > 0; float_power
+        # calls the C library's pow, as a Python float power does.
+        flux = w > 0.0
+        rf, hmf, hpf = ri[flux], hm[flux], hp[flux]
+        cell = 0.5 * (hmf + hpf) * np.float_power(rf, dim - 1.0)
+        w[flux] = -np.float_power(rf - 0.5 * hmf, dim - 1.0) / (hmf * cell)
+        e[flux] = -np.float_power(rf + 0.5 * hpf, dim - 1.0) / (hpf * cell)
+        lower[1:-1] = w
+        diag[1:-1] = -(w + e)
+        upper[1:-1] = e
         diag[grid.m] = 1.0
-        lower[grid.m] = 0.0
         self._lower = lower
         self._diag = diag
         self._upper = upper
@@ -218,8 +224,6 @@ class MonotoneResult:
     state: StatePair | None
     converged: bool
     iterations: int
-    sup_u: float
-    sup_v: float
 
 
 def _check_load(lam: float, gam: float) -> None:
@@ -236,7 +240,6 @@ def solve_minimal(
     *,
     tol: float = 1e-10,
     seed: StatePair | None = None,
-    operator: RadialLaplacian | None = None,
 ) -> MonotoneResult:
     """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
@@ -252,7 +255,7 @@ def solve_minimal(
     an M-matrix and e >= 0: a negative or non-finite e certifies that this
     load has no (representable) solution.
 
-    The two Picard solves reuse the factors of -Lap.  J e = f' max(d, 0)
+    The two Picard solves reuse the grid's factors of -Lap.  J e = f' max(d, 0)
     is solved by 2x2-block cyclic reduction on the blocks (u_i, v_i),
     without pivoting: while J is an M-matrix every block pivot is one too,
     with a nonnegative inverse, so e is a sum of nonnegative terms and its
@@ -261,7 +264,7 @@ def solve_minimal(
     (or within roundoff of it).
     """
     _check_load(lam, gam)
-    op = operator if operator is not None else assemble_radial_laplacian(grid)
+    op = grid.laplacian
     n = grid.m + 1
     if seed is not None and seed.u.size != n:
         raise ConfigurationError("seed state does not match the grid")
@@ -287,13 +290,13 @@ def solve_minimal(
         rhs = np.stack((fu * np.maximum(dv, 0.0), fv * np.maximum(du, 0.0)))
         corr = solve_block_tridiagonal(lower, diag, upper, rhs)
         if not float(np.min(corr)) >= 0.0:
-            return MonotoneResult(None, False, k, float(np.max(u)), float(np.max(v)))
+            return MonotoneResult(None, False, k)
         du += corr[0]
         dv += corr[1]
         u, v = u + du, v + dv
         # A tol below the roundoff of an n-point solve reads as that roundoff.
         if max(float(np.max(du)), float(np.max(dv))) < max(tol, n * _EPS * scale):
-            return MonotoneResult(StatePair(u, v), True, k, float(np.max(u)), float(np.max(v)))
+            return MonotoneResult(StatePair(u, v), True, k)
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
@@ -303,8 +306,6 @@ def stability_mu1(
     lam: float,
     gam: float,
     grid: RadialGrid,
-    *,
-    operator: RadialLaplacian | None = None,
 ) -> float:
     """Principal eigenvalue mu1 of -Lap(phi) = mu W phi, Dirichlet data.
 
@@ -318,7 +319,7 @@ def stability_mu1(
     bracket is a few eps wide (`_cyclic.smallest_eigenvalue`).
     """
     _check_load(lam, gam)
-    op = operator if operator is not None else assemble_radial_laplacian(grid)
+    op = grid.laplacian
     p, theta = float(e.p), float(e.theta)
     u, v = state.u[:-1], state.v[:-1]
     w = np.sqrt(lam * gam * p * theta * (v + 1.0) ** (p - 1.0) * (u + 1.0) ** (theta - 1.0))
@@ -364,15 +365,12 @@ class Branch:
     points are sorted by increasing lambda and pointwise nondecreasing;
     lambda_hi is the smallest tried load where a negative Newton step
     certified that no solution exists; budget exhaustion never sets it.
-    mu1_violations lists indices where mu1 failed to be nonincreasing
-    (diagnostic only).
     """
 
     sigma: float
     points: list[BranchPoint] = field(default_factory=list)
     lambda_lo: float | None = None
     lambda_hi: float | None = None
-    mu1_violations: list[int] = field(default_factory=list)
 
     @property
     def bracket_rel_width(self) -> float:
@@ -413,7 +411,6 @@ def continue_ray(
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    op = assemble_radial_laplacian(grid)
     branch = Branch(sigma=sigma)
     zero = np.zeros(grid.m + 1)
     # The last two accepted points, oldest first: (load, state).
@@ -438,29 +435,25 @@ def continue_ray(
             t = (trial - lam1) / (lam1 - lam0)
             seed = StatePair(w1.u + t * (w1.u - w0.u), w1.v + t * (w1.v - w0.v))
         try:
-            result = solve_minimal(
-                e, trial, sigma * trial, grid, tol=config.tol, seed=seed, operator=op
-            )
+            result = solve_minimal(e, trial, sigma * trial, grid, tol=config.tol, seed=seed)
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
         if result.converged:
             assert result.state is not None
             state = result.state
-            slack = -1e-9 * max(1.0, result.sup_u, result.sup_v)
+            slack = -1e-9 * max(1.0, state.sup_u, state.sup_v)
             if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
                 raise NumericalError("branch states are not nondecreasing in lambda")
             older, latest = latest, (trial, state)
             branch.lambda_lo = trial
-            mu1 = stability_mu1(e, state, trial, sigma * trial, grid, operator=op)
-            if branch.points and mu1 > branch.points[-1].mu1 + 1e-8:
-                branch.mu1_violations.append(len(branch.points))
+            mu1 = stability_mu1(e, state, trial, sigma * trial, grid)
             branch.points.append(
                 BranchPoint(
                     lam=trial,
                     gam=sigma * trial,
                     state=state,
-                    sup_u=result.sup_u,
-                    sup_v=result.sup_v,
+                    sup_u=state.sup_u,
+                    sup_v=state.sup_v,
                     mu1=mu1,
                     iterations=result.iterations,
                 )

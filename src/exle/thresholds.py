@@ -170,6 +170,13 @@ def _energy_coeffs(p, theta):
     return f * (theta + 1.0), f * (p + theta + 2.0), f * (p + 1.0)
 
 
+def _t0(p, theta):
+    # t0 for canonical floats, or arrays for threshold_rows.
+    m = p * theta * (p + 1.0) / (theta + 1.0)
+    root_m = np.sqrt(m)
+    return root_m + np.sqrt(m - root_m)
+
+
 def eval_t0(e: ExponentPair) -> float:
     """Closed-form constant t0 = sqrt(m) + sqrt(m - sqrt(m)) with
     m = p*theta*(p+1)/(theta+1), canonical order.
@@ -177,10 +184,7 @@ def eval_t0(e: ExponentPair) -> float:
     m > 1 holds throughout the validity domain, so the inner radicand
     sqrt(m)*(sqrt(m)-1) is positive.
     """
-    p, theta = e.canonical()
-    m = p * theta * (p + 1.0) / (theta + 1.0)
-    root_m = math.sqrt(m)
-    return root_m + math.sqrt(m - root_m)
+    return float(_t0(*e.canonical()))
 
 
 def eval_L(e: ExponentPair, s: float) -> float:
@@ -189,9 +193,7 @@ def eval_L(e: ExponentPair, s: float) -> float:
     c2 = 16 p th (p+1)/(th+1), c1 = 16 p th (p+1)(p+th+2)/(th+1)^2,
     c0 = 16 p th (p+1)^2/(th+1)^2.
     """
-    p, theta = e.canonical()
-    c2, c1, c0 = _energy_coeffs(p, theta)
-    return ((s * s) - c2) * (s * s) + c1 * s - c0
+    return _quartic(s, *_energy_coeffs(*e.canonical()))
 
 
 def eval_H(e: ExponentPair, x: float) -> float:
@@ -260,10 +262,7 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
     # Python floats overflow to inf and nan without a word; so do these.
     with np.errstate(all="ignore"):
         s0, failure = _largest_roots(*_energy_coeffs(p_c, theta_c), tol)
-        # The operation order of eval_t0.
-        m = p_c * theta_c * (p_c + 1.0) / (theta_c + 1.0)
-        root_m = np.sqrt(m)
-        t0 = root_m + np.sqrt(m - root_m)
+        t0 = _t0(p_c, theta_c)
         k = (theta_c + 1.0) / (p_c * theta_c - 1.0)
         x0 = k * s0
         n_cowan = 2.0 + 4.0 * t0 * k
@@ -279,7 +278,7 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
 
 
 def _quartic(s, c2, c1, c0):
-    # L(s) in the operation order of eval_L.
+    # L(s) for eval_L's floats, or for arrays of s and coefficients.
     ss = s * s
     return (ss - c2) * ss + c1 * s - c0
 

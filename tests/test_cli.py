@@ -36,6 +36,22 @@ PARTIAL_ROWS = (
     ("2", "2", "16", "16,15.6568542495,0.343145750508,0.392166572009"),
     ("1.5", "4", "20", "20,14.1293906774,5.87060932258,6.52289924732"),
 )
+# sha256 of (branch CSV, summary JSON) of `exle continue` on two rays: the
+# fold-subcritical ray, and a ray at N=20 whose first rows take the flux
+# form; written by the release before the grid owned its operator.
+CONTINUE_PINS = (
+    (
+        ("--p", "2", "--theta", "2", "--dim", "3", "--nodes", "256"),
+        "4360fbe1ed398a27f9e2b7c33d43f94ea92e60a25be69dd00a6bad6447939521",
+        "765d4625b6d82fe8bfd32e1d36ee92a84933dc30344fed40741be90a024b1301",
+    ),
+    (
+        ("--p", "1.5", "--theta", "4", "--sigma", "1.8823529411764706", "--dim", "20",
+         "--nodes", "256"),
+        "14dc559cfab54a9567c5b12f8e1aacddb6ae457d9adc36fe3b3188c30ad99b97",
+        "175907cbee19399896c44960aec4797e685c77e42c72637a43a0b72baa4ac27a",
+    ),
+)
 
 
 def run(argv, capsys):
@@ -366,6 +382,16 @@ class TestContinue:
         run(argv[:-1] + [str(out2)], capsys)
         assert out.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flags,csv_sha256,summary_sha256", CONTINUE_PINS)
+    def test_branch_bytes_pinned(self, tmp_path, capsys, flags, csv_sha256, summary_sha256):
+        out = tmp_path / "branch.csv"
+        code, _, err = run(["continue", *flags, "--out", str(out)], capsys)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        summary = tmp_path / "branch.summary.json"
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha256
+
     def test_budget_exhaustion_preserves_partial(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"max_steps": 4}))
@@ -375,8 +401,9 @@ class TestContinue:
             "--dim", "3", "--out", str(out),
         ]
         for budget in (["--config", str(cfg)], ["--max-steps", "4"]):
-            code, _, _ = run(argv + budget, capsys)
+            code, _, err = run(argv + budget, capsys)
             assert code == 4
+            assert err == "error: continuation budget of 4 solves exhausted\n"
             lines = out.read_text().splitlines()
             assert len(lines) == 1 + 4
             summary = json.loads((tmp_path / "partial.summary.json").read_text())
@@ -401,8 +428,9 @@ class TestContinue:
         monkeypatch.setattr(radial, "_NEWTON_BUDGET", 1)
         out = tmp_path / "b.csv"
         argv = ["continue", "--p", "2", "--theta", "2", "--nodes", "64", "--out", str(out)]
-        code, _, _ = run(argv, capsys)
+        code, _, err = run(argv, capsys)
         assert code == 4
+        assert err.startswith("error: Newton budget of 1 iterations exhausted at lam=")
         summary = json.loads((tmp_path / "b.summary.json").read_text())
         assert summary["budget_exhausted"] is True
         assert summary["lambda_hi"] is None
@@ -491,7 +519,7 @@ def test_lazy_namespace_resolves_every_public_name():
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] 41 module 'exle' has no attribute 'no_such_name'\n"
+    assert proc.stdout == "[] 40 module 'exle' has no attribute 'no_such_name'\n"
 
 
 CLI_THREADS = (

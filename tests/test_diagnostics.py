@@ -23,7 +23,6 @@ from exle import (
     singular_profile,
     solve_minimal,
     souplet_check,
-    souplet_weak_margin,
     threshold_report,
 )
 
@@ -48,22 +47,14 @@ class TestSouplet:
         u = np.linspace(1.0, 0.0, 33)
         state = StatePair(u, u.copy())
         assert souplet_check(PAIR22, state, 0.7, 0.7) == 0.0
-        assert souplet_weak_margin(PAIR22, state, 0.7, 0.7) == 0.0
 
     def test_nonnegative_on_computed_solution(self, solved_23):
         grid, state = solved_23
         # kappa = gam (p+1)/(lam (theta+1)) = 1.5 here, so the shift
-        # alpha is strictly positive and both margin forms are exercised
+        # alpha is strictly positive
         h = grid.spacing
         slack = h * h * (1.0 + (state.sup_v + 2.0) ** 3.0 + 1.5 * (state.sup_u + 1.0) ** 4.0)
         assert souplet_check(PAIR23, state, 0.5, 1.0) >= -slack
-        assert souplet_weak_margin(PAIR23, state, 0.5, 1.0) >= -slack
-
-    def test_weak_margin_not_below_shifted_form_scaled(self, solved_23):
-        grid, state = solved_23
-        strong = souplet_check(PAIR23, state, 0.5, 1.0)
-        weak = souplet_weak_margin(PAIR23, state, 0.5, 1.0)
-        assert math.isfinite(strong) and math.isfinite(weak)
 
     def test_orientation_swap_exact(self, solved_23):
         _, state = solved_23
@@ -237,7 +228,6 @@ def synthetic_branch(slope, n_points=10, lam_star=1.0):
         points=points,
         lambda_lo=points[-1].lam,
         lambda_hi=lam_star,
-        mu1_violations=[],
     )
 
 

@@ -91,6 +91,6 @@ def test_accepted_state_near_fold_is_within_tol():
     zero = np.zeros(grid.m + 1)
     u, v = picard(e, lam, lam, op, zero, zero)
     tol = 1e-6
-    res = solve_minimal(e, lam, lam, grid, tol=tol, operator=op)
+    res = solve_minimal(e, lam, lam, grid, tol=tol)
     assert res.converged
     assert max(np.abs(res.state.u - u).max(), np.abs(res.state.v - v).max()) <= 0.01 * tol
