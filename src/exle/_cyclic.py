@@ -105,21 +105,20 @@ def _mul(x, y):
     return np.einsum("ijk,jlk->ilk", x, y)
 
 
-def _apply(x, v):
-    """Blockwise x_i @ v_i for (2, 2, k) x and (2, k) v."""
-    return np.einsum("ijk,jk->ik", x, v)
-
-
 def solve_block_tridiagonal(lower, diag, upper, rhs):
     """x with M x = rhs for a 2x2-block tridiagonal M-matrix M.
 
     lower, diag and upper are (2, 2, n) stacks of the blocks a_i, b_i and
-    c_i (lower[..., 0] and upper[..., n-1] zero), rhs and x are (2, n).
-    The matrix is used once, so the right-hand side is reduced along with
-    it: each row is carried as the (2, 5) array [a | c | d], and one einsum
-    per product on (2, ., k) stacks does the 2x2 algebra of a whole level.
+    c_i (lower[..., 0] and upper[..., n-1] zero).  rhs and x are (2, n),
+    or (2, r, n) for r right-hand sides at once; every 2x2 product is a sum
+    of two terms, so each column of x is bit for bit the (2, n) solve of
+    its column.  The matrix is used once, so the right-hand sides are
+    reduced along with it: each row is carried as the (2, 4 + r) array
+    [a | c | d], and one einsum per product on (2, ., k) stacks does the
+    2x2 algebra of a whole level.
     """
-    g = np.concatenate((lower, upper, rhs[:, None]), axis=1)
+    single = rhs.ndim == 2
+    g = np.concatenate((lower, upper, rhs[:, None] if single else rhs), axis=1)
     b = diag
     levels = []  # -b^{-1} and [a | c | d] of the eliminated rows
     while True:
@@ -143,19 +142,19 @@ def solve_block_tridiagonal(lower, diag, upper, rhs):
         g = left
         g[:, 2:4] = 0.0
         g[:, 2:4, : h - 1] = right[:, 2:4]
-        g[:, 4] += gk[:, 4]
-        g[:, 4, : h - 1] += right[:, 4]
-    x = np.empty((2, 0))
+        g[:, 4:] += gk[:, 4:]
+        g[:, 4:, : h - 1] += right[:, 4:]
+    x = np.empty((2, g.shape[1] - 4, 0))
     for nbinv, ge in levels[::-1]:
         h, k = ge.shape[-1], x.shape[-1]
-        t = -ge[:, 4]
-        t[:, 1:] += _apply(ge[:, 0:2, 1:], x[:, : h - 1])
-        t[:, :k] += _apply(ge[:, 2:4, :k], x)
-        out = np.empty((2, h + k))
-        out[:, 0::2] = _apply(nbinv, t)
-        out[:, 1::2] = x
+        t = -ge[:, 4:]
+        t[..., 1:] += _mul(ge[:, 0:2, 1:], x[..., : h - 1])
+        t[..., :k] += _mul(ge[:, 2:4, :k], x)
+        out = np.empty(x.shape[:2] + (h + k,))
+        out[..., 0::2] = _mul(nbinv, t)
+        out[..., 1::2] = x
         x = out
-    return x
+    return x[:, 0] if single else x
 
 
 def smallest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:

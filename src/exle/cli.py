@@ -16,6 +16,10 @@ any command; explicit flags win.  Every config key is also a flag.  The
 tol of `continue` is the Newton correction tolerance; elsewhere it is the
 width of the root bracket.
 
+The summary of `continue` holds the certified fold bracket lambda_lo <
+lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
+placed the bracket, or null when the run fell back to bisection.
+
 No command calls BLAS, so this module sets OPENBLAS_NUM_THREADS=1 before
 it first imports numpy; otherwise numpy's OpenBLAS starts a worker thread
 that spins for about 0.1 s of CPU in every process.  It leaves the
@@ -337,6 +341,9 @@ def cmd_continue(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         branch = exc.partial
         budget_hit = True
+    # The diagnostics read the nodes only: a fresh grid lets the factored
+    # -Lap of the solves be freed before them.
+    grid = RadialGrid(grid.dim, grid.nodes)
 
     lines = ["lambda,gamma,sup_u,sup_v,mu1,souplet_margin,energy_J2,iterations"]
     margins = []
@@ -365,6 +372,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "s_energy": s_energy,
         "lambda_lo": branch.lambda_lo,
         "lambda_hi": branch.lambda_hi,
+        "lambda_fold": branch.lambda_fold,
         "bracket_rel_width": (
             branch.bracket_rel_width if math.isfinite(branch.bracket_rel_width) else None
         ),

@@ -198,7 +198,8 @@ def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDia
     """Classify the branch tail as bounded- or unbounded-looking.
 
     Fits the slope of log sup-norm against log(lambda_hi - lambda) over
-    the last 8 accepted points.  A plateauing branch has slope
+    the last 8 accepted points, each squared residual weighted by
+    1/(lambda_hi - lambda).  A plateauing branch has slope
     near 0; a branch heading for an unbounded extremal state keeps a
     markedly negative slope.  Needs at least 5 points and a closed
     bracket.  The report carries the dimension threshold 2 + 2*x0 for
@@ -213,8 +214,11 @@ def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDia
     if np.any(gaps <= 0.0):
         raise DiagnosticError("branch points are not strictly below lambda_hi")
     log_gap = np.log(gaps)
-    slope_u = float(np.polyfit(log_gap, np.log([pt.sup_u for pt in pts]), 1)[0])
-    slope_v = float(np.polyfit(log_gap, np.log([pt.sup_v for pt in pts]), 1)[0])
+    # The slope is an exponent as the gap closes, so the doubling walk's
+    # far, pre-asymptotic points count little next to those at the fold.
+    weight = 1.0 / np.sqrt(gaps)
+    slope_u = float(np.polyfit(log_gap, np.log([pt.sup_u for pt in pts]), 1, w=weight)[0])
+    slope_v = float(np.polyfit(log_gap, np.log([pt.sup_v for pt in pts]), 1, w=weight)[0])
     threshold = threshold_report(e).n_new
     return GrowthDiagnostic(
         table=tuple((pt.lam, pt.sup_u, pt.sup_v) for pt in pts),

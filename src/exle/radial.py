@@ -4,7 +4,9 @@ Discretizes -Lap(w) = -(w'' + (N-1) w'/r) on [0, 1] with a symmetry row
 at r = 0 (from Lap w(0) = N * w''(0)) and a Dirichlet row at r = 1.
 On top of the operator sit the monotone Newton solver for the coupled
 system, the principal stability eigenvalue, and parameter continuation
-along a ray gamma = sigma * lambda up to the fold.
+along a ray gamma = sigma * lambda up to the fold: a doubling walk to the
+first load without a solution, a Moore-Spence Newton solve for the fold
+that places the last trial loads, and bisection when that prediction fails.
 
 Every linear system here is a tridiagonal M-matrix (-Lap, and -Lap
 shifted for mu1) or, while a solution exists, a 2x2-block tridiagonal
@@ -43,6 +45,13 @@ _EPS = float(np.finfo(float).eps)
 # the first load without a solution.
 _LAMBDA_INIT = 1e-3
 _GROWTH = 2.0
+# Moore-Spence Newton iterations for the fold.  From the walk's last
+# accepted load, folds below the critical dimension take 5 to 9; above it
+# the fold state is large, the solve takes 12 to 29 and more as m grows
+# (measured up to m = 1024), and such rays mostly fall back to bisection.
+_FOLD_BUDGET = 12
+# Inverse-iteration steps for the first null-vector guess of the fold solve.
+_NULL_STEPS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +235,18 @@ class MonotoneResult:
     iterations: int
 
 
+def _laplacian_blocks(op: RadialLaplacian):
+    """-Lap on both components as (2, 2, n) block stacks; block i couples
+    (u_i, v_i), and the caller fills the coupling of the diagonal blocks."""
+    n = op._diag.size
+    lower = np.zeros((2, 2, n))
+    diag = np.zeros((2, 2, n))
+    upper = np.zeros((2, 2, n))
+    for i in range(2):
+        lower[i, i], diag[i, i], upper[i, i] = op._lower, op._diag, op._upper
+    return lower, diag, upper
+
+
 def _check_load(lam: float, gam: float) -> None:
     for name, value in (("lam", lam), ("gam", gam)):
         if not math.isfinite(value) or value <= 0.0:
@@ -270,12 +291,7 @@ def solve_minimal(
         raise ConfigurationError("seed state does not match the grid")
     u, v = (np.zeros(n), np.zeros(n)) if seed is None else (seed.u, seed.v)
     p, theta = float(e.p), float(e.theta)
-    # J as 2x2 blocks on the nodes; block i couples (u_i, v_i).
-    lower = np.zeros((2, 2, n))
-    diag = np.zeros((2, 2, n))
-    upper = np.zeros((2, 2, n))
-    for i in range(2):
-        lower[i, i], diag[i, i], upper[i, i] = op._lower, op._diag, op._upper
+    lower, diag, upper = _laplacian_blocks(op)
     for k in range(1, _NEWTON_BUDGET + 1):
         du = op.solve_dirichlet(lam * (v + 1.0) ** p) - u
         dv = op.solve_dirichlet(gam * (u + 1.0) ** theta) - v
@@ -358,6 +374,22 @@ class BranchPoint:
     iterations: int
 
 
+@dataclass(frozen=True)
+class Trial:
+    """One trial load of continue_ray and what solve_minimal made of it.
+
+    converged is False when a negative Newton step certified that the load
+    has no solution.  chosen_by names what picked the load: "walk" (the
+    geometric search for the first load without a solution), "predictor"
+    (the certification loads around the Moore-Spence fold) or "bisection".
+    """
+
+    lam: float
+    converged: bool
+    iterations: int
+    chosen_by: str
+
+
 @dataclass
 class Branch:
     """Minimal branch along gamma = sigma * lambda up to the fold bracket.
@@ -365,12 +397,20 @@ class Branch:
     points are sorted by increasing lambda and pointwise nondecreasing;
     lambda_hi is the smallest tried load where a negative Newton step
     certified that no solution exists; budget exhaustion never sets it.
+    trials logs every load handed to solve_minimal, in order.
+    lambda_fold is the fold load of the Moore-Spence solve when it lay
+    inside the bracket and no trial outcome contradicted it, else None;
+    fold_iterations counts that solve's Newton iterations (0 if it never
+    ran).
     """
 
     sigma: float
     points: list[BranchPoint] = field(default_factory=list)
     lambda_lo: float | None = None
     lambda_hi: float | None = None
+    trials: list[Trial] = field(default_factory=list)
+    lambda_fold: float | None = None
+    fold_iterations: int = 0
 
     @property
     def bracket_rel_width(self) -> float:
@@ -383,6 +423,87 @@ class Branch:
         return min((pt.mu1 for pt in self.points), default=math.inf)
 
 
+def _fold_newton(
+    e: ExponentPair,
+    sigma: float,
+    lam: float,
+    state: StatePair,
+    grid: RadialGrid,
+    tol: float,
+) -> tuple[float | None, int]:
+    """Fold load of the ray by Newton on the Moore-Spence system.
+
+    Solves F(w, lam) = 0, J(w, lam) phi = 0, l.phi = 1 (Moore & Spence
+    1980), which is regular at a simple fold, from a converged state w at
+    lam below it.  phi starts from a few inverse-iteration steps with J
+    there, and l = phi / (phi.phi).  Each step is bordered (Keller 1977)
+    with two 2x2-block solves of two right-hand sides each on J:
+    a = -J^{-1} F and b = -J^{-1} F_lam, then c' = -J^{-1} (J_w phi) a and
+    d = -J^{-1} ((J_w phi) b + J_lam phi).  With c = c' - phi the step is
+    dlam = (1 - l.phi - l.c) / (l.d) = (1 - l.c') / (l.d), dw = a + dlam b
+    and phi + dphi = c' + dlam d.
+
+    Returns (lam_fold, iterations) once the step in (w, lam) is below tol
+    or sqrt(eps) relative, and (None, iterations) when an iterate is
+    non-finite or _FOLD_BUDGET runs out.  Past the fold J is
+    not an M-matrix, so nothing here is certified: continue_ray only
+    places trial loads with the result.
+    """
+    op = grid.laplacian
+    expo = np.array([[float(e.p)], [float(e.theta)]])
+    ray = np.array([[1.0], [sigma]])
+    blocks = _laplacian_blocks(op)
+    diag = blocks[1]
+    w = np.stack((state.u, state.v))
+
+    def linearize(w, lam):
+        # f(w) = lam * f0, with f0 and its derivatives in the other
+        # component; the Dirichlet rows are uncoupled.
+        base = w[::-1] + 1.0
+        f0 = ray * base**expo
+        f1 = ray * expo * base ** (expo - 1.0)
+        f2 = ray * expo * (expo - 1.0) * base ** (expo - 2.0)
+        for f in (f0, f1, f2):
+            f[:, -1] = 0.0
+        diag[0, 1] = -lam * f1[0]
+        diag[1, 0] = -lam * f1[1]
+        return f0, f1, f2
+
+    linearize(w, lam)
+    phi = np.ones_like(w)
+    phi[:, -1] = 0.0
+    for _ in range(_NULL_STEPS):
+        phi = solve_block_tridiagonal(*blocks, phi)
+        phi /= np.max(phi)
+    ell = phi / np.sum(phi * phi)
+    # Iterates past the fold may leave the domain of the powers; a
+    # non-finite iterate ends the solve, so numpy need not warn of it.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(1, _FOLD_BUDGET + 1):
+            f0, f1, f2 = linearize(w, lam)
+            residual = np.stack((op.apply(w[0]), op.apply(w[1]))) - lam * f0
+            ab = solve_block_tridiagonal(*blocks, np.stack((-residual, f0), axis=1))
+            a, b = ab[:, 0], ab[:, 1]
+            # (J_w phi) x = -curv * x[::-1] and J_lam phi = -f1 * phi[::-1]
+            curv = lam * f2 * phi[::-1]
+            rhs = np.stack((curv * a[::-1], curv * b[::-1] + f1 * phi[::-1]), axis=1)
+            cd = solve_block_tridiagonal(*blocks, rhs)
+            c, d = cd[:, 0], cd[:, 1]
+            dlam = float((1.0 - np.sum(ell * c)) / np.sum(ell * d))
+            dw = a + dlam * b
+            phi = c + dlam * d
+            w = w + dw
+            lam = lam + dlam
+            if not (math.isfinite(lam) and np.all(np.isfinite(w)) and np.all(np.isfinite(phi))):
+                return None, k
+            # In the quadratic phase a step of sqrt(eps) relative leaves an
+            # error of order eps, while smaller steps are roundoff-decided.
+            scale = max(1.0, abs(lam), float(np.max(np.abs(w))))
+            if max(abs(dlam), float(np.max(np.abs(dw)))) < max(tol, math.sqrt(_EPS) * scale):
+                return lam, k
+    return None, _FOLD_BUDGET
+
+
 def continue_ray(
     e: ExponentPair,
     sigma: float,
@@ -391,13 +512,20 @@ def continue_ray(
 ) -> Branch:
     """Walk the minimal branch along gamma = sigma * lambda to the fold.
 
-    Lambda doubles from 1e-3 while the monotone solver converges; the
-    first load certified to have no solution starts a bisection that
-    shrinks the bracket to config.bracket_tol relative width, or until its
-    ends are adjacent floats, whichever comes first.  States are pointwise
-    nondecreasing along the branch, which is asserted.  Running out of
-    trial loads or of Newton iterations in one solve raises BudgetError
-    carrying the partial branch.
+    Lambda doubles from 1e-3 while the monotone solver converges.  Once a
+    load is certified to have no solution, the fold is solved for directly
+    (_fold_newton, from the last accepted state).  If that gives lam_f
+    inside the bracket, the next trials are lam_f (1 - 8 eps) and
+    lam_f (1 - eps), expected to converge, then lam_f (1 + eps), expected
+    to have no solution, with eps = bracket_tol / 8 (at least one rounding
+    error): the bracket ends bracket_tol / 4 wide around the fold.  When the
+    fold solve fails or a trial outcome disagrees with it, the same loop
+    bisects the bracket it holds instead, until the bracket is
+    config.bracket_tol relative wide or its ends are adjacent floats.
+    Only the outcomes of solve_minimal ever move the bracket, so it is
+    certified either way.  States are pointwise nondecreasing along the
+    branch, which is asserted.  Running out of trial loads or of Newton
+    iterations in one solve raises BudgetError carrying the partial branch.
 
     Each trial load lam is seeded with the secant z = w1 + (lam - lam1) s,
     s = (w1 - w0) / (lam1 - lam0), through the last two accepted points
@@ -415,14 +543,39 @@ def continue_ray(
     zero = np.zeros(grid.m + 1)
     # The last two accepted points, oldest first: (load, state).
     older = latest = (0.0, StatePair(zero, zero))
-    trial = _LAMBDA_INIT
+    trial, chosen_by = _LAMBDA_INIT, "walk"
+    # (load, expected outcome) of the certification trials still to run;
+    # None until the fold solve has run.
+    schedule: list[tuple[float, bool]] | None = None
+    lam_fold = None
     steps = 0
     while True:
-        if branch.lambda_lo is not None and branch.lambda_hi is not None:
-            lo, hi = branch.lambda_lo, branch.lambda_hi
+        lo, hi = branch.lambda_lo, branch.lambda_hi
+        if lo is not None and hi is not None:
             # A midpoint equal to an end means the ends are adjacent floats.
             if hi - lo <= config.bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi):
                 break
+            if schedule is None:
+                lam_fold, branch.fold_iterations = _fold_newton(
+                    e, sigma, latest[0], latest[1], grid, config.tol
+                )
+                schedule = []
+                if lam_fold is not None and lo < lam_fold < hi:
+                    eps = max(config.bracket_tol / 8.0, _EPS)
+                    schedule = [
+                        (lam_fold * (1.0 - 8.0 * eps), True),
+                        (lam_fold * (1.0 - eps), True),
+                        (lam_fold * (1.0 + eps), False),
+                    ]
+                else:
+                    lam_fold = None
+            if schedule and lo < schedule[0][0] < hi:
+                trial, chosen_by = schedule[0][0], "predictor"
+            else:
+                if schedule:  # a certification load fell outside the bracket
+                    schedule.clear()
+                    lam_fold = None
+                trial, chosen_by = 0.5 * (lo + hi), "bisection"
         if steps >= config.max_steps:
             raise BudgetError(
                 f"continuation budget of {config.max_steps} solves exhausted",
@@ -438,6 +591,10 @@ def continue_ray(
             result = solve_minimal(e, trial, sigma * trial, grid, tol=config.tol, seed=seed)
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
+        branch.trials.append(Trial(trial, result.converged, result.iterations, chosen_by))
+        if chosen_by == "predictor" and result.converged != schedule.pop(0)[1]:
+            schedule.clear()
+            lam_fold = None
         if result.converged:
             assert result.state is not None
             state = result.state
@@ -458,18 +615,14 @@ def continue_ray(
                     iterations=result.iterations,
                 )
             )
-            if branch.lambda_hi is None:
-                trial = trial * _GROWTH
-            else:
-                trial = 0.5 * (branch.lambda_lo + branch.lambda_hi)
+            # the walk's next load; once the bracket exists the loop top picks it
+            trial = trial * _GROWTH
         else:
             branch.lambda_hi = trial
-            if branch.lambda_lo is None:
-                trial = trial / _GROWTH
-                if trial < 1e-300:
-                    raise NumericalError("no convergent load found above 1e-300")
-            else:
-                trial = 0.5 * (branch.lambda_lo + branch.lambda_hi)
+            trial = trial / _GROWTH
+            if branch.lambda_lo is None and trial < 1e-300:
+                raise NumericalError("no convergent load found above 1e-300")
     if not branch.points:
         raise NumericalError("continuation ended with no accepted point")
+    branch.lambda_fold = lam_fold
     return branch

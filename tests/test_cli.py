@@ -38,20 +38,28 @@ PARTIAL_ROWS = (
 )
 # sha256 of (branch CSV, summary JSON) of `exle continue` on two rays: the
 # fold-subcritical ray, and a ray at N=20 whose first rows take the flux
-# form; written by the release before the grid owned its operator.
+# form.  The second CSV was written by the release before the grid owned
+# its operator; the fold solve falls back to bisection there.  The first
+# CSV and both summaries are those of the Moore-Spence fold predictor,
+# which places the last trials and adds `lambda_fold`.
 CONTINUE_PINS = (
     (
         ("--p", "2", "--theta", "2", "--dim", "3", "--nodes", "256"),
-        "4360fbe1ed398a27f9e2b7c33d43f94ea92e60a25be69dd00a6bad6447939521",
-        "765d4625b6d82fe8bfd32e1d36ee92a84933dc30344fed40741be90a024b1301",
+        "c6fdd028510e565021807b21fce832e28aa651089afe6eeb0c067b6c3f4092d1",
+        "a55a5cda39457be7ddcdceb8c40ab185d882ba40e38958479fdef6983b51eb2d",
     ),
     (
         ("--p", "1.5", "--theta", "4", "--sigma", "1.8823529411764706", "--dim", "20",
          "--nodes", "256"),
         "14dc559cfab54a9567c5b12f8e1aacddb6ae457d9adc36fe3b3188c30ad99b97",
-        "175907cbee19399896c44960aec4797e685c77e42c72637a43a0b72baa4ac27a",
+        "949b8c25d70a9e44e82acd30a4abf1806c9e50afff57ff997387dd9ab86b62f7",
     ),
 )
+
+
+# sha256 of the branch CSV of the singular ray in TestContinue, where the
+# fold solve falls back to bisection; written before the fold solve existed.
+FALLBACK_CSV_SHA256 = "e321ee57e79a20f15d8474f4d505431c63a1b8bf2636e9a9a0bae5a5b6edf9a8"
 
 
 def run(argv, capsys):
@@ -391,6 +399,21 @@ class TestContinue:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
         summary = tmp_path / "branch.summary.json"
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha256
+
+    def test_fallback_ray_keeps_its_bytes(self, tmp_path, capsys):
+        # On the singular ray sigma = b/a of (1.5, 4) at N = 20 the fold solve
+        # runs out of iterations, and bisection writes the CSV it wrote
+        # before the fold solve existed.
+        out = tmp_path / "branch.csv"
+        argv = [
+            "continue", "--p", "1.5", "--theta", "4", "--sigma", "1.8823529411764706",
+            "--dim", "20", "--nodes", "512", "--out", str(out),
+        ]
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FALLBACK_CSV_SHA256
+        summary = json.loads((tmp_path / "branch.summary.json").read_text())
+        assert summary["lambda_fold"] is None
 
     def test_budget_exhaustion_preserves_partial(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

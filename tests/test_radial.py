@@ -414,8 +414,10 @@ class TestContinuation:
 
         monkeypatch.setattr(radial, "solve_minimal", recording)
         g = RadialGrid.uniform(dim, m)
-        continue_ray(pair, sigma, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-8))
-        assert len(seeds) > 20
+        branch = continue_ray(pair, sigma, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-8))
+        # every trial after the first accepted point is seeded, and checked below
+        first = next(i for i, t in enumerate(branch.trials) if t.converged)
+        assert [lam for lam, _, _ in seeds] == [t.lam for t in branch.trials[first + 1 :]]
         op = assemble_radial_laplacian(g)
         size = np.abs(op.to_dense())
         eps = np.finfo(float).eps
@@ -424,6 +426,61 @@ class TestContinuation:
                 excess = (op.apply(w) - f)[:-1]
                 roundoff = 64.0 * eps * (size @ np.abs(w) + f)[:-1]
                 assert np.all(excess <= roundoff), (lam, float(np.max(excess / roundoff)))
+
+    @pytest.mark.parametrize(
+        "pair, dim",
+        [(PAIR22, 3), (ExponentPair(1.5, 4.0), 3), (ExponentPair(1.5, 4.0), 10), (PAIR22, 10)],
+    )
+    def test_fold_lies_in_the_bisection_bracket(self, monkeypatch, pair, dim):
+        g = RadialGrid.uniform(dim, 256)
+        cfg = ContinuationConfig(bracket_tol=1e-12)
+        branch = continue_ray(pair, 1.0, g, cfg)
+        assert branch.lambda_fold is not None
+        assert branch.lambda_lo < branch.lambda_fold < branch.lambda_hi
+        monkeypatch.setattr(radial, "_fold_newton", lambda *args: (None, 0))
+        bisected = continue_ray(pair, 1.0, g, cfg)
+        assert bisected.lambda_fold is None
+        assert bisected.bracket_rel_width <= 1e-12
+        assert bisected.lambda_lo <= branch.lambda_fold <= bisected.lambda_hi
+        assert len(branch.trials) < len(bisected.trials)
+
+    def test_trial_log(self):
+        g = RadialGrid.uniform(3, 256)
+        branch = continue_ray(PAIR22, 1.0, g)
+        trials = branch.trials
+        assert [t.lam for t in trials if t.converged] == [pt.lam for pt in branch.points]
+        assert [t.iterations for t in trials if t.converged] == [
+            pt.iterations for pt in branch.points
+        ]
+        assert min(t.lam for t in trials if not t.converged) == branch.lambda_hi
+        # the doubling walk to the first load without a solution, then the
+        # three certification loads around the Moore-Spence fold
+        assert [t.chosen_by for t in trials] == ["walk"] * 13 + ["predictor"] * 3
+        assert [t.converged for t in trials[-4:]] == [False, True, True, False]
+        assert 0 < branch.fold_iterations <= radial._FOLD_BUDGET
+        fold = branch.lambda_fold
+        eps = 1e-4 / 8.0
+        assert trials[-3].lam == fold * (1.0 - 8.0 * eps)
+        assert (branch.lambda_lo, branch.lambda_hi) == (fold * (1.0 - eps), fold * (1.0 + eps))
+
+    def test_contradicted_prediction_falls_back_to_bisection(self, monkeypatch):
+        # A predicted fold 4 eps too low: lam_f (1 + eps), expected to have
+        # no solution, has one, and the loop bisects the bracket it holds.
+        g = RadialGrid.uniform(3, 64)
+        exact = continue_ray(PAIR22, 1.0, g, ContinuationConfig(bracket_tol=1e-10))
+        fold = radial._fold_newton
+        monkeypatch.setattr(
+            radial, "_fold_newton", lambda *args: (fold(*args)[0] * (1.0 - 4.0 * 1e-4 / 8.0), 7)
+        )
+        branch = continue_ray(PAIR22, 1.0, g)
+        assert branch.lambda_fold is None
+        assert branch.fold_iterations == 7
+        chosen = [t.chosen_by for t in branch.trials]
+        assert chosen[13:16] == ["predictor"] * 3
+        assert all(t.converged for t in branch.trials[13:16])
+        assert len(chosen) > 16 and set(chosen[16:]) == {"bisection"}
+        assert branch.bracket_rel_width <= 1e-4
+        assert branch.lambda_lo <= exact.lambda_lo < exact.lambda_hi <= branch.lambda_hi
 
     def test_secant_seeds_save_newton_iterations(self):
         # 76 iterations when each trial was seeded with the last accepted state.
@@ -501,6 +558,24 @@ class TestCyclicReduction:
         got = _cyclic.solve_block_tridiagonal(*jacobian_blocks(op, fu, fv), rhs)
         ref = np.linalg.solve(dense_jacobian(op, fu, fv), rhs.T.ravel()).reshape(-1, 2).T
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_many_right_hand_sides(self, dim):
+        # each column of a (2, r, n) solve is bit for bit its own (2, n) solve
+        g = grid_of(dim, 300, "graded")
+        op = g.laplacian
+        res = solve_minimal(PAIR22, 0.25, 0.25, g)
+        blocks = jacobian_blocks(op, *coupling(PAIR22, 0.25, 0.25, res.state))
+        rhs = np.random.default_rng(dim).standard_normal((2, 3, 301))
+        rhs[..., -1] = 0.0
+        got = _cyclic.solve_block_tridiagonal(*blocks, rhs)
+        assert got.shape == rhs.shape
+        dense = dense_jacobian(op, *coupling(PAIR22, 0.25, 0.25, res.state))
+        for j in range(3):
+            single = _cyclic.solve_block_tridiagonal(*blocks, rhs[:, j].copy())
+            assert np.array_equal(got[:, j], single)
+            ref = np.linalg.solve(dense, rhs[:, j].T.ravel()).reshape(-1, 2).T
+            assert np.abs(got[:, j] - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_block_solve_next_to_the_fold(self):
         # bracket 1e-8: J has a condition number of about 5e9 here
