@@ -86,10 +86,10 @@ _OPTIONS = {
         ("dim", int, 3, "space dimension N"),
         ("nodes", int, 256, "radial grid nodes"),
         ("tol", float, 1e-12, "Newton correction tolerance"),
-        ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
+        ("bracket_tol", float, ContinuationConfig.bracket_tol, "relative width of the fold bracket"),
         ("s", float, None, "energy integrability exponent"),
         ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
-        ("max_steps", int, 200, "trial budget per branch"),
+        ("max_steps", int, ContinuationConfig.max_steps, "trial budget per branch"),
     ),
     "verify": (
         _P,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError
 from .radial import Branch, RadialGrid, StatePair
+from . import thresholds
 from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents, threshold_report
 
 # Log-log growth slope separating plateauing from blowing-up branch
@@ -174,8 +175,7 @@ def singular_profile(
     b = beta (N-2-beta); both need N > 2 + max(alpha, beta).  Solved in
     log2 space so power-of-two data stays exact.
     """
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-        raise DomainError(f"dim must be a positive integer, got {dim!r}")
+    thresholds._check_dim(dim)
     if not (lam > 0 and gam > 0) or not (math.isfinite(lam) and math.isfinite(gam)):
         raise DomainError("lam and gam must be positive and finite")
     se = scaling_exponents(e)

@@ -4,9 +4,10 @@ Discretizes -Lap(w) = -(w'' + (N-1) w'/r) on [0, 1] with a symmetry row
 at r = 0 (from Lap w(0) = N * w''(0)) and a Dirichlet row at r = 1.
 On top of the operator sit the monotone Newton solver for the coupled
 system, the principal stability eigenvalue, and parameter continuation
-along a ray gamma = sigma * lambda up to the fold: a doubling walk to the
-first load without a solution, a Moore-Spence Newton solve for the fold
-that places the last trial loads, and bisection when that prediction fails.
+along a ray gamma = sigma * lambda up to the fold, in three phases: a
+doubling walk to the first load without a solution, a Moore-Spence Newton
+solve for the fold that places three certification loads, and bisection
+of whatever bracket those leave too wide.
 
 Every linear system here is a tridiagonal M-matrix (-Lap, and -Lap
 shifted for mu1) or, while a solution exists, a 2x2-block tridiagonal
@@ -124,9 +125,6 @@ class StatePair:
     def sup_v(self) -> float:
         return float(np.max(self.v))
 
-    def copy(self) -> "StatePair":
-        return StatePair(self.u.copy(), self.v.copy())
-
 
 class RadialLaplacian:
     """Tridiagonal action of -Lap on node fields, Dirichlet row last.
@@ -142,10 +140,6 @@ class RadialLaplacian:
     """
 
     def __init__(self, grid: RadialGrid):
-        if grid.m < _MIN_INTERVALS:
-            raise ConfigurationError(
-                f"grid needs at least {_MIN_INTERVALS} intervals, got {grid.m}"
-            )
         self.grid = grid
         n = grid.m + 1
         r = grid.nodes
@@ -346,7 +340,12 @@ def stability_mu1(
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Knobs for continue_ray; defaults match the desk-scale studies."""
+    """Knobs for continue_ray; defaults match the desk-scale studies.
+
+    `exle continue` reads its bracket_tol and max_steps defaults from here.
+    Its tol default is 1e-12, tighter than the 1e-10 here; neither moves,
+    since either change would change output bytes.
+    """
 
     bracket_tol: float = 1e-4  # relative to lambda_lo
     tol: float = 1e-10
@@ -512,20 +511,24 @@ def continue_ray(
 ) -> Branch:
     """Walk the minimal branch along gamma = sigma * lambda to the fold.
 
-    Lambda doubles from 1e-3 while the monotone solver converges.  Once a
-    load is certified to have no solution, the fold is solved for directly
-    (_fold_newton, from the last accepted state).  If that gives lam_f
-    inside the bracket, the next trials are lam_f (1 - 8 eps) and
-    lam_f (1 - eps), expected to converge, then lam_f (1 + eps), expected
-    to have no solution, with eps = bracket_tol / 8 (at least one rounding
-    error): the bracket ends bracket_tol / 4 wide around the fold.  When the
-    fold solve fails or a trial outcome disagrees with it, the same loop
-    bisects the bracket it holds instead, until the bracket is
+    Three phases run in turn; the bracket is done once it is
     config.bracket_tol relative wide or its ends are adjacent floats.
-    Only the outcomes of solve_minimal ever move the bracket, so it is
-    certified either way.  States are pointwise nondecreasing along the
-    branch, which is asserted.  Running out of trial loads or of Newton
-    iterations in one solve raises BudgetError carrying the partial branch.
+    1. Walk: lambda starts at 1e-3, doubles after a load with a solution
+       and halves after one without, until both bracket ends exist.
+    2. Fold prediction, skipped if the bracket is done: _fold_newton
+       solves for the fold from the last accepted state.  If its lam_f
+       lies inside the bracket, the trials are lam_f (1 - 8 eps) and
+       lam_f (1 - eps), expected to converge, then lam_f (1 + eps),
+       expected to have no solution, with eps = bracket_tol / 8 (at least
+       one rounding error), so the bracket ends bracket_tol / 4 wide.  The
+       phase stops once the bracket is done, or drops lam_f when a load
+       falls outside the bracket or its outcome disagrees.
+    3. Bisection until the bracket is done.
+    Only the outcomes of solve_minimal move the bracket, so it is
+    certified whichever phase closed it.  States are pointwise
+    nondecreasing along the branch, which is asserted.  Running out of
+    trial loads or of Newton iterations in one solve raises BudgetError
+    carrying the partial branch.
 
     Each trial load lam is seeded with the secant z = w1 + (lam - lam1) s,
     s = (w1 - w0) / (lam1 - lam0), through the last two accepted points
@@ -541,88 +544,80 @@ def continue_ray(
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     branch = Branch(sigma=sigma)
     zero = np.zeros(grid.m + 1)
-    # The last two accepted points, oldest first: (load, state).
-    older = latest = (0.0, StatePair(zero, zero))
-    trial, chosen_by = _LAMBDA_INIT, "walk"
-    # (load, expected outcome) of the certification trials still to run;
-    # None until the fold solve has run.
-    schedule: list[tuple[float, bool]] | None = None
-    lam_fold = None
-    steps = 0
-    while True:
-        lo, hi = branch.lambda_lo, branch.lambda_hi
-        if lo is not None and hi is not None:
-            # A midpoint equal to an end means the ends are adjacent floats.
-            if hi - lo <= config.bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi):
-                break
-            if schedule is None:
-                lam_fold, branch.fold_iterations = _fold_newton(
-                    e, sigma, latest[0], latest[1], grid, config.tol
-                )
-                schedule = []
-                if lam_fold is not None and lo < lam_fold < hi:
-                    eps = max(config.bracket_tol / 8.0, _EPS)
-                    schedule = [
-                        (lam_fold * (1.0 - 8.0 * eps), True),
-                        (lam_fold * (1.0 - eps), True),
-                        (lam_fold * (1.0 + eps), False),
-                    ]
-                else:
-                    lam_fold = None
-            if schedule and lo < schedule[0][0] < hi:
-                trial, chosen_by = schedule[0][0], "predictor"
-            else:
-                if schedule:  # a certification load fell outside the bracket
-                    schedule.clear()
-                    lam_fold = None
-                trial, chosen_by = 0.5 * (lo + hi), "bisection"
-        if steps >= config.max_steps:
+    origin = (0.0, StatePair(zero, zero))
+
+    def attempt(lam: float, chosen_by: str) -> bool:
+        """Solve at lam, log the trial and move the bracket; True if solved."""
+        if len(branch.trials) >= config.max_steps:
             raise BudgetError(
                 f"continuation budget of {config.max_steps} solves exhausted",
                 partial=branch,
             )
-        steps += 1
-        (lam0, w0), (lam1, w1) = older, latest
+        # The last two accepted points, oldest first: (load, state).
+        (lam0, w0), (lam1, w1) = (
+            [origin, origin] + [(pt.lam, pt.state) for pt in branch.points[-2:]]
+        )[-2:]
         seed = None
         if lam1 > 0.0:
-            t = (trial - lam1) / (lam1 - lam0)
+            t = (lam - lam1) / (lam1 - lam0)
             seed = StatePair(w1.u + t * (w1.u - w0.u), w1.v + t * (w1.v - w0.v))
         try:
-            result = solve_minimal(e, trial, sigma * trial, grid, tol=config.tol, seed=seed)
+            result = solve_minimal(e, lam, sigma * lam, grid, tol=config.tol, seed=seed)
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
-        branch.trials.append(Trial(trial, result.converged, result.iterations, chosen_by))
-        if chosen_by == "predictor" and result.converged != schedule.pop(0)[1]:
-            schedule.clear()
-            lam_fold = None
-        if result.converged:
-            assert result.state is not None
-            state = result.state
-            slack = -1e-9 * max(1.0, state.sup_u, state.sup_v)
-            if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
-                raise NumericalError("branch states are not nondecreasing in lambda")
-            older, latest = latest, (trial, state)
-            branch.lambda_lo = trial
-            mu1 = stability_mu1(e, state, trial, sigma * trial, grid)
-            branch.points.append(
-                BranchPoint(
-                    lam=trial,
-                    gam=sigma * trial,
-                    state=state,
-                    sup_u=state.sup_u,
-                    sup_v=state.sup_v,
-                    mu1=mu1,
-                    iterations=result.iterations,
-                )
-            )
-            # the walk's next load; once the bracket exists the loop top picks it
-            trial = trial * _GROWTH
+        branch.trials.append(Trial(lam, result.converged, result.iterations, chosen_by))
+        if not result.converged:
+            branch.lambda_hi = lam
+            return False
+        assert result.state is not None
+        state = result.state
+        slack = -1e-9 * max(1.0, state.sup_u, state.sup_v)
+        if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
+            raise NumericalError("branch states are not nondecreasing in lambda")
+        branch.lambda_lo = lam
+        mu1 = stability_mu1(e, state, lam, sigma * lam, grid)
+        branch.points.append(
+            BranchPoint(lam, sigma * lam, state, state.sup_u, state.sup_v, mu1, result.iterations)
+        )
+        return True
+
+    def done() -> bool:
+        lo, hi = branch.lambda_lo, branch.lambda_hi
+        # A midpoint equal to an end means the ends are adjacent floats.
+        return hi - lo <= config.bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi)
+
+    trial = _LAMBDA_INIT
+    while branch.lambda_lo is None or branch.lambda_hi is None:
+        if attempt(trial, "walk"):
+            trial *= _GROWTH
         else:
-            branch.lambda_hi = trial
-            trial = trial / _GROWTH
+            trial /= _GROWTH
             if branch.lambda_lo is None and trial < 1e-300:
                 raise NumericalError("no convergent load found above 1e-300")
-    if not branch.points:
-        raise NumericalError("continuation ended with no accepted point")
+
+    lam_fold = None
+    if not done():
+        last = branch.points[-1]
+        lam_fold, branch.fold_iterations = _fold_newton(
+            e, sigma, last.lam, last.state, grid, config.tol
+        )
+        if lam_fold is not None and branch.lambda_lo < lam_fold < branch.lambda_hi:
+            eps = max(config.bracket_tol / 8.0, _EPS)
+            for load, expected in (
+                (lam_fold * (1.0 - 8.0 * eps), True),
+                (lam_fold * (1.0 - eps), True),
+                (lam_fold * (1.0 + eps), False),
+            ):
+                if done():
+                    break
+                inside = branch.lambda_lo < load < branch.lambda_hi
+                if not inside or attempt(load, "predictor") != expected:
+                    lam_fold = None
+                    break
+        else:
+            lam_fold = None
+
+    while not done():
+        attempt(0.5 * (branch.lambda_lo + branch.lambda_hi), "bisection")
     branch.lambda_fold = lam_fold
     return branch

@@ -1,10 +1,12 @@
 """Radial operator, monotone solver, eigenvalue, and continuation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from exle import (
     Branch,
@@ -87,9 +89,6 @@ class TestStatePair:
         s = StatePair(np.array([0.0, 2.0, 1.0]), np.array([0.5, 0.0, 0.25]))
         assert s.sup_u == 2.0
         assert s.sup_v == 0.5
-        c = s.copy()
-        c.u[0] = 9.0
-        assert s.u[0] == 0.0
 
 
 def loop_assembly(grid):
@@ -482,6 +481,32 @@ class TestContinuation:
         assert branch.bracket_rel_width <= 1e-4
         assert branch.lambda_lo <= exact.lambda_lo < exact.lambda_hi <= branch.lambda_hi
 
+    def test_walk_bracket_within_tolerance_skips_the_fold_solve(self):
+        cfg = ContinuationConfig(bracket_tol=2.0)
+        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), cfg)
+        assert [t.chosen_by for t in branch.trials] == ["walk"] * 13
+        assert branch.fold_iterations == 0
+        assert branch.lambda_fold is None
+
+    def test_certification_load_below_the_bracket_falls_back_to_bisection(self):
+        # lam_f (1 - 8 eps) with eps = 0.3 / 8 lies below lambda_lo = 2.048.
+        cfg = ContinuationConfig(bracket_tol=0.3)
+        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), cfg)
+        assert [t.chosen_by for t in branch.trials] == ["walk"] * 13 + ["bisection"] * 2
+        assert branch.fold_iterations == 5
+        assert branch.lambda_fold is None
+        assert branch.bracket_rel_width <= 0.3
+
+    def test_certification_stops_once_the_bracket_is_narrow(self):
+        cfg = ContinuationConfig(bracket_tol=0.3)
+        branch = continue_ray(PAIR22, 0.5, RadialGrid.uniform(3, 64), cfg)
+        trials = branch.trials
+        assert [t.chosen_by for t in trials] == ["walk"] * 13 + ["predictor"] * 2
+        assert all(t.converged for t in trials[13:])
+        assert branch.bracket_rel_width == pytest.approx(0.2943, abs=1e-4)
+        assert branch.lambda_fold == 3.2878190286354494
+        assert branch.fold_iterations == 6
+
     def test_secant_seeds_save_newton_iterations(self):
         # 76 iterations when each trial was seeded with the last accepted state.
         g = RadialGrid.uniform(3, 256)
@@ -495,6 +520,25 @@ class TestContinuation:
         partial = info.value.partial
         assert isinstance(partial, Branch)
         assert partial.lambda_hi is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    pair=st.sampled_from([(2.0, 2.0), (1.5, 4.0)]),
+    dim=st.sampled_from([3, 10]),
+    sigma=st.floats(0.3, 3.0),
+    bracket_tol=st.sampled_from([1e-8, 1e-4, 0.05, 0.3, 2.0]),
+)
+def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol):
+    cfg = ContinuationConfig(bracket_tol=bracket_tol)
+    branch = continue_ray(ExponentPair(*pair), sigma, RadialGrid.uniform(dim, 32), cfg)
+    # walk, then at most three certification loads, then bisection
+    phases = " ".join(t.chosen_by for t in branch.trials)
+    assert re.fullmatch(r"walk( walk)*( predictor){0,3}( bisection)*", phases), phases
+    lo, hi = branch.lambda_lo, branch.lambda_hi
+    assert all(t.lam <= lo for t in branch.trials if t.converged)
+    assert all(t.lam >= hi for t in branch.trials if not t.converged)
+    assert hi - lo <= bracket_tol * lo or math.nextafter(lo, math.inf) == hi
 
 
 def grid_of(dim, m, kind):
