@@ -7,14 +7,17 @@ Usage:
     exle verify --p 2 --theta 3 --samples 200 --seed 1
     exle partial --p 2 --theta 2 --dim 16
 
-Numbers are printed with 12 significant digits and LF line endings, so
-identical inputs give byte-identical output.  Exit codes: 0 success,
-1 verification failure, 2 domain error, 3 I/O error, 4 budget
-exhausted (stderr names the budget; `continue` still writes the partial
-branch).  A JSON config file (flat keys mirroring the flags) can seed
-any command; explicit flags win.  Every config key is also a flag.  The
-tol of `continue` is the Newton correction tolerance; elsewhere it is the
-width of the root bracket.
+This module only parses, dispatches and formats; the policies live with
+the modules that own them.  Numbers are printed with 12 significant
+digits and LF line endings, so identical inputs give byte-identical
+output.  Exit codes: 0 success, 1 verification failure, 3 I/O error, and
+otherwise the `exit_code` of the package error raised (errors.py: 2 for a
+domain or configuration error, 4 for an exhausted budget, where stderr
+names the budget and `continue` still writes the partial branch).  A JSON
+config file (flat keys mirroring the flags) can seed any command;
+explicit flags win.  Every config key is also a flag, and the option
+table marks the required ones.  The tol of `continue` is the Newton
+correction tolerance; elsewhere it is the width of the root bracket.
 
 The summary of `continue` holds the certified fold bracket lambda_lo <
 lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
@@ -45,37 +48,30 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import energy_report, extremal_extrapolate, souplet_check
-from .errors import (
-    BudgetError,
-    ConfigurationError,
-    DiagnosticError,
-    DomainError,
-    ExleError,
-)
+from .errors import BudgetError, ConfigurationError, DiagnosticError, DomainError, ExleError
 from .radial import ContinuationConfig, RadialGrid, continue_ray
 from . import thresholds
 from .thresholds import ExponentPair, largest_root_L, scaling_exponents, threshold_report
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_DOMAIN = 2
 EXIT_IO = 3
-EXIT_BUDGET = 4
 
 _IDENTITY_TOL = 1e-9
 _SIGN_GUARD = 1e-6
 
 # Per command, the options it accepts as (key, type, default, help); the
 # table builds argparse and defines the keys a config file may set.  A
-# None default leaves the key unset: required, or optional with no value.
-_P = ("p", float, None, "first exponent, the power of (v+1)")
-_THETA = ("theta", float, None, "second exponent, the power of (u+1)")
+# default of ... marks a required key (no config value can be ...); None
+# leaves an optional key without a value.
+_P = ("p", float, ..., "first exponent, the power of (v+1)")
+_THETA = ("theta", float, ..., "second exponent, the power of (u+1)")
 _ROOT_TOL = ("tol", float, 1e-12, "width of the root bracket")
 
 _OPTIONS = {
     "roots": (_P, _THETA, _ROOT_TOL),
     "thresholds": (
-        ("grid", str, None, '"pmin:pmax:step"'),
+        ("grid", str, ..., '"pmin:pmax:step"'),
         _ROOT_TOL,
         ("out", str, None, "output CSV; stdout if unset"),
     ),
@@ -97,7 +93,7 @@ _OPTIONS = {
         ("samples", int, 200, "sample points per check"),
         ("seed", int, 0, "sampling seed"),
     ),
-    "partial": (_P, _THETA, ("dim", int, None, "space dimension N"), _ROOT_TOL),
+    "partial": (_P, _THETA, ("dim", int, ..., "space dimension N"), _ROOT_TOL),
 }
 
 
@@ -143,7 +139,11 @@ def _convert(key: str, kind: type, value):
 
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
-    """Merge documented defaults, config-file values, then explicit flags."""
+    """Merge documented defaults, config-file values, then explicit flags.
+
+    Raises DomainError for the first required key, in table order, that
+    neither a flag nor the config file set.
+    """
     merged = {key: default for key, _, default, _ in _OPTIONS[command]}
     if args.config is not None:
         try:
@@ -165,12 +165,9 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    return merged
-
-def _require(cfg: dict, command: str, *keys: str) -> None:
-    for key in keys:
-        if key not in cfg or cfg[key] is None:
+        elif merged[key] is ...:
             raise DomainError(f"{command} requires --{key.replace('_', '-')}")
+    return merged
 
 
 def _pair_from(cfg: dict) -> ExponentPair:
@@ -188,7 +185,6 @@ def _pair_from(cfg: dict) -> ExponentPair:
 def cmd_roots(args: argparse.Namespace) -> int:
     """threshold constants for one exponent pair"""
     cfg = _effective(args, "roots")
-    _require(cfg, "roots", "p", "theta")
     rep = threshold_report(_pair_from(cfg), float(cfg["tol"]))
     _write_lines(None, [
         "t0,s0,x0,n_cowan,n_new,improvement",
@@ -216,7 +212,6 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """threshold table over an exponent grid"""
     cfg = _effective(args, "thresholds")
-    _require(cfg, "thresholds", "grid")
     values = np.array(_parse_grid(str(cfg["grid"])))
     first, second = np.triu_indices(values.size)  # p <= theta, row by row
     p, theta = values[first], values[second]
@@ -238,7 +233,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 def cmd_partial(args: argparse.Namespace) -> int:
     """singular-set dimension bounds"""
     cfg = _effective(args, "partial")
-    _require(cfg, "partial", "p", "theta", "dim")
     pair = _pair_from(cfg)
     dim = int(cfg["dim"])
     tol = float(cfg["tol"])
@@ -255,7 +249,6 @@ def cmd_partial(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """identity and equivalence verification suite"""
     cfg = _effective(args, "verify")
-    _require(cfg, "verify", "p", "theta")
     pair = _pair_from(cfg)
     samples = int(cfg["samples"])
     seed = int(cfg["seed"])
@@ -263,61 +256,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError(f"samples must be >= 1, got {samples}")
 
     report = thresholds.check_polynomial_identities(pair, sample_count=samples, seed=seed)
-    lines = []
-    failures: list[tuple[str, float]] = []
-    for name, value in report.residuals.items():
-        ok = value <= _IDENTITY_TOL
-        lines.append(f"residual {name} {value:.3e} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append((name, value))
-    for name, ok in report.signs.items():
-        lines.append(f"sign {name} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append((name, math.inf))
+    # Every check as (name, line, weight, passed), in print order; the
+    # failure of largest weight is the worst.
+    checks = [
+        (name, f"residual {name} {value:.3e}", value, value <= _IDENTITY_TOL)
+        for name, value in report.residuals.items()
+    ]
+    checks += [(name, f"sign {name}", math.inf, ok) for name, ok in report.signs.items()]
 
-    # Equivalence scan: sign(stability_product - 1) must oppose sign(L(s)).
+    # Equivalence scan: sign(stability_product - 1) must oppose sign(L(s)),
+    # wherever |L(s)| is above the guard (a nan L(s) is scanned).
     p_lo, _ = pair.canonical()
     rng = np.random.default_rng(seed)
     s_values = rng.uniform(p_lo + 1.0 + 1e-6, 1.5 * report.s0, size=samples)
-    disagreements = 0
-    scanned = 0
-    for s in s_values:
-        ls = thresholds.eval_L(pair, float(s))
-        if abs(ls) <= _SIGN_GUARD:
-            continue
-        scanned += 1
-        if (thresholds.stability_product(pair, float(s)) - 1.0 > 0.0) != (ls < 0.0):
-            disagreements += 1
-    ok = disagreements == 0
-    lines.append(
-        f"equivalence_scan disagreements {disagreements} of {scanned} {'PASS' if ok else 'FAIL'}"
-    )
-    if not ok:
-        failures.append(("equivalence_scan", float(disagreements)))
+    ls = thresholds.eval_L(pair, s_values)
+    scanned = ~(np.abs(ls) <= _SIGN_GUARD)
+    above = thresholds.stability_product(pair, s_values[scanned]) - 1.0 > 0.0
+    disagreements = int(np.count_nonzero(above != (ls[scanned] < 0.0)))
+    line = f"equivalence_scan disagreements {disagreements} of {np.count_nonzero(scanned)}"
+    checks.append(("equivalence_scan", line, float(disagreements), disagreements == 0))
 
     se = scaling_exponents(pair)
     res_scaling = max(
         abs(se.beta * pair.p - se.alpha - 2.0), abs(se.alpha * pair.theta - se.beta - 2.0)
     ) / (se.alpha + 2.0)
-    ok = res_scaling <= _IDENTITY_TOL
-    lines.append(f"residual scaling_identity {res_scaling:.3e} {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append(("scaling_identity", res_scaling))
+    line = f"residual scaling_identity {res_scaling:.3e}"
+    checks.append(("scaling_identity", line, res_scaling, res_scaling <= _IDENTITY_TOL))
 
+    lines = [f"{line} {'PASS' if passed else 'FAIL'}" for _, line, _, passed in checks]
+    failures = [check for check in checks if not check[3]]
     if failures:
-        worst = max(failures, key=lambda item: item[1])
-        lines.append(f"RESULT FAIL worst {worst[0]} {worst[1]:.3e}")
-        _write_lines(None, lines)
-        return EXIT_VERIFY
-    lines.append("RESULT PASS")
+        name, _, weight, _ = max(failures, key=lambda check: check[2])
+        lines.append(f"RESULT FAIL worst {name} {weight:.3e}")
+    else:
+        lines.append("RESULT PASS")
     _write_lines(None, lines)
-    return EXIT_OK
+    return EXIT_VERIFY if failures else EXIT_OK
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
     """minimal-branch continuation along gamma = sigma*lambda"""
     cfg = _effective(args, "continue")
-    _require(cfg, "continue", "p", "theta")
     pair = _pair_from(cfg)
     sigma = float(cfg["sigma"])
     dim = int(cfg["dim"])
@@ -341,9 +320,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         branch = exc.partial
         budget_hit = True
-    # The diagnostics read the nodes only: a fresh grid lets the factored
-    # -Lap of the solves be freed before them.
-    grid = RadialGrid(grid.dim, grid.nodes)
 
     lines = ["lambda,gamma,sup_u,sup_v,mu1,souplet_margin,energy_J2,iterations"]
     margins = []
@@ -387,7 +363,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return BudgetError.exit_code if budget_hit else EXIT_OK
 
 
 _HANDLERS = {
@@ -406,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=handler.__doc__)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
         for key, kind, default, help_text in _OPTIONS[name]:
-            if default is not None:
+            if default not in (None, ...):
                 help_text = f"{help_text} (default: {default})"
             cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_text)
     return parser
@@ -418,18 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (DomainError, ConfigurationError) as exc:
+    except (ExleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ExleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return exc.exit_code if isinstance(exc, ExleError) else EXIT_IO
 
 
 def console_main() -> None:

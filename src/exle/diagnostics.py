@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError
 from .radial import Branch, RadialGrid, StatePair
-from . import thresholds
+from . import radial, thresholds
 from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents, threshold_report
 
 # Log-log growth slope separating plateauing from blowing-up branch
@@ -176,8 +176,7 @@ def singular_profile(
     log2 space so power-of-two data stays exact.
     """
     thresholds._check_dim(dim)
-    if not (lam > 0 and gam > 0) or not (math.isfinite(lam) and math.isfinite(gam)):
-        raise DomainError("lam and gam must be positive and finite")
+    radial._check_load(lam, gam)
     se = scaling_exponents(e)
     if dim <= 2 + max(se.alpha, se.beta):
         raise DomainError(

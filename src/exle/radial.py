@@ -38,8 +38,8 @@ from .errors import (
 from .thresholds import ExponentPair
 
 _MIN_INTERVALS = 16
-# Newton iterations per nonlinear solve; loads next to a fold take at most
-# about 15 up to m = 8192, so running out signals a fault, never a fold.
+# Newton iterations per nonlinear solve.  Most loads take at most about 15,
+# but next to a fold the step can stall and spend all 50 (ROADMAP item 2).
 _NEWTON_BUDGET = 50
 _EPS = float(np.finfo(float).eps)
 # continue_ray's first trial load, and the factor between trials until
@@ -140,7 +140,6 @@ class RadialLaplacian:
     """
 
     def __init__(self, grid: RadialGrid):
-        self.grid = grid
         n = grid.m + 1
         r = grid.nodes
         dim = grid.dim
@@ -538,7 +537,8 @@ def continue_ray(
     and w0, convexity of (.+1)^p gives, in the u component,
     -Lap z <= lam1 (z_v+1)^p + (lam - lam1) (w0_v+1)^p <= lam (z_v+1)^p,
     and likewise in v: z is a subsolution at lam, so solve_minimal keeps
-    d >= 0 and its "no solution" certificate.
+    d >= 0 and its "no solution" certificate.  If lam1 - lam0 <= 4 eps lam1,
+    the seed is w1 (t = 0), a subsolution at every lam > lam1 too.
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
@@ -559,7 +559,7 @@ def continue_ray(
         )[-2:]
         seed = None
         if lam1 > 0.0:
-            t = (lam - lam1) / (lam1 - lam0)
+            t = (lam - lam1) / (lam1 - lam0) if lam1 - lam0 > 4.0 * _EPS * lam1 else 0.0
             seed = StatePair(w1.u + t * (w1.u - w0.u), w1.v + t * (w1.v - w0.v))
         try:
             result = solve_minimal(e, lam, sigma * lam, grid, tol=config.tol, seed=seed)

@@ -187,8 +187,8 @@ def eval_t0(e: ExponentPair) -> float:
     return float(_t0(*e.canonical()))
 
 
-def eval_L(e: ExponentPair, s: float) -> float:
-    """Energy quartic L(s) = s^4 - c2*s^2 + c1*s - c0, canonical order.
+def eval_L(e: ExponentPair, s):
+    """Energy quartic L(s) = s^4 - c2*s^2 + c1*s - c0, canonical order; s a float or array.
 
     c2 = 16 p th (p+1)/(th+1), c1 = 16 p th (p+1)(p+th+2)/(th+1)^2,
     c0 = 16 p th (p+1)^2/(th+1)^2.
@@ -196,24 +196,25 @@ def eval_L(e: ExponentPair, s: float) -> float:
     return _quartic(s, *_energy_coeffs(*e.canonical()))
 
 
-def eval_H(e: ExponentPair, x: float) -> float:
-    """Dimension quartic H(x); fully symmetric under p <-> theta."""
+def eval_H(e: ExponentPair, x):
+    """Dimension quartic H(x), x a float or array; fully symmetric under p <-> theta."""
     p, theta = e.p, e.theta
     d = p * theta - 1.0
-    g = 16.0 * p * theta * (p + 1.0) * (theta + 1.0) / (d * d)
+    # theta / d and (theta + 1) / d come first: d * d overflows from theta ~ 1e153 on.
+    g = 16.0 * p * (p + 1.0) * (theta / d) * ((theta + 1.0) / d)
     return (
         (x * x) * (x * x)
         - g * (x * x)
         + g * (p + theta + 2.0) / d * x
-        - g * (p + 1.0) * (theta + 1.0) / (d * d)
+        - g * (p + 1.0) * ((theta + 1.0) / d) / d
     )
 
 
-def _monomial_scale_L(e: ExponentPair, s: float) -> float:
+def _monomial_scale_L(e: ExponentPair, s):
     p, theta = e.canonical()
     c2, c1, c0 = _energy_coeffs(p, theta)
     s2 = s * s
-    return max(s2 * s2, c2 * s2, c1 * abs(s), c0, 1.0)
+    return np.maximum.reduce(np.broadcast_arrays(s2 * s2, c2 * s2, c1 * np.abs(s), c0, 1.0))
 
 
 def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
@@ -389,15 +390,17 @@ def scaling_exponents(e: ExponentPair) -> ScalingExponents:
     return ScalingExponents(alpha=2.0 * (e.p + 1.0) / d, beta=2.0 * (e.theta + 1.0) / d)
 
 
-def check_energy_exponent(e: ExponentPair, s: float) -> None:
-    """Raise DomainError unless s is finite and exceeds p+1 (canonical p)."""
+def check_energy_exponent(e: ExponentPair, s) -> None:
+    """Raise DomainError unless s (a float or array) is finite and exceeds p+1, canonical p."""
     p, _ = e.canonical()
-    if not (math.isfinite(s) and s > p + 1.0):
-        raise DomainError(f"s must be finite and exceed p+1 = {p + 1.0}, got {s}")
+    s = np.asarray(s, dtype=float)
+    bad = ~(np.isfinite(s) & (s > p + 1.0))
+    if bad.any():
+        raise DomainError(f"s must be finite and exceed p+1 = {p + 1.0}, got {float(s[bad][0])}")
 
 
-def stability_product(e: ExponentPair, s: float) -> float:
-    """Product a1*a2 of the two one-sided stability coefficients.
+def stability_product(e: ExponentPair, s):
+    """Product a1*a2 of the two one-sided stability coefficients at s, a float or array.
 
     With r = s - 1 and q + 1 = (theta+1)(r+1)/(p+1) (canonical order),
     a1 = 4 q sqrt(p theta)/(q+1)^2 and a2 = 4 r sqrt(p theta)/(r+1)^2.
@@ -431,18 +434,11 @@ def check_polynomial_identities(
     canon = ExponentPair(p, theta)
     s0 = largest_root_L(canon, tol)
     k = (theta + 1.0) / (p * theta - 1.0)
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(0.0, 2.0 * s0, size=sample_count)
-
-    res_rescale = 0.0
-    res_split = 0.0
-    for s in samples:
-        ls = eval_L(canon, s)
-        scale = _monomial_scale_L(canon, s)
-        res_rescale = max(res_rescale, abs(eval_H(canon, k * s) - k ** 4 * ls) / scale)
-        if e.is_symmetric:
-            split = (s * s + 4.0 * p * s - 4.0 * p) * (s * s - 4.0 * p * s + 4.0 * p)
-            res_split = max(res_split, abs(ls - split) / scale)
+    s = np.random.default_rng(seed).uniform(0.0, 2.0 * s0, size=sample_count)
+    ls = eval_L(canon, s)
+    scale = _monomial_scale_L(canon, s)
+    # np.max propagates nan: a residual that could not be evaluated fails.
+    res_rescale = np.max(np.abs(eval_H(canon, k * s) - k ** 4 * ls) / scale)
 
     t0 = eval_t0(canon)
     two_t0 = 2.0 * t0
@@ -468,7 +464,8 @@ def check_polynomial_identities(
         "value_at_p_plus_1": res_p1,
     }
     if e.is_symmetric:
-        residuals["symmetric_split"] = res_split
+        split = (s * s + 4.0 * p * s - 4.0 * p) * (s * s - 4.0 * p * s + 4.0 * p)
+        residuals["symmetric_split"] = np.max(np.abs(ls - split) / scale)
     signs = {
         "negative_at_2": eval_L(canon, 2.0) < 0.0,
         "negative_at_p_plus_1": eval_L(canon, p + 1.0) < 0.0,

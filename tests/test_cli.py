@@ -8,9 +8,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exle import cli, radial
+from exle.errors import (
+    BudgetError,
+    ConfigurationError,
+    DiagnosticError,
+    DomainError,
+    NumericalError,
+)
 
 # sha256 of `exle thresholds --grid 1.1:6:0.1` (1275 pairs), as written by
 # the one-pair-at-a-time table that preceded threshold_rows.
@@ -60,12 +68,89 @@ CONTINUE_PINS = (
 # sha256 of the branch CSV of the singular ray in TestContinue, where the
 # fold solve falls back to bisection; written before the fold solve existed.
 FALLBACK_CSV_SHA256 = "e321ee57e79a20f15d8474f4d505431c63a1b8bf2636e9a9a0bae5a5b6edf9a8"
+# sha256 of `exle <command> --help` at 80 columns (Python 3.11's argparse),
+# taken while the required flags were still checked outside the table.
+HELP_SHA256 = {
+    "roots": "34afabe201617c3ff5fd60f3ccfa03e601d1667d67504ebaebac2f3bd1531de9",
+    "thresholds": "14587a089fcdf62ae4dd5243bc023fcb4c5379fc5e850a041f233f734c237bc5",
+    "continue": "2916133f6738b35730bc41838cfb328b61417875eab69bc7d6e4d38c05091c5e",
+    "verify": "a941c277f2ea10f7be8f661669a869321e2a92a5d143fd58a4fb5f496617a188",
+    "partial": "d736111afce9443574e5871bd85b4ee23102c537659f7a3ad5328ac47e4a8926",
+}
+# The required flags of each command, in the order they are reported, and
+# a valid value for each.
+REQUIRED_FLAGS = {
+    "roots": ("p", "theta"),
+    "thresholds": ("grid",),
+    "continue": ("p", "theta"),
+    "verify": ("p", "theta"),
+    "partial": ("p", "theta", "dim"),
+}
+REQUIRED_VALUES = {"p": "2", "theta": "2", "dim": "5"}
+# `exle verify --p 2 --theta 3 --samples 100 --seed 1`, as the per-sample
+# loops wrote it.
+VERIFY_23_STDOUT = """\
+residual rescale 2.022e-16 PASS
+residual value_at_2t0 1.360e-16 PASS
+residual value_at_p_plus_1 0.000e+00 PASS
+sign negative_at_2 PASS
+sign negative_at_p_plus_1 PASS
+sign negative_at_mid PASS
+sign mid_below_root PASS
+equivalence_scan disagreements 0 of 100 PASS
+residual scaling_identity 1.388e-16 PASS
+RESULT PASS
+"""
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestSurface:
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (DomainError("bad pair"), 2),
+            (ConfigurationError("bad key"), 2),
+            (NumericalError("no bracket"), 1),
+            (DiagnosticError("too few points"), 1),
+            (BudgetError("budget of 3 solves exhausted"), 4),
+            (OSError("disk full"), 3),
+        ],
+    )
+    def test_error_class_sets_the_exit_code(self, capsys, monkeypatch, exc, code):
+        def raising(args):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "roots", raising)
+        assert run(["roots"], capsys) == (code, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_bytes_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items() for f in flags]
+    )
+    def test_missing_required_flag_is_named(self, capsys, command, flag):
+        argv = [command]
+        for key in REQUIRED_FLAGS[command]:
+            if key != flag:
+                argv += ["--" + key, REQUIRED_VALUES[key]]
+        assert run(argv, capsys) == (2, "", f"error: {command} requires --{flag}\n")
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    def test_first_missing_flag_in_table_order(self, capsys, command):
+        first = REQUIRED_FLAGS[command][0]
+        assert run([command], capsys) == (2, "", f"error: {command} requires --{first}\n")
 
 
 class TestRoots:
@@ -296,6 +381,20 @@ class TestVerify:
             assert "RESULT PASS" in out
             assert "equivalence_scan disagreements 0" in out
             assert "FAIL" not in out
+
+    def test_stdout_pinned(self, capsys):
+        argv = ["verify", "--p", "2", "--theta", "3", "--samples", "100", "--seed", "1"]
+        assert run(argv, capsys) == (0, VERIFY_23_STDOUT, "")
+
+    def test_unevaluated_identity_fails(self, capsys, monkeypatch):
+        # A nan residual read 0.000e+00 PASS, as did every overflowing eval_H.
+        import exle.thresholds as thresholds_mod
+
+        monkeypatch.setattr(thresholds_mod, "eval_H", lambda e, x: np.full_like(x, np.nan))
+        code, out, _ = run(["verify", "--p", "2", "--theta", "3"], capsys)
+        assert code == 1
+        assert out.splitlines()[0] == "residual rescale nan FAIL"
+        assert out.splitlines()[-1] == "RESULT FAIL worst rescale nan"
 
     def test_symmetric_pair_reports_split_identity(self, capsys):
         code, out, _ = run(["verify", "--p", "2", "--theta", "2"], capsys)

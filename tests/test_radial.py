@@ -119,8 +119,9 @@ class TestRadialLaplacian:
         # graded grids crowd the axis, where rows take the flux form
         for nodes in (np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 256),
                       np.linspace(0.0, 1.0, 65) ** 1.7, boundary_graded_nodes(80)):
-            op = assemble_radial_laplacian(RadialGrid(dim, nodes))
-            for got, ref in zip((op._lower, op._diag, op._upper), loop_assembly(op.grid)):
+            grid = RadialGrid(dim, nodes)
+            op = assemble_radial_laplacian(grid)
+            for got, ref in zip((op._lower, op._diag, op._upper), loop_assembly(grid)):
                 assert got.tobytes() == ref.tobytes()
 
     def test_constants_annihilated(self):
@@ -391,6 +392,27 @@ class TestContinuation:
         assert branch.lambda_lo < branch.lambda_hi
         assert np.nextafter(branch.lambda_lo, math.inf) == branch.lambda_hi
         assert len(set(trials)) == len(trials)
+
+    def test_loads_ulps_apart_seed_from_the_last_state(self, monkeypatch):
+        # A fold predicted 5e-5 low: at bracket_tol 1e-300 the certification
+        # loads are one eps apart and all converge, and the secant through
+        # the last two (t ~ 1e11) seeded the bisection with a state that is
+        # no subsolution (NumericalError).
+        g = RadialGrid.uniform(3, 64)
+        cfg = ContinuationConfig(bracket_tol=1e-300)
+        exact = continue_ray(PAIR22, 1.0, g, cfg)
+        fold = radial._fold_newton
+        monkeypatch.setattr(
+            radial, "_fold_newton", lambda *args: (fold(*args)[0] * (1.0 - 5e-5), 5)
+        )
+        branch = continue_ray(PAIR22, 1.0, g, cfg)
+        chosen = [t.chosen_by for t in branch.trials]
+        assert chosen[13:16] == ["predictor"] * 3
+        assert all(t.converged for t in branch.trials[13:16])
+        assert set(chosen[16:]) == {"bisection"}
+        assert branch.lambda_fold is None
+        assert np.nextafter(branch.lambda_lo, math.inf) == branch.lambda_hi
+        assert branch.lambda_lo == pytest.approx(exact.lambda_lo, rel=1e-14)
 
     @pytest.mark.parametrize(
         "pair, sigma, dim, m",

@@ -19,6 +19,7 @@ from exle import (
     stability_product,
     threshold_report,
 )
+from exle import thresholds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,6 +165,39 @@ class TestIdentities:
         assert "symmetric_split" in sym.residuals
         assert "symmetric_split" not in asym.residuals
 
+    def test_residuals_match_a_sample_loop(self):
+        # The sampled residuals are array code; each sample evaluated on its
+        # own, with the maximum taken in Python, gives the same bits.
+        for pair in (*_sample_pairs(6, seed=47), ExponentPair(2.5, 2.5)):
+            report = check_polynomial_identities(pair, sample_count=40, seed=5)
+            p, theta = pair.canonical()
+            k = (theta + 1.0) / (p * theta - 1.0)
+            rescale = split = 0.0
+            for s in np.random.default_rng(5).uniform(0.0, 2.0 * report.s0, size=40).tolist():
+                ls = eval_L(pair, s)
+                scale = float(thresholds._monomial_scale_L(pair, s))
+                rescale = max(rescale, abs(eval_H(pair, k * s) - k**4 * ls) / scale)
+                product = (s * s + 4.0 * p * s - 4.0 * p) * (s * s - 4.0 * p * s + 4.0 * p)
+                split = max(split, abs(ls - product) / scale)
+            assert report.residuals["rescale"] == rescale
+            assert report.residuals.get("symmetric_split", split) == split
+
+    def test_unevaluated_residual_fails(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a rescale residual that was nan at every
+        # sample read 0 and passed.
+        monkeypatch.setattr(thresholds, "eval_H", lambda e, x: np.full_like(x, np.nan))
+        report = check_polynomial_identities(ExponentPair(2.0, 3.0), sample_count=16)
+        assert math.isnan(report.residuals["rescale"])
+        assert not report.ok()
+
+    @pytest.mark.parametrize("theta", (2e153, 1.3e154))
+    def test_rescale_past_the_square_overflow(self, theta):
+        # eval_H formed (p theta - 1)^2, which overflows from theta = 2e153 on.
+        pair = ExponentPair(1.5, theta)
+        assert math.isfinite(eval_H(pair, 10.0))
+        residual = check_polynomial_identities(pair, sample_count=200).residuals["rescale"]
+        assert residual <= 1e-9
+
     def test_rescale_identity_pointwise(self):
         # H(k s) = k^4 L(s) with k = (theta+1)/(p theta - 1).
         rng = np.random.default_rng(17)
@@ -240,6 +274,14 @@ class TestStabilityProduct:
         for s in (3.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 stability_product(ExponentPair(2.0, 3.0), s)
+
+    def test_arrays_match_floats(self):
+        pair = ExponentPair(2.0, 3.0)
+        s = np.linspace(3.5, 12.0, 50)
+        floats = [stability_product(pair, x) for x in s.tolist()]
+        assert stability_product(pair, s).tolist() == floats
+        with pytest.raises(DomainError, match="got 2.5$"):
+            stability_product(pair, np.array([4.0, 2.5, math.nan]))
 
     def test_sign_equivalence_sampled(self):
         # product > 1 exactly where L < 0, whenever L is clearly nonzero
