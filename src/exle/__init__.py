@@ -34,7 +34,6 @@ _SUBMODULES = {
     ),
     "radial": (
         "Branch",
-        "BranchPoint",
         "ContinuationConfig",
         "MonotoneResult",
         "RadialGrid",

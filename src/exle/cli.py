@@ -57,7 +57,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_IO = 3
 
-_IDENTITY_TOL = 1e-9
 _SIGN_GUARD = 1e-6
 
 # Per command, the options it accepts as (key, type, default, help); the
@@ -259,7 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Every check as (name, line, weight, passed), in print order; the
     # failure of largest weight is the worst.
     checks = [
-        (name, f"residual {name} {value:.3e}", value, value <= _IDENTITY_TOL)
+        (name, f"residual {name} {value:.3e}", value, value <= thresholds._IDENTITY_TOL)
         for name, value in report.residuals.items()
     ]
     checks += [(name, f"sign {name}", math.inf, ok) for name, ok in report.signs.items()]
@@ -281,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         abs(se.beta * pair.p - se.alpha - 2.0), abs(se.alpha * pair.theta - se.beta - 2.0)
     ) / (se.alpha + 2.0)
     line = f"residual scaling_identity {res_scaling:.3e}"
-    checks.append(("scaling_identity", line, res_scaling, res_scaling <= _IDENTITY_TOL))
+    checks.append(("scaling_identity", line, res_scaling, res_scaling <= thresholds._IDENTITY_TOL))
 
     lines = [f"{line} {'PASS' if passed else 'FAIL'}" for _, line, _, passed in checks]
     failures = [check for check in checks if not check[3]]
@@ -325,14 +324,13 @@ def cmd_continue(args: argparse.Namespace) -> int:
     margins = []
     energies = []
     for pt in branch.points:
-        margin = souplet_check(pair, pt.state, pt.lam, pt.gam)
-        energy = energy_report(pair, pt.state, s_energy, grid).energy_J2
+        state = pt.state
+        margin = souplet_check(pair, state, pt.lam, pt.gam)
+        energy = energy_report(pair, state, s_energy, grid).energy_J2
         margins.append(margin)
         energies.append(energy)
-        lines.append(",".join(
-            _fmt(x)
-            for x in (pt.lam, pt.gam, pt.sup_u, pt.sup_v, pt.mu1, margin, energy, pt.iterations)
-        ))
+        row = (pt.lam, pt.gam, state.sup_u, state.sup_v, pt.mu1, margin, energy, pt.iterations)
+        lines.append(",".join(_fmt(x) for x in row))
 
     bounded: bool | None
     try:
@@ -349,10 +347,8 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "lambda_lo": branch.lambda_lo,
         "lambda_hi": branch.lambda_hi,
         "lambda_fold": branch.lambda_fold,
-        "bracket_rel_width": (
-            branch.bracket_rel_width if math.isfinite(branch.bracket_rel_width) else None
-        ),
-        "mu1_min": branch.mu1_min if branch.points else None,
+        "bracket_rel_width": branch.bracket_rel_width,
+        "mu1_min": branch.mu1_min,
         "souplet_margin_min": min(margins) if margins else None,
         "observed_C_s": max(energies) if energies else None,
         "bounded_looking": bounded,

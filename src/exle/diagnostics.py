@@ -216,11 +216,13 @@ def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDia
     # The slope is an exponent as the gap closes, so the doubling walk's
     # far, pre-asymptotic points count little next to those at the fold.
     weight = 1.0 / np.sqrt(gaps)
-    slope_u = float(np.polyfit(log_gap, np.log([pt.sup_u for pt in pts]), 1, w=weight)[0])
-    slope_v = float(np.polyfit(log_gap, np.log([pt.sup_v for pt in pts]), 1, w=weight)[0])
+    table = tuple((pt.lam, pt.state.sup_u, pt.state.sup_v) for pt in pts)
+    _, sup_u, sup_v = np.array(table).T
+    slope_u = float(np.polyfit(log_gap, np.log(sup_u), 1, w=weight)[0])
+    slope_v = float(np.polyfit(log_gap, np.log(sup_v), 1, w=weight)[0])
     threshold = threshold_report(e).n_new
     return GrowthDiagnostic(
-        table=tuple((pt.lam, pt.sup_u, pt.sup_v) for pt in pts),
+        table=table,
         slope_u=slope_u,
         slope_v=slope_v,
         bounded_looking=min(slope_u, slope_v) > _GROWTH_SLOPE_CUT,

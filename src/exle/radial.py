@@ -216,16 +216,19 @@ def assemble_radial_laplacian(grid: RadialGrid) -> RadialLaplacian:
 class MonotoneResult:
     """Outcome of the monotone Newton iteration.
 
-    converged is False only when the Newton correction of solve_minimal
-    turned negative or non-finite, which certifies that no representable
-    solution exists at this load; no state is returned then.  Budget
-    exhaustion is not an outcome: it raises BudgetError.
-    iterations counts Newton iterations, the accepting one included.
+    state is None only when the Newton correction of solve_minimal turned
+    negative or non-finite, which certifies that no representable solution
+    exists at this load.  Budget exhaustion is not an outcome: it raises
+    BudgetError.  iterations counts Newton iterations, the accepting one
+    included.
     """
 
     state: StatePair | None
-    converged: bool
     iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.state is not None
 
 
 def _laplacian_blocks(op: RadialLaplacian):
@@ -299,13 +302,13 @@ def solve_minimal(
         rhs = np.stack((fu * np.maximum(dv, 0.0), fv * np.maximum(du, 0.0)))
         corr = solve_block_tridiagonal(lower, diag, upper, rhs)
         if not float(np.min(corr)) >= 0.0:
-            return MonotoneResult(None, False, k)
+            return MonotoneResult(None, k)
         du += corr[0]
         dv += corr[1]
         u, v = u + du, v + dv
         # A tol below the roundoff of an n-point solve reads as that roundoff.
         if max(float(np.max(du)), float(np.max(dv))) < max(tol, n * _EPS * scale):
-            return MonotoneResult(StatePair(u, v), True, k)
+            return MonotoneResult(StatePair(u, v), k)
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
@@ -359,43 +362,39 @@ class ContinuationConfig:
             raise ConfigurationError(f"tol must be positive, got {self.tol}")
 
 
-@dataclass
-class BranchPoint:
-    """One accepted point of the minimal branch."""
-
-    lam: float
-    gam: float
-    state: StatePair
-    sup_u: float
-    sup_v: float
-    mu1: float
-    iterations: int
-
-
 @dataclass(frozen=True)
 class Trial:
-    """One trial load of continue_ray and what solve_minimal made of it.
+    """One trial load (lam, gam) of continue_ray and what solve_minimal made of it.
 
-    converged is False when a negative Newton step certified that the load
-    has no solution.  chosen_by names what picked the load: "walk" (the
-    geometric search for the first load without a solution), "predictor"
-    (the certification loads around the Moore-Spence fold) or "bisection".
+    state is the minimal solution there, with mu1 its stability_mu1, or
+    None when a negative Newton step certified that the load has no
+    solution.  chosen_by names what picked the load: "walk" (the geometric
+    search for the first load without a solution), "predictor" (the
+    certification loads around the Moore-Spence fold) or "bisection".
     """
 
     lam: float
-    converged: bool
+    gam: float
     iterations: int
     chosen_by: str
+    state: StatePair | None = None
+    mu1: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.state is not None
 
 
 @dataclass
 class Branch:
     """Minimal branch along gamma = sigma * lambda up to the fold bracket.
 
-    points are sorted by increasing lambda and pointwise nondecreasing;
-    lambda_hi is the smallest tried load where a negative Newton step
-    certified that no solution exists; budget exhaustion never sets it.
-    trials logs every load handed to solve_minimal, in order.
+    trials logs every load handed to solve_minimal, in order, and is the
+    only record of the run; the rest is read from it.  points are the
+    converged trials, with increasing lambda and pointwise nondecreasing
+    states.  lambda_lo is the load of the last point, and lambda_hi the
+    smallest load certified to have no solution (budget exhaustion never
+    sets it); each is None until such a trial exists.
     lambda_fold is the fold load of the Moore-Spence solve when it lay
     inside the bracket and no trial outcome contradicted it, else None;
     fold_iterations counts that solve's Newton iterations (0 if it never
@@ -403,22 +402,30 @@ class Branch:
     """
 
     sigma: float
-    points: list[BranchPoint] = field(default_factory=list)
-    lambda_lo: float | None = None
-    lambda_hi: float | None = None
     trials: list[Trial] = field(default_factory=list)
     lambda_fold: float | None = None
     fold_iterations: int = 0
 
     @property
-    def bracket_rel_width(self) -> float:
-        if self.lambda_lo is None or self.lambda_hi is None:
-            return math.inf
-        return (self.lambda_hi - self.lambda_lo) / self.lambda_lo
+    def points(self) -> list[Trial]:
+        return [t for t in self.trials if t.converged]
 
     @property
-    def mu1_min(self) -> float:
-        return min((pt.mu1 for pt in self.points), default=math.inf)
+    def lambda_lo(self) -> float | None:
+        return next((t.lam for t in reversed(self.trials) if t.converged), None)
+
+    @property
+    def lambda_hi(self) -> float | None:
+        return min((t.lam for t in self.trials if not t.converged), default=None)
+
+    @property
+    def bracket_rel_width(self) -> float | None:
+        lo, hi = self.lambda_lo, self.lambda_hi
+        return None if lo is None or hi is None else (hi - lo) / lo
+
+    @property
+    def mu1_min(self) -> float | None:
+        return min((pt.mu1 for pt in self.points), default=None)
 
 
 def _fold_newton(
@@ -547,7 +554,7 @@ def continue_ray(
     origin = (0.0, StatePair(zero, zero))
 
     def attempt(lam: float, chosen_by: str) -> bool:
-        """Solve at lam, log the trial and move the bracket; True if solved."""
+        """Solve at lam and log the trial; True if solved."""
         if len(branch.trials) >= config.max_steps:
             raise BudgetError(
                 f"continuation budget of {config.max_steps} solves exhausted",
@@ -561,25 +568,19 @@ def continue_ray(
         if lam1 > 0.0:
             t = (lam - lam1) / (lam1 - lam0) if lam1 - lam0 > 4.0 * _EPS * lam1 else 0.0
             seed = StatePair(w1.u + t * (w1.u - w0.u), w1.v + t * (w1.v - w0.v))
+        gam = sigma * lam
         try:
-            result = solve_minimal(e, lam, sigma * lam, grid, tol=config.tol, seed=seed)
+            result = solve_minimal(e, lam, gam, grid, tol=config.tol, seed=seed)
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
-        branch.trials.append(Trial(lam, result.converged, result.iterations, chosen_by))
-        if not result.converged:
-            branch.lambda_hi = lam
-            return False
-        assert result.state is not None
-        state = result.state
-        slack = -1e-9 * max(1.0, state.sup_u, state.sup_v)
-        if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
-            raise NumericalError("branch states are not nondecreasing in lambda")
-        branch.lambda_lo = lam
-        mu1 = stability_mu1(e, state, lam, sigma * lam, grid)
-        branch.points.append(
-            BranchPoint(lam, sigma * lam, state, state.sup_u, state.sup_v, mu1, result.iterations)
-        )
-        return True
+        state, mu1 = result.state, None
+        if state is not None:
+            slack = -1e-9 * max(1.0, state.sup_u, state.sup_v)
+            if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
+                raise NumericalError("branch states are not nondecreasing in lambda")
+            mu1 = stability_mu1(e, state, lam, gam, grid)
+        branch.trials.append(Trial(lam, gam, result.iterations, chosen_by, state, mu1))
+        return state is not None
 
     def done() -> bool:
         lo, hi = branch.lambda_lo, branch.lambda_hi

@@ -49,6 +49,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 _BRACKET_CAP = 2.0 ** 60
+_IDENTITY_TOL = 1e-9  # bound on each normalized identity residual
 # The largest exponent whose (exponent + 1)^2, a factor of the energy
 # coefficients, is a finite float.
 _EXPONENT_MAX = math.sqrt(sys.float_info.max)
@@ -150,7 +151,7 @@ class IdentityReport:
         name = max(self.residuals, key=lambda k: self.residuals[k])
         return name, self.residuals[name]
 
-    def ok(self, tol: float = 1e-9) -> bool:
+    def ok(self, tol: float = _IDENTITY_TOL) -> bool:
         return all(r <= tol for r in self.residuals.values()) and all(
             self.signs.values()
         )
@@ -437,8 +438,9 @@ def check_polynomial_identities(
     s = np.random.default_rng(seed).uniform(0.0, 2.0 * s0, size=sample_count)
     ls = eval_L(canon, s)
     scale = _monomial_scale_L(canon, s)
+    # H at k s is normalized by its own monomials, k^4 times those of L at s.
     # np.max propagates nan: a residual that could not be evaluated fails.
-    res_rescale = np.max(np.abs(eval_H(canon, k * s) - k ** 4 * ls) / scale)
+    res_rescale = np.max(np.abs(eval_H(canon, k * s) - k ** 4 * ls) / (k ** 4 * scale))
 
     t0 = eval_t0(canon)
     two_t0 = 2.0 * t0

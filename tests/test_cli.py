@@ -64,6 +64,23 @@ CONTINUE_PINS = (
     ),
 )
 
+# sha256 of (branch CSV, summary JSON) of `exle continue --p 2 --theta 2
+# --nodes 64 --bracket-tol 1e-12 --max-steps <steps>`, which exits 4 with a
+# partial branch: after 3 walk loads the bracket is open (lambda_hi null),
+# after 14 loads both ends are set, 0.748 apart.  Taken while Branch stored
+# its bracket ends.
+PARTIAL_PINS = (
+    (
+        "3",
+        "da2d9cb7e984770e3325d9ce6e0a0c08b1be837e213e9bb939c0845424d1ffcb",
+        "6fcbd85190817623b42eb104d7ce5a5e71f6a07799413eb8c8b491aece6b7897",
+    ),
+    (
+        "14",
+        "dc5aab5b527d6511615ce9bade0a23cf017328d5d46b9be0bfa20df1c3ee0fbb",
+        "22dad9e12f506431c15de4978b5093b480820e51b4e6b39e8b640923b11f419a",
+    ),
+)
 
 # sha256 of the branch CSV of the singular ray in TestContinue, where the
 # fold solve falls back to bisection; written before the fold solve existed.
@@ -88,9 +105,9 @@ REQUIRED_FLAGS = {
 }
 REQUIRED_VALUES = {"p": "2", "theta": "2", "dim": "5"}
 # `exle verify --p 2 --theta 3 --samples 100 --seed 1`, as the per-sample
-# loops wrote it.
+# loops wrote it, with the rescale residual normalized by the monomials of H.
 VERIFY_23_STDOUT = """\
-residual rescale 2.022e-16 PASS
+residual rescale 4.937e-16 PASS
 residual value_at_2t0 1.360e-16 PASS
 residual value_at_p_plus_1 0.000e+00 PASS
 sign negative_at_2 PASS
@@ -382,6 +399,17 @@ class TestVerify:
             assert "equivalence_scan disagreements 0" in out
             assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "p, theta", [("1", "1.001"), ("1.0001", "1.0001"), ("1", "1.0000001")]
+    )
+    def test_passes_near_p_theta_one(self, capsys, p, theta):
+        # k = (theta + 1) / (p theta - 1) is large there.  The rescale
+        # residual, normalized by the monomials of L at s instead of those of
+        # H at k s (k^4 times larger), read 6.4e-3 to 5.6e13 and failed.
+        code, out, _ = run(["verify", "--p", p, "--theta", theta], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "RESULT PASS"
+
     def test_stdout_pinned(self, capsys):
         argv = ["verify", "--p", "2", "--theta", "3", "--samples", "100", "--seed", "1"]
         assert run(argv, capsys) == (0, VERIFY_23_STDOUT, "")
@@ -495,6 +523,19 @@ class TestContinue:
         code, _, err = run(["continue", *flags, "--out", str(out)], capsys)
         assert code == 0
         assert err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        summary = tmp_path / "branch.summary.json"
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha256
+
+    @pytest.mark.parametrize("steps,csv_sha256,summary_sha256", PARTIAL_PINS)
+    def test_partial_branch_bytes_pinned(self, tmp_path, capsys, steps, csv_sha256, summary_sha256):
+        out = tmp_path / "branch.csv"
+        argv = [
+            "continue", "--p", "2", "--theta", "2", "--nodes", "64", "--bracket-tol", "1e-12",
+            "--max-steps", steps, "--out", str(out),
+        ]
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (4, f"error: continuation budget of {steps} solves exhausted\n")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
         summary = tmp_path / "branch.summary.json"
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha256
@@ -641,7 +682,7 @@ def test_lazy_namespace_resolves_every_public_name():
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] 40 module 'exle' has no attribute 'no_such_name'\n"
+    assert proc.stdout == "[] 39 module 'exle' has no attribute 'no_such_name'\n"
 
 
 CLI_THREADS = (

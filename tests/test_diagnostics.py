@@ -7,7 +7,6 @@ import pytest
 
 from exle import (
     Branch,
-    BranchPoint,
     DiagnosticError,
     DomainError,
     ExponentPair,
@@ -25,6 +24,7 @@ from exle import (
     souplet_check,
     threshold_report,
 )
+from exle.radial import Trial
 
 PAIR22 = ExponentPair(2.0, 2.0)
 PAIR23 = ExponentPair(2.0, 3.0)
@@ -207,28 +207,22 @@ class TestSingularProfile:
         assert 1.7 < rate < 2.3
 
 
-def synthetic_branch(slope, n_points=10, lam_star=1.0):
+def synthetic_trial(lam, sup=None):
+    """A trial at lam whose state peaks at sup, or a failed one if sup is None."""
+    state = None if sup is None else StatePair([sup, 0.0], [sup, 0.0])
+    mu1 = None if sup is None else 1.5
+    return Trial(lam=lam, gam=lam, iterations=10, chosen_by="walk", state=state, mu1=mu1)
+
+
+def synthetic_trials(slope, n_points=10, lam_star=1.0):
+    """n_points converged trials with sup = gap^slope, then a failure at lam_star."""
     gaps = lam_star * 2.0 ** -np.arange(1, n_points + 1)
-    points = []
-    for gap in gaps:
-        sup = float(gap**slope)
-        points.append(
-            BranchPoint(
-                lam=lam_star - float(gap),
-                gam=lam_star - float(gap),
-                state=None,
-                sup_u=sup,
-                sup_v=sup,
-                mu1=1.5,
-                iterations=10,
-            )
-        )
-    return Branch(
-        sigma=1.0,
-        points=points,
-        lambda_lo=points[-1].lam,
-        lambda_hi=lam_star,
-    )
+    points = [synthetic_trial(lam_star - float(gap), float(gap**slope)) for gap in gaps]
+    return points + [synthetic_trial(lam_star)]
+
+
+def synthetic_branch(slope, n_points=10, lam_star=1.0):
+    return Branch(sigma=1.0, trials=synthetic_trials(slope, n_points, lam_star))
 
 
 class TestExtremalExtrapolate:
@@ -255,21 +249,19 @@ class TestExtremalExtrapolate:
         assert diag.slope_v == pytest.approx(-0.3, abs=1e-10)
 
     def test_requires_bracket_and_enough_points(self):
-        branch = synthetic_branch(-0.3)
-        open_branch = Branch(sigma=1.0, points=branch.points)
+        trials = synthetic_trials(-0.3)
+        open_branch = Branch(sigma=1.0, trials=trials[:-1])
+        assert open_branch.lambda_hi is None
         with pytest.raises(DiagnosticError):
             extremal_extrapolate(open_branch, PAIR22, 3)
-        short = Branch(
-            sigma=1.0,
-            points=branch.points[:4],
-            lambda_lo=branch.points[3].lam,
-            lambda_hi=1.0,
-        )
+        short = Branch(sigma=1.0, trials=trials[:4] + trials[-1:])
+        assert (short.lambda_lo, short.lambda_hi) == (trials[3].lam, 1.0)
         with pytest.raises(DiagnosticError):
             extremal_extrapolate(short, PAIR22, 3)
 
     def test_rejects_points_at_or_above_bracket(self):
-        branch = synthetic_branch(-0.3)
-        branch.lambda_hi = branch.points[-1].lam
+        trials = synthetic_trials(-0.3)[:-1]
+        branch = Branch(sigma=1.0, trials=trials + [synthetic_trial(trials[-1].lam)])
+        assert branch.lambda_hi == branch.lambda_lo
         with pytest.raises(DiagnosticError):
             extremal_extrapolate(branch, PAIR22, 3)

@@ -58,7 +58,7 @@ def test_bracket_agrees_with_picard(p, theta, log_sigma, dim, grading):
     zero = np.zeros(grid.m + 1)
     lo = picard(e, last.lam, last.gam, op, zero, zero)
     assert lo is not None, "Picard from zero blew up below the bracket"
-    scale = max(last.sup_u, last.sup_v, 1.0)
+    scale = max(last.state.sup_u, last.state.sup_v, 1.0)
     assert np.abs(lo[0] - last.state.u).max() <= 1e-7 * scale
     assert np.abs(lo[1] - last.state.v).max() <= 1e-7 * scale
 

@@ -339,7 +339,7 @@ class TestContinuation:
         assert len(branch.points) >= 5
         lams = [pt.lam for pt in branch.points]
         assert all(b > a for a, b in zip(lams, lams[1:]))
-        sups = [pt.sup_u for pt in branch.points]
+        sups = [pt.state.sup_u for pt in branch.points]
         assert all(b >= a for a, b in zip(sups, sups[1:]))
         assert branch.lambda_hi is not None
         assert branch.lambda_lo == pytest.approx(lams[-1])
@@ -550,13 +550,31 @@ class TestContinuation:
     dim=st.sampled_from([3, 10]),
     sigma=st.floats(0.3, 3.0),
     bracket_tol=st.sampled_from([1e-8, 1e-4, 0.05, 0.3, 2.0]),
+    max_steps=st.sampled_from([3, 8, 14, 200]),
 )
-def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol):
-    cfg = ContinuationConfig(bracket_tol=bracket_tol)
-    branch = continue_ray(ExponentPair(*pair), sigma, RadialGrid.uniform(dim, 32), cfg)
+def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol, max_steps):
+    cfg = ContinuationConfig(bracket_tol=bracket_tol, max_steps=max_steps)
+    try:
+        branch = continue_ray(ExponentPair(*pair), sigma, RadialGrid.uniform(dim, 32), cfg)
+        finished = True
+    except BudgetError as exc:
+        branch, finished = exc.partial, False
     # walk, then at most three certification loads, then bisection
     phases = " ".join(t.chosen_by for t in branch.trials)
     assert re.fullmatch(r"walk( walk)*( predictor){0,3}( bisection)*", phases), phases
+    # a full or partial branch: increasing loads, nondecreasing states,
+    # and bracket ends read from the trials
+    points = branch.points
+    assert all(a.lam < b.lam for a, b in zip(points, points[1:]))
+    for a, b in zip(points, points[1:]):
+        assert np.all(b.state.u >= a.state.u) and np.all(b.state.v >= a.state.v)
+    assert branch.lambda_lo == (points[-1].lam if points else None)
+    failed = [t.lam for t in branch.trials if not t.converged]
+    assert branch.lambda_hi == (min(failed) if failed else None)
+    assert all(math.isfinite(pt.mu1) for pt in points)
+    assert len(branch.trials) <= max_steps
+    if not finished:
+        return
     lo, hi = branch.lambda_lo, branch.lambda_hi
     assert all(t.lam <= lo for t in branch.trials if t.converged)
     assert all(t.lam >= hi for t in branch.trials if not t.converged)

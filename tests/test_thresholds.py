@@ -176,7 +176,7 @@ class TestIdentities:
             for s in np.random.default_rng(5).uniform(0.0, 2.0 * report.s0, size=40).tolist():
                 ls = eval_L(pair, s)
                 scale = float(thresholds._monomial_scale_L(pair, s))
-                rescale = max(rescale, abs(eval_H(pair, k * s) - k**4 * ls) / scale)
+                rescale = max(rescale, abs(eval_H(pair, k * s) - k**4 * ls) / (k**4 * scale))
                 product = (s * s + 4.0 * p * s - 4.0 * p) * (s * s - 4.0 * p * s + 4.0 * p)
                 split = max(split, abs(ls - product) / scale)
             assert report.residuals["rescale"] == rescale
