@@ -175,8 +175,10 @@ def smallest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
     shift = 0.0
     x = np.ones_like(diag)
     for _ in range(_EIGEN_STEPS):
-        y = Tridiagonal(lower, diag - shift, upper).solve(x)
-        if not np.all(y > 0.0):
+        # A shift on mu in floating point can make a pivot exactly zero.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = Tridiagonal(lower, diag - shift, upper).solve(x)
+        if not np.all(np.isfinite(y) & (y > 0.0)):
             # the shift reached mu up to roundoff: T - shift is singular
             return shift
         lo = shift + float(np.min(x / y))

@@ -5,9 +5,10 @@ at r = 0 (from Lap w(0) = N * w''(0)) and a Dirichlet row at r = 1.
 On top of the operator sit the monotone Newton solver for the coupled
 system, the principal stability eigenvalue, and parameter continuation
 along a ray gamma = sigma * lambda up to the fold, in three phases: a
-doubling walk to the first load without a solution, a Moore-Spence Newton
-solve for the fold that places three certification loads, and bisection
-of whatever bracket those leave too wide.
+doubling walk from a load that the torsion function certifies to have a
+solution to the first load without one, a Moore-Spence Newton solve for
+the fold that places three certification loads, and bisection of whatever
+bracket those leave too wide.
 
 Every linear system here is a tridiagonal M-matrix (-Lap, and -Lap
 shifted for mu1) or, while a solution exists, a 2x2-block tridiagonal
@@ -42,14 +43,12 @@ _MIN_INTERVALS = 16
 # but next to a fold the step can stall and spend all 50 (ROADMAP item 2).
 _NEWTON_BUDGET = 50
 _EPS = float(np.finfo(float).eps)
-# continue_ray's first trial load, and the factor between trials until
-# the first load without a solution.
-_LAMBDA_INIT = 1e-3
-_GROWTH = 2.0
 # Moore-Spence Newton iterations for the fold.  From the walk's last
-# accepted load, folds below the critical dimension take 5 to 9; above it
-# the fold state is large, the solve takes 12 to 29 and more as m grows
-# (measured up to m = 1024), and such rays mostly fall back to bisection.
+# accepted load, a torsion load times a power of 2 within a factor 2 below
+# the fold, folds below the critical dimension take 6 or 7, and 12 on
+# (1.01, 20) at N = 12 (m = 128 to 2048); above it the fold state is large,
+# the solve takes 12 to 29 and more as m grows (measured up to m = 1024),
+# and such rays mostly fall back to bisection.
 _FOLD_BUDGET = 12
 # Inverse-iteration steps for the first null-vector guess of the fold solve.
 _NULL_STEPS = 3
@@ -509,6 +508,59 @@ def _fold_newton(
     return None, _FOLD_BUDGET
 
 
+def _torsion_load(e: ExponentPair, sigma: float, grid: RadialGrid) -> float:
+    """A load on the ray with a solution, from the torsion function psi.
+
+    With -Lap psi = 1 on the grid and M = max psi, the pair
+    (t psi / M, s psi / M) is a supersolution at lam = X / M whenever
+    X (1+s)^p <= t and sigma X (1+t)^theta <= s, so by the discrete
+    maximum principle a solution exists there and lies below it.  The
+    largest such X is where the two curves touch, p theta t s =
+    (1+s)(1+t), that is t' s' = 1 / (p theta) with t' = t / (1+t) and
+    s' = s / (1+s).  Writing t' = exp(-a), s' = exp(-b), with
+    a = l / (1 + exp(-z)), b = l / (1 + exp(z)) and l = log(p theta),
+    the two bounds on log X, log t - p log(1+s) and
+    log s - log sigma - theta log(1+t), differ by a decreasing function
+    of z, whose root bisection finds.  All of it is in logarithms, so
+    nothing overflows for any ExponentPair and sigma (X underflows to 0
+    only where it lies below every float), and the smaller bound is a load
+    with a solution wherever z lands.  For p = theta and sigma = 1, z = 0
+    and X = (p-1)^(p-1) / p^p.
+    """
+    psi = grid.laplacian.solve_dirichlet(np.ones(grid.m + 1))
+    p, theta = float(e.p), float(e.theta)
+    ell = math.log(p) + math.log(theta)
+    log_sigma = math.log(sigma)
+
+    def log1p_odds(c: float) -> float:
+        """log(1 + x) for x / (1 + x) = exp(-c), that is -log(1 - exp(-c)),
+        with each branch accurate where the other cancels (Maechler 2012)."""
+        if c <= math.log(2.0):
+            return -math.log(-math.expm1(-c))
+        return -math.log1p(-math.exp(-c))
+
+    def log_bounds(z: float) -> tuple[float, float]:
+        a = ell / (1.0 + math.exp(-z))
+        b = ell / (1.0 + math.exp(z))
+        log1t, log1s = log1p_odds(a), log1p_odds(b)
+        return log1t - a - p * log1s, log1s - b - log_sigma - theta * log1t
+
+    # The root lies inside (-600, 600) for every ExponentPair and sigma.
+    # An error of eps in z moves a and b by eps relative, so bisection
+    # stops there or at adjacent floats, whichever comes first.
+    lo, hi = -600.0, 600.0
+    z = 0.0
+    while hi - lo > _EPS:
+        z = 0.5 * (lo + hi)
+        if z in (lo, hi):
+            break
+        log_u, log_v = log_bounds(z)
+        if log_u == log_v:
+            break
+        lo, hi = (z, hi) if log_u > log_v else (lo, z)
+    return math.exp(min(log_bounds(z))) / float(np.max(psi))
+
+
 def continue_ray(
     e: ExponentPair,
     sigma: float,
@@ -519,8 +571,11 @@ def continue_ray(
 
     Three phases run in turn; the bracket is done once it is
     config.bracket_tol relative wide or its ends are adjacent floats.
-    1. Walk: lambda starts at 1e-3, doubles after a load with a solution
-       and halves after one without, until both bracket ends exist.
+    1. Walk: lambda starts at the load _torsion_load certifies to have a
+       solution, a third to two thirds of the fold on the rays measured,
+       and doubles until the first load without one.  A first trial
+       without a solution contradicts that certificate and raises
+       NumericalError.
     2. Fold prediction, skipped if the bracket is done: _fold_newton
        solves for the fold from the last accepted state.  If its lam_f
        lies inside the bracket, the trials are lam_f (1 - 8 eps) and
@@ -587,14 +642,11 @@ def continue_ray(
         # A midpoint equal to an end means the ends are adjacent floats.
         return hi - lo <= config.bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi)
 
-    trial = _LAMBDA_INIT
-    while branch.lambda_lo is None or branch.lambda_hi is None:
-        if attempt(trial, "walk"):
-            trial *= _GROWTH
-        else:
-            trial /= _GROWTH
-            if branch.lambda_lo is None and trial < 1e-300:
-                raise NumericalError("no convergent load found above 1e-300")
+    lam = _torsion_load(e, sigma, grid)
+    while attempt(lam, "walk"):
+        lam *= 2.0
+    if branch.lambda_lo is None:
+        raise NumericalError(f"no solution at lam={lam:.12g}, where the torsion function certifies one")
 
     lam_fold = None
     if not done():

@@ -39,6 +39,11 @@ def test_traced_passes_fire_every_span(tracer, tmp_path):
                 "thresholds", "--grid", "1.1:1.5:0.1", "--out", str(tmp_path / "table.csv"),
             ])
         assert code == 0
+        # The 3-point continue branch is too short for extremal_extrapolate,
+        # which raises before it calls threshold_report; roots calls it.
+        with tr.span("cli.main"):
+            code = cli.main(["roots", "--p", "2", "--theta", "3"])
+        assert code == 0
     # the wrappers are gone again
     for owner, attr, _ in tracer.BOUNDARIES:
         assert not hasattr(getattr(owner, attr), "__wrapped__"), attr

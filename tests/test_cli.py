@@ -46,45 +46,49 @@ PARTIAL_ROWS = (
 )
 # sha256 of (branch CSV, summary JSON) of `exle continue` on two rays: the
 # fold-subcritical ray, and a ray at N=20 whose first rows take the flux
-# form.  The second CSV was written by the release before the grid owned
-# its operator; the fold solve falls back to bisection there.  The first
-# CSV and both summaries are those of the Moore-Spence fold predictor,
-# which places the last trials and adds `lambda_fold`.
+# form and whose fold solve falls back to bisection.  Both were taken when
+# the walk began at the torsion load instead of at 1e-3, which moved every
+# trial load.
 CONTINUE_PINS = (
-    (
+    pytest.param(
         ("--p", "2", "--theta", "2", "--dim", "3", "--nodes", "256"),
-        "c6fdd028510e565021807b21fce832e28aa651089afe6eeb0c067b6c3f4092d1",
-        "a55a5cda39457be7ddcdceb8c40ab185d882ba40e38958479fdef6983b51eb2d",
+        "fbc50ccba20c82f8a8a4d53b481cc4acce6e323afa5e0483f40f07f8e6617061",
+        "84020c7323bd558ea34bf71e907608b4ef2c37d9b853bcdc3e015382a2d25c85",
+        id="p2-theta2-dim3",
     ),
-    (
+    pytest.param(
         ("--p", "1.5", "--theta", "4", "--sigma", "1.8823529411764706", "--dim", "20",
          "--nodes", "256"),
-        "14dc559cfab54a9567c5b12f8e1aacddb6ae457d9adc36fe3b3188c30ad99b97",
-        "949b8c25d70a9e44e82acd30a4abf1806c9e50afff57ff997387dd9ab86b62f7",
+        "f82b48529d8da0a40aa764c40deaf076e20388a87619a8f71c19bd22f4042821",
+        "37808a4a70f4e4fe86fb30640a85b940fad3e04cda35330d52b831fcc535b483",
+        id="p1.5-theta4-dim20",
     ),
 )
 
 # sha256 of (branch CSV, summary JSON) of `exle continue --p 2 --theta 2
 # --nodes 64 --bracket-tol 1e-12 --max-steps <steps>`, which exits 4 with a
-# partial branch: after 3 walk loads the bracket is open (lambda_hi null),
-# after 14 loads both ends are set, 0.748 apart.  Taken while Branch stored
-# its bracket ends.
+# partial branch: after the first walk load the bracket is open (lambda_hi
+# null); after 4 loads (2 walk, 2 certification) both ends are set, 0.280
+# apart.  Taken with the walk starting at the torsion load.
 PARTIAL_PINS = (
-    (
-        "3",
-        "da2d9cb7e984770e3325d9ce6e0a0c08b1be837e213e9bb939c0845424d1ffcb",
-        "6fcbd85190817623b42eb104d7ce5a5e71f6a07799413eb8c8b491aece6b7897",
+    pytest.param(
+        "1",
+        "0cf70c9425716a962bbf6f9882b9df2390e82dc057291132e4d51495410d8188",
+        "af7233dcc840cf4d67a8bb2506e345744893ffcc8653565988d9a94bfa814881",
+        id="open-bracket",
     ),
-    (
-        "14",
-        "dc5aab5b527d6511615ce9bade0a23cf017328d5d46b9be0bfa20df1c3ee0fbb",
-        "22dad9e12f506431c15de4978b5093b480820e51b4e6b39e8b640923b11f419a",
+    pytest.param(
+        "4",
+        "64f1b7cd18ce9407d4363b863ba036cd0cd26a633e402f13c5ca6d7bb1ad71a7",
+        "5d7b777b23301876e108d8fcbd05b7ac55b2678deffd423e24d34500bf64ba4e",
+        id="closed-bracket",
     ),
 )
 
 # sha256 of the branch CSV of the singular ray in TestContinue, where the
-# fold solve falls back to bisection; written before the fold solve existed.
-FALLBACK_CSV_SHA256 = "e321ee57e79a20f15d8474f4d505431c63a1b8bf2636e9a9a0bae5a5b6edf9a8"
+# fold solve falls back to bisection; taken with the walk starting at the
+# torsion load.
+FALLBACK_CSV_SHA256 = "bb6d9cd09a62b7b5325b86a806b2fc69567174358607ee8dbf0f106b1e68e0d0"
 # sha256 of `exle <command> --help` at 80 columns (Python 3.11's argparse),
 # taken while the required flags were still checked outside the table.
 HELP_SHA256 = {
@@ -499,13 +503,15 @@ class TestContinue:
         assert lines[0] == (
             "lambda,gamma,sup_u,sup_v,mu1,souplet_margin,energy_J2,iterations"
         )
-        assert len(lines) >= 6
+        # the torsion load and two certification loads
+        assert len(lines) == 1 + 3
         first = lines[1].split(",")
         assert len(first) == 8
         summary = json.loads((tmp_path / "branch.summary.json").read_text())
         assert summary["bracket_rel_width"] <= 1e-4
         assert summary["mu1_min"] >= 1.0 - 1e-6
-        assert summary["bounded_looking"] is True
+        # 3 points are too few for the tail fit: undecided
+        assert summary["bounded_looking"] is None
         assert summary["budget_exhausted"] is False
         assert 2.2 < summary["lambda_lo"] < summary["lambda_hi"] < 2.5
         # stable key order in the written file
@@ -542,8 +548,7 @@ class TestContinue:
 
     def test_fallback_ray_keeps_its_bytes(self, tmp_path, capsys):
         # On the singular ray sigma = b/a of (1.5, 4) at N = 20 the fold solve
-        # runs out of iterations, and bisection writes the CSV it wrote
-        # before the fold solve existed.
+        # runs out of iterations, and bisection closes the bracket.
         out = tmp_path / "branch.csv"
         argv = [
             "continue", "--p", "1.5", "--theta", "4", "--sigma", "1.8823529411764706",
@@ -557,18 +562,18 @@ class TestContinue:
 
     def test_budget_exhaustion_preserves_partial(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"max_steps": 4}))
+        cfg.write_text(json.dumps({"max_steps": 1}))
         out = tmp_path / "partial.csv"
         argv = [
             "continue", "--p", "2", "--theta", "2", "--nodes", "64",
             "--dim", "3", "--out", str(out),
         ]
-        for budget in (["--config", str(cfg)], ["--max-steps", "4"]):
+        for budget in (["--config", str(cfg)], ["--max-steps", "1"]):
             code, _, err = run(argv + budget, capsys)
             assert code == 4
-            assert err == "error: continuation budget of 4 solves exhausted\n"
+            assert err == "error: continuation budget of 1 solves exhausted\n"
             lines = out.read_text().splitlines()
-            assert len(lines) == 1 + 4
+            assert len(lines) == 1 + 1
             summary = json.loads((tmp_path / "partial.summary.json").read_text())
             assert summary["budget_exhausted"] is True
             assert summary["lambda_hi"] is None

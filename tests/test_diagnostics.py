@@ -227,8 +227,17 @@ def synthetic_branch(slope, n_points=10, lam_star=1.0):
 
 class TestExtremalExtrapolate:
     def test_computed_branch_low_dim_is_bounded_looking(self):
+        # continue_ray reaches the fold in 3 points, too few to fit; the tail
+        # is the minimal solutions at 6 loads closing in on its bracket.
         grid = RadialGrid.uniform(3, 64)
-        branch = continue_ray(PAIR22, 1.0, grid)
+        bracket = continue_ray(PAIR22, 1.0, grid)
+        trials = []
+        for gap in (0.5, 0.25, 0.1, 0.03, 0.01, 0.0):
+            lam = bracket.lambda_lo * (1.0 - gap)
+            res = solve_minimal(PAIR22, lam, lam, grid)
+            trials.append(Trial(lam, lam, res.iterations, "walk", res.state))
+        hi = bracket.lambda_hi
+        branch = Branch(sigma=1.0, trials=trials + [Trial(hi, hi, 1, "walk")])
         diag = extremal_extrapolate(branch, PAIR22, 3)
         assert diag.bounded_looking
         assert diag.below_threshold

@@ -2,10 +2,12 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from exle import (
@@ -15,6 +17,7 @@ from exle import (
     ContinuationConfig,
     DomainError,
     ExponentPair,
+    NumericalError,
     RadialGrid,
     StatePair,
     assemble_radial_laplacian,
@@ -336,7 +339,8 @@ class TestContinuation:
     def test_branch_structure_and_bracket(self):
         g = RadialGrid.uniform(3, 64)
         branch = continue_ray(PAIR22, 1.0, g)
-        assert len(branch.points) >= 5
+        # the first walk load and two certification loads below the fold
+        assert len(branch.points) >= 3
         lams = [pt.lam for pt in branch.points]
         assert all(b > a for a, b in zip(lams, lams[1:]))
         sups = [pt.state.sup_u for pt in branch.points]
@@ -360,14 +364,18 @@ class TestContinuation:
             assert pt.gam == pytest.approx(2.0 * pt.lam)
 
     def test_budget_error_carries_partial_branch(self):
+        # One trial leaves the bracket open; after three, the walk's failed
+        # load closes it and the first certification load has a solution.
         g = RadialGrid.uniform(3, 64)
-        cfg = ContinuationConfig(max_steps=3)
-        with pytest.raises(BudgetError) as info:
-            continue_ray(PAIR22, 1.0, g, cfg)
-        partial = info.value.partial
-        assert isinstance(partial, Branch)
-        assert len(partial.points) == 3
-        assert partial.lambda_hi is None
+        for steps, points in ((1, 1), (3, 2)):
+            with pytest.raises(BudgetError) as info:
+                continue_ray(PAIR22, 1.0, g, ContinuationConfig(max_steps=steps))
+            partial = info.value.partial
+            assert isinstance(partial, Branch)
+            assert len(partial.trials) == steps
+            assert len(partial.points) == points
+            first = partial.trials[0].lam
+            assert partial.lambda_hi == (None if steps == 1 else 2.0 * first)
 
     def test_tight_bracket_sits_at_the_fold(self):
         # mu1 tends to 1 at the fold, so the eigensolver independently
@@ -407,9 +415,9 @@ class TestContinuation:
         )
         branch = continue_ray(PAIR22, 1.0, g, cfg)
         chosen = [t.chosen_by for t in branch.trials]
-        assert chosen[13:16] == ["predictor"] * 3
-        assert all(t.converged for t in branch.trials[13:16])
-        assert set(chosen[16:]) == {"bisection"}
+        assert chosen[:5] == ["walk"] * 2 + ["predictor"] * 3
+        assert all(t.converged for t in branch.trials[2:5])
+        assert set(chosen[5:]) == {"bisection"}
         assert branch.lambda_fold is None
         assert np.nextafter(branch.lambda_lo, math.inf) == branch.lambda_hi
         assert branch.lambda_lo == pytest.approx(exact.lambda_lo, rel=1e-14)
@@ -474,10 +482,13 @@ class TestContinuation:
             pt.iterations for pt in branch.points
         ]
         assert min(t.lam for t in trials if not t.converged) == branch.lambda_hi
-        # the doubling walk to the first load without a solution, then the
+        # the torsion load and its double, which has no solution, then the
         # three certification loads around the Moore-Spence fold
-        assert [t.chosen_by for t in trials] == ["walk"] * 13 + ["predictor"] * 3
-        assert [t.converged for t in trials[-4:]] == [False, True, True, False]
+        assert [t.chosen_by for t in trials] == ["walk"] * 2 + ["predictor"] * 3
+        assert [t.converged for t in trials] == [True, False, True, True, False]
+        # (p-1)^(p-1) / p^p = 1/4 over max psi = 1/(2N)
+        assert trials[0].lam == pytest.approx(1.5, rel=1e-13)
+        assert trials[1].lam == 2.0 * trials[0].lam
         assert 0 < branch.fold_iterations <= radial._FOLD_BUDGET
         fold = branch.lambda_fold
         eps = 1e-4 / 8.0
@@ -497,36 +508,48 @@ class TestContinuation:
         assert branch.lambda_fold is None
         assert branch.fold_iterations == 7
         chosen = [t.chosen_by for t in branch.trials]
-        assert chosen[13:16] == ["predictor"] * 3
-        assert all(t.converged for t in branch.trials[13:16])
-        assert len(chosen) > 16 and set(chosen[16:]) == {"bisection"}
+        assert chosen[:5] == ["walk"] * 2 + ["predictor"] * 3
+        assert all(t.converged for t in branch.trials[2:5])
+        assert len(chosen) > 5 and set(chosen[5:]) == {"bisection"}
         assert branch.bracket_rel_width <= 1e-4
         assert branch.lambda_lo <= exact.lambda_lo < exact.lambda_hi <= branch.lambda_hi
 
+    def test_first_load_without_a_solution_raises(self, monkeypatch):
+        # The first load is certified to have a solution; failing there is
+        # no bracket end, and the walk never goes below it.
+        monkeypatch.setattr(radial, "_torsion_load", lambda *args: 3.0)
+        with pytest.raises(NumericalError, match="torsion"):
+            continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64))
+
     def test_walk_bracket_within_tolerance_skips_the_fold_solve(self):
-        cfg = ContinuationConfig(bracket_tol=2.0)
+        # the walk ends on a bracket one doubling wide
+        cfg = ContinuationConfig(bracket_tol=1.0)
         branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), cfg)
-        assert [t.chosen_by for t in branch.trials] == ["walk"] * 13
+        assert [t.chosen_by for t in branch.trials] == ["walk"] * 2
+        assert branch.bracket_rel_width == pytest.approx(1.0)
         assert branch.fold_iterations == 0
         assert branch.lambda_fold is None
 
     def test_certification_load_below_the_bracket_falls_back_to_bisection(self):
-        # lam_f (1 - 8 eps) with eps = 0.3 / 8 lies below lambda_lo = 2.048.
-        cfg = ContinuationConfig(bracket_tol=0.3)
+        # lam_f (1 - 8 eps) = 0.6 * 2.343 with eps = 0.4 / 8 lies below
+        # lambda_lo = 1.5, the torsion load.
+        cfg = ContinuationConfig(bracket_tol=0.4)
         branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), cfg)
-        assert [t.chosen_by for t in branch.trials] == ["walk"] * 13 + ["bisection"] * 2
-        assert branch.fold_iterations == 5
+        assert [t.chosen_by for t in branch.trials] == ["walk"] * 2 + ["bisection"]
+        assert branch.fold_iterations == 6
         assert branch.lambda_fold is None
-        assert branch.bracket_rel_width <= 0.3
+        assert branch.bracket_rel_width <= 0.4
 
     def test_certification_stops_once_the_bracket_is_narrow(self):
-        cfg = ContinuationConfig(bracket_tol=0.3)
+        # lam_f (1 - eps) with eps = 0.35 / 8 lies within 0.35 of the walk's
+        # failed load 1.28 lam_f, so the third certification load is not tried.
+        cfg = ContinuationConfig(bracket_tol=0.35)
         branch = continue_ray(PAIR22, 0.5, RadialGrid.uniform(3, 64), cfg)
         trials = branch.trials
-        assert [t.chosen_by for t in trials] == ["walk"] * 13 + ["predictor"] * 2
-        assert all(t.converged for t in trials[13:])
-        assert branch.bracket_rel_width == pytest.approx(0.2943, abs=1e-4)
-        assert branch.lambda_fold == 3.2878190286354494
+        assert [t.chosen_by for t in trials] == ["walk"] * 2 + ["predictor"] * 2
+        assert all(t.converged for t in trials[2:])
+        assert branch.bracket_rel_width == pytest.approx(0.3394, abs=1e-4)
+        assert branch.lambda_fold == 3.2878190286354374
         assert branch.fold_iterations == 6
 
     def test_secant_seeds_save_newton_iterations(self):
@@ -580,6 +603,96 @@ def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol
     assert all(t.lam >= hi for t in branch.trials if not t.converged)
     assert hi - lo <= bracket_tol * lo or math.nextafter(lo, math.inf) == hi
 
+
+
+def tangent_point(p, theta, sigma):
+    """(t, s, log X) where t = X (1+s)^p and s = sigma X (1+t)^theta touch.
+
+    Parametrized by x = (p theta - 1) t - 1 > 0, on which the tangency
+    p theta t s = (1+t)(1+s) gives s = (1+t) / x; brentq then matches
+    the two expressions for log X.
+    """
+    k = p * theta - 1.0
+
+    def ts(log_x):
+        t = (1.0 + math.exp(log_x)) / k
+        return t, (1.0 + t) / math.exp(log_x)
+
+    def mismatch(log_x):
+        t, s = ts(log_x)
+        return (math.log(s) + p * math.log1p(s)) - (math.log(sigma) + math.log(t) + theta * math.log1p(t))
+
+    t, s = ts(scipy.optimize.brentq(mismatch, -60.0, 60.0, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+    return t, s, math.log(t) - p * math.log1p(s)
+
+
+def dense_torsion(grid):
+    """psi with -Lap psi = 1, by a dense LAPACK solve."""
+    rhs = np.ones(grid.m + 1)
+    rhs[-1] = 0.0
+    return np.linalg.solve(grid.laplacian.to_dense(), rhs)
+
+
+class TestTorsionLoad:
+    """continue_ray's first trial load, against independent computations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(1.0, 1.3e154),
+        theta=st.floats(1.0, 1.3e154),
+        log_sigma=st.floats(-100.0, 100.0),
+        dim=st.integers(1, 40),
+    )
+    def test_finite_and_positive_over_the_domain(self, p, theta, log_sigma, dim):
+        # Every ExponentPair.  sigma is bounded: with p = 1e65 and
+        # sigma = 1e261 the load itself is about 1e-327, below every float.
+        if min(p, theta) > 2.0**58 or p * theta <= 1.0:
+            return
+        grid = RadialGrid.uniform(dim, 16)
+        lam = radial._torsion_load(ExponentPair(p, theta), 10.0**log_sigma, grid)
+        assert math.isfinite(lam) and lam > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.floats(1.0, 2.0**58, exclude_min=True),
+        dim=st.integers(1, 40),
+        m=st.integers(16, 512),
+    )
+    def test_symmetric_ray_closed_form(self, p, dim, m):
+        # X = (p-1)^(p-1) / p^p, in logs: (p-1) log(1 - 1/p) - log p
+        grid = RadialGrid.uniform(dim, m)
+        lam = radial._torsion_load(ExponentPair(p, p), 1.0, grid)
+        x = math.exp((p - 1.0) * math.log1p(-1.0 / p) - math.log(p))
+        if dim <= 3:
+            # No flux-form rows: the grid reproduces psi = (1 - r^2) / (2N),
+            # and -Lap is solved accurately entry by entry.
+            assert x / lam == pytest.approx(1.0 / (2.0 * dim), rel=1e-12)
+        # a dense solve carries the condition number of -Lap, about m^2
+        big_m = float(np.max(dense_torsion(grid)))
+        assert lam * big_m == pytest.approx(x, rel=4.0 * m * m * np.finfo(float).eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.floats(1.05, 10.0),
+        theta=st.floats(1.05, 10.0),
+        log_sigma=st.floats(-1.0, 1.0),
+        dim=st.integers(1, 20),
+        m=st.integers(16, 256),
+    )
+    def test_minimal_solution_lies_below_the_supersolution(self, p, theta, log_sigma, dim, m):
+        sigma = 10.0**log_sigma
+        grid = RadialGrid.uniform(dim, m)
+        e = ExponentPair(p, theta)
+        lam = radial._torsion_load(e, sigma, grid)
+        psi = dense_torsion(grid)
+        big_m = float(np.max(psi))
+        t, s, log_x = tangent_point(p, theta, sigma)
+        assert lam * big_m == pytest.approx(math.exp(log_x), rel=1e-9)
+        res = solve_minimal(e, lam, sigma * lam, grid)
+        assert res.converged
+        slack = 1e-9 * max(t, s)
+        assert np.all(res.state.u <= t * psi / big_m + slack)
+        assert np.all(res.state.v <= s * psi / big_m + slack)
 
 def grid_of(dim, m, kind):
     if kind == "uniform":
@@ -706,3 +819,46 @@ class TestCyclicReduction:
         off = -np.sqrt(np.diag(a, 1) * np.diag(a, -1) / (w[:-1] * w[1:]))
         sym = np.diag(np.diag(a) / w) + np.diag(off, 1) + np.diag(off, -1)
         assert mu == pytest.approx(float(np.linalg.eigvalsh(sym)[0]), rel=1e-10)
+
+
+# (diag, off) that stability_mu1 built on `exle continue --p 2 --theta 2
+# --dim 10 --sigma 0.8817888451814433 --nodes 32 --bracket-tol 1e-4 --tol 1e-10`
+# at the walk load 4.096, where a shift of the inverse iteration landed on
+# mu1 in floating point and the factor divided by a zero pivot.
+ZERO_PIVOT_DIAG = [
+    "0x1.0ac35fd65ce0ap+11", "0x1.0074788d0448cp+12", "0x1.91a83e8d2f634p+9",
+    "0x1.c065a173ae790p+8", "0x1.54d50bbb37e09p+8", "0x1.ac8107dc63129p+7",
+    "0x1.ad9978133d7cap+7", "0x1.aee7625677e6cp+7", "0x1.b069600953d67p+7",
+    "0x1.b21f6ef6527b3p+7", "0x1.b409ba1527db9p+7", "0x1.b62879164b579p+7",
+    "0x1.b87beb0e9879dp+7", "0x1.bb04554472b58p+7", "0x1.bdc202d0babdbp+7",
+    "0x1.c0b54472a6b0ap+7", "0x1.c3de70712bc40p+7", "0x1.c73de27ff7899p+7",
+    "0x1.cad3fba501251p+7", "0x1.cea1221dc8fe4p+7", "0x1.d2a5c1440881dp+7",
+    "0x1.d6e24971d1320p+7", "0x1.db572fe5335cap+7", "0x1.e004eea390c4cp+7",
+    "0x1.e4ec045cc6a3ap+7", "0x1.ea0cf44e5fa20p+7", "0x1.ef6846270308cp+7",
+    "0x1.f4fe85ea5aef7p+7", "0x1.fad043d5afd8dp+7", "0x1.006f0a22be95bp+8",
+    "0x1.039447ce23a2bp+8", "0x1.06d8291580db1p+8",
+]
+ZERO_PIVOT_OFF = [
+    "-0x1.5178a44306fdcp+4", "-0x1.6aaf8f165fe2bp+7", "-0x1.009e312494ad6p+7",
+    "-0x1.d5105d59cd741p+6", "-0x1.cc0936cf4a8f6p+5", "-0x1.27b409e62ad15p+6",
+    "-0x1.5424b7011e335p+6", "-0x1.6df480c682cefp+6", "-0x1.7ef4fc626e209p+6",
+    "-0x1.8b2e30dba7829p+6", "-0x1.9498a83ecb79ep+6", "-0x1.9c47230bf2ee5p+6",
+    "-0x1.a2db0cbdc9273p+6", "-0x1.a8b8d76c79ca1p+6", "-0x1.ae21ef01c29dap+6",
+    "-0x1.b342908650dbbp+6", "-0x1.b8399caf81126p+6", "-0x1.bd1d3a518f86ap+6",
+    "-0x1.c1fdb18625f1bp+6", "-0x1.c6e73d92bde82p+6", "-0x1.cbe33e792abe1p+6",
+    "-0x1.d0f9067ae8f28p+6", "-0x1.d62e676aab684p+6", "-0x1.db8815c7d871cp+6",
+    "-0x1.e109ef7b97fabp+6", "-0x1.e6b72f248f58cp+6", "-0x1.ec9291d2afe90p+6",
+    "-0x1.f29e73262bd06p+6", "-0x1.f8dce284abdf9p+6", "-0x1.ff4fb344d0e0ap+6",
+    "-0x1.02fc44913231fp+7",
+]
+
+
+def test_smallest_eigenvalue_survives_a_zero_pivot():
+    diag = np.array([float.fromhex(x) for x in ZERO_PIVOT_DIAG])
+    off = np.array([float.fromhex(x) for x in ZERO_PIVOT_OFF])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = _cyclic.smallest_eigenvalue(diag, off)
+    dense = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0])
+    # both carry the rounding of T, a few eps of its largest entry
+    assert abs(mu - dense) <= 4.0 * np.finfo(float).eps * float(np.max(diag))
