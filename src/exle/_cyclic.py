@@ -80,22 +80,23 @@ class Tridiagonal:
                 b = s - a - c
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with M x = rhs."""
+        """x with M x = rhs along the last axis; each row of x is bit for
+        bit the solve of its row of rhs alone."""
         d = rhs
         eliminated = []
         for alpha, gamma, _, _, _ in self._levels:
-            de = d[0::2]
+            de = d[..., 0::2]
             eliminated.append(de)
-            d = d[1::2] + alpha * de[: alpha.size]
-            d[: gamma.size] += gamma * de[1:]
+            d = d[..., 1::2] + alpha * de[..., : alpha.size]
+            d[..., : gamma.size] += gamma * de[..., 1:]
         x = d
         for (_, _, binv, pa, pc), de in zip(self._levels[::-1], eliminated[::-1]):
-            out = np.empty(de.size + x.size)
-            xe = out[0::2]
+            out = np.empty(de.shape[:-1] + (de.shape[-1] + x.shape[-1],))
+            xe = out[..., 0::2]
             np.multiply(binv, de, out=xe)
-            xe[1:] += pa * x[: pa.size]
-            xe[: pc.size] += pc * x
-            out[1::2] = x
+            xe[..., 1:] += pa * x[..., : pa.size]
+            xe[..., : pc.size] += pc * x
+            out[..., 1::2] = x
             x = out
         return x
 

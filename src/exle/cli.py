@@ -8,16 +8,17 @@ Usage:
     exle partial --p 2 --theta 2 --dim 16
 
 This module only parses, dispatches and formats; the policies live with
-the modules that own them.  Numbers are printed with 12 significant
-digits and LF line endings, so identical inputs give byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 3 I/O error, and
-otherwise the `exit_code` of the package error raised (errors.py: 2 for a
-domain or configuration error, 4 for an exhausted budget, where stderr
-names the budget and `continue` still writes the partial branch).  A JSON
-config file (flat keys mirroring the flags) can seed any command;
-explicit flags win.  Every config key is also a flag, and the option
-table marks the required ones.  The tol of `continue` is the Newton
-correction tolerance; elsewhere it is the width of the root bracket.
+the modules that own them.  Tables print 12 significant digits, verify
+residuals 4, and the `continue` summary JSON full-precision floats, all
+with LF line endings, so identical inputs give byte-identical output.
+Exit codes: 0 success, 1 verification failure, 3 I/O error, and otherwise
+the `exit_code` of the package error raised (errors.py: 2 for a domain or
+configuration error, 4 for an exhausted budget, where stderr names the
+budget and `continue` still writes the partial branch).  A JSON config
+file (flat keys mirroring the flags) can seed any command; explicit flags
+win.  Every config key is also a flag, and the option table marks the
+required ones.  The tol of `continue` is the Newton correction tolerance;
+elsewhere it is the width of the root bracket.
 
 The summary of `continue` holds the certified fold bracket lambda_lo <
 lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
@@ -96,7 +97,7 @@ _OPTIONS = {
 }
 
 
-# Every float of every output: 12 significant digits.
+# Every float of a CSV or stdout table: 12 significant digits.
 _FLOAT = "%.12g"
 _TABLE_ROW = ",".join([_FLOAT] * 8)
 # Pairs per threshold_rows call; bounds the kernel's temporary arrays.
@@ -256,7 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     report = thresholds.check_polynomial_identities(pair, sample_count=samples, seed=seed)
     # Every check as (name, line, weight, passed), in print order; the
-    # failure of largest weight is the worst.
+    # failure of largest weight is the worst, and a nan weight the largest.
     checks = [
         (name, f"residual {name} {value:.3e}", value, value <= thresholds._IDENTITY_TOL)
         for name, value in report.residuals.items()
@@ -285,7 +286,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = [f"{line} {'PASS' if passed else 'FAIL'}" for _, line, _, passed in checks]
     failures = [check for check in checks if not check[3]]
     if failures:
-        name, _, weight, _ = max(failures, key=lambda check: check[2])
+        name, _, weight, _ = max(failures, key=lambda check: thresholds._failure_rank(check[2]))
         lines.append(f"RESULT FAIL worst {name} {weight:.3e}")
     else:
         lines.append("RESULT PASS")

@@ -18,13 +18,15 @@ reduction adds terms of one sign only, so nonnegative data give a
 solution whose sign is exact.  -Lap is factored once per grid, from its
 off-diagonals and its row sums (zero but at the Dirichlet row), which
 makes its solves accurate entry by entry.  The grid owns that factored
-operator (`RadialGrid.laplacian`), so every solver on one grid shares it.
+operator (`RadialGrid.laplacian`), so every solver on one grid shares it,
+and its `jacobian` assembles J = -Lap - f' for both Newton solves.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,37 +169,47 @@ class RadialLaplacian:
         diag[1:-1] = -(w + e)
         upper[1:-1] = e
         diag[grid.m] = 1.0
-        self._lower = lower
-        self._diag = diag
-        self._upper = upper
+        self._lower, self._diag, self._upper = lower, diag, upper
         rowsum = np.zeros(n)
         rowsum[grid.m] = 1.0
         self._factors = Tridiagonal(lower, diag, upper, rowsum)
+        # (lower, diag, upper) of -Lap on both components, 2x2 blocks on (u_i, v_i)
+        self._blocks = np.zeros((3, 2, 2, n))
+        self._blocks[:, (0, 1), (0, 1)] = np.stack((lower, diag, upper))[:, None]
+        self._blocks.flags.writeable = False
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """Row action: -Lap w at nodes 0..M-1, plain w at the boundary row."""
+        """Row action on the last axis: -Lap w at nodes 0..M-1, w at node M."""
         w = np.asarray(w, dtype=float)
         out = self._diag * w
-        out[:-1] += self._upper[:-1] * w[1:]
-        out[1:] += self._lower[1:] * w[:-1]
+        out[..., :-1] += self._upper[:-1] * w[..., 1:]
+        out[..., 1:] += self._lower[1:] * w[..., :-1]
         return out
 
     def solve_dirichlet(self, f: np.ndarray) -> np.ndarray:
-        """Solve -Lap w = f with w(1) = 0 (the boundary entry of f is ignored).
-
-        When f is nonnegative the discrete maximum principle applies and
-        the solution is checked to be nonnegative up to roundoff.
-        """
-        rhs = np.asarray(f, dtype=float).copy()
-        rhs[-1] = 0.0
+        """Solve -Lap w = f, w(1) = 0, for each row of f (its last entry is
+        ignored).  By the discrete maximum principle a nonnegative row gives a
+        nonnegative solution, checked up to that row's own roundoff."""
+        rhs = np.array(f, dtype=float)
+        rhs[..., -1] = 0.0
         sol = self._factors.solve(rhs)
-        if np.all(rhs >= 0.0):
-            floor = -1e-12 * max(1.0, float(np.max(np.abs(sol))))
-            if np.min(sol) < floor:
-                raise NumericalError(
-                    f"maximum principle violated: min {np.min(sol):.3e} for nonnegative data"
-                )
+        low = np.min(sol, axis=-1)
+        floor = -1e-12 * np.maximum(1.0, np.max(np.abs(sol), axis=-1))
+        violated = np.all(rhs >= 0.0, axis=-1) & (low < floor)
+        if np.any(violated):
+            raise NumericalError(
+                f"maximum principle violated: min {np.min(low[violated]):.3e} for nonnegative data"
+            )
         return sol
+
+    def jacobian(self, coupling: np.ndarray):
+        """Blocks (lower, diag, upper) of J = -Lap - f' on (u_i, v_i), with the
+        (2, n) coupling f' = (df_u/dv, df_v/du); the Dirichlet rows stay uncoupled."""
+        lower, diag, upper = self._blocks
+        diag = diag.copy()
+        diag[0, 1, :-1] = -coupling[0, :-1]
+        diag[1, 0, :-1] = -coupling[1, :-1]
+        return lower, diag, upper
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self._diag)
@@ -230,22 +242,13 @@ class MonotoneResult:
         return self.state is not None
 
 
-def _laplacian_blocks(op: RadialLaplacian):
-    """-Lap on both components as (2, 2, n) block stacks; block i couples
-    (u_i, v_i), and the caller fills the coupling of the diagonal blocks."""
-    n = op._diag.size
-    lower = np.zeros((2, 2, n))
-    diag = np.zeros((2, 2, n))
-    upper = np.zeros((2, 2, n))
-    for i in range(2):
-        lower[i, i], diag[i, i], upper[i, i] = op._lower, op._diag, op._upper
-    return lower, diag, upper
-
-
 def _check_load(lam: float, gam: float) -> None:
+    # subnormal loads give states whose stability_mu1 weights underflow
     for name, value in (("lam", lam), ("gam", gam)):
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be positive and finite, got {value}")
+        if value < sys.float_info.min:
+            raise DomainError(f"{name} must be at least {sys.float_info.min} (normal), got {value}")
 
 
 def solve_minimal(
@@ -259,20 +262,21 @@ def solve_minimal(
 ) -> MonotoneResult:
     """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
-    Each iteration takes the Picard step d = (-Lap)^{-1} F(u, v) - (u, v)
-    and then the Newton step delta, J delta = (-Lap) d, with the Jacobian
-    J = (-Lap) - f' and f' the cross-coupled diagonal lam p (v+1)^(p-1),
-    gam theta (u+1)^(theta-1).  It is formed as delta = d + e with
-    J e = f' max(d, 0), so the Laplacian is never applied to d.  A state is
-    accepted once max delta < tol (never below roundoff).  From (0, 0) or a
-    subsolution seed (e.g. the minimal solution at a smaller load) the
-    iterates of this convex cooperative system stay subsolutions below
-    every solution, so d >= 0 (asserted) and, while a solution exists, J is
-    an M-matrix and e >= 0: a negative or non-finite e certifies that this
-    load has no (representable) solution.
+    Each iteration on the state w = (u, v), a (2, n) array, takes the
+    Picard step d = (-Lap)^{-1} F(w) - w, one two-column solve_dirichlet
+    on the grid's factors, and then the Newton step delta, J delta =
+    (-Lap) d, with J = (-Lap) - f' from `RadialLaplacian.jacobian` and f'
+    the coupling lam p (v+1)^(p-1), gam theta (u+1)^(theta-1).  It is
+    formed as delta = d + e with J e = f' max(d[::-1], 0), so the Laplacian
+    is never applied to d.  A state is accepted once max delta < tol (never
+    below roundoff).  From (0, 0) or a subsolution seed (e.g. the minimal
+    solution at a smaller load) the iterates of this convex cooperative
+    system stay subsolutions below every solution, so d >= 0 (asserted)
+    and, while a solution exists, J is an M-matrix and e >= 0: a negative
+    or non-finite e certifies that this load has no (representable)
+    solution.
 
-    The two Picard solves reuse the grid's factors of -Lap.  J e = f' max(d, 0)
-    is solved by 2x2-block cyclic reduction on the blocks (u_i, v_i),
+    J e is solved by 2x2-block cyclic reduction on the blocks (u_i, v_i),
     without pivoting: while J is an M-matrix every block pivot is one too,
     with a nonnegative inverse, so e is a sum of nonnegative terms and its
     sign does not rest on cancellation.  It can turn negative or non-finite
@@ -284,30 +288,23 @@ def solve_minimal(
     n = grid.m + 1
     if seed is not None and seed.u.size != n:
         raise ConfigurationError("seed state does not match the grid")
-    u, v = (np.zeros(n), np.zeros(n)) if seed is None else (seed.u, seed.v)
+    w = np.zeros((2, n)) if seed is None else np.stack((seed.u, seed.v))
     p, theta = float(e.p), float(e.theta)
-    lower, diag, upper = _laplacian_blocks(op)
     for k in range(1, _NEWTON_BUDGET + 1):
-        du = op.solve_dirichlet(lam * (v + 1.0) ** p) - u
-        dv = op.solve_dirichlet(gam * (u + 1.0) ** theta) - v
-        scale = max(1.0, float(np.max(u + du)), float(np.max(v + dv)))
-        if min(float(np.min(du)), float(np.min(dv))) < -1e-9 * scale:
+        u, v = w
+        d = op.solve_dirichlet(np.stack((lam * (v + 1.0) ** p, gam * (u + 1.0) ** theta))) - w
+        scale = max(1.0, float(np.max(w + d)))
+        if float(np.min(d)) < -1e-9 * scale:
             raise NumericalError("monotone iteration decreased; seed not a subsolution?")
-        fu = lam * p * (v + 1.0) ** (p - 1.0)
-        fv = gam * theta * (u + 1.0) ** (theta - 1.0)
-        # the Dirichlet rows are uncoupled
-        diag[0, 1, :-1] = -fu[:-1]
-        diag[1, 0, :-1] = -fv[:-1]
-        rhs = np.stack((fu * np.maximum(dv, 0.0), fv * np.maximum(du, 0.0)))
-        corr = solve_block_tridiagonal(lower, diag, upper, rhs)
+        coupling = np.stack((lam * p * (v + 1.0) ** (p - 1.0), gam * theta * (u + 1.0) ** (theta - 1.0)))
+        corr = solve_block_tridiagonal(*op.jacobian(coupling), coupling * np.maximum(d[::-1], 0.0))
         if not float(np.min(corr)) >= 0.0:
             return MonotoneResult(None, k)
-        du += corr[0]
-        dv += corr[1]
-        u, v = u + du, v + dv
+        d += corr
+        w = w + d
         # A tol below the roundoff of an n-point solve reads as that roundoff.
-        if max(float(np.max(du)), float(np.max(dv))) < max(tol, n * _EPS * scale):
-            return MonotoneResult(StatePair(u, v), k)
+        if float(np.max(d)) < max(tol, n * _EPS * scale):
+            return MonotoneResult(StatePair(*w), k)
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
@@ -400,7 +397,6 @@ class Branch:
     ran).
     """
 
-    sigma: float
     trials: list[Trial] = field(default_factory=list)
     lambda_fold: float | None = None
     fold_iterations: int = 0
@@ -456,24 +452,20 @@ def _fold_newton(
     op = grid.laplacian
     expo = np.array([[float(e.p)], [float(e.theta)]])
     ray = np.array([[1.0], [sigma]])
-    blocks = _laplacian_blocks(op)
-    diag = blocks[1]
     w = np.stack((state.u, state.v))
 
     def linearize(w, lam):
         # f(w) = lam * f0, with f0 and its derivatives in the other
-        # component; the Dirichlet rows are uncoupled.
+        # component, zero on the Dirichlet rows, and J = -Lap - lam f1.
         base = w[::-1] + 1.0
         f0 = ray * base**expo
         f1 = ray * expo * base ** (expo - 1.0)
         f2 = ray * expo * (expo - 1.0) * base ** (expo - 2.0)
         for f in (f0, f1, f2):
             f[:, -1] = 0.0
-        diag[0, 1] = -lam * f1[0]
-        diag[1, 0] = -lam * f1[1]
-        return f0, f1, f2
+        return f0, f1, f2, op.jacobian(lam * f1)
 
-    linearize(w, lam)
+    blocks = linearize(w, lam)[3]
     phi = np.ones_like(w)
     phi[:, -1] = 0.0
     for _ in range(_NULL_STEPS):
@@ -484,8 +476,8 @@ def _fold_newton(
     # non-finite iterate ends the solve, so numpy need not warn of it.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(1, _FOLD_BUDGET + 1):
-            f0, f1, f2 = linearize(w, lam)
-            residual = np.stack((op.apply(w[0]), op.apply(w[1]))) - lam * f0
+            f0, f1, f2, blocks = linearize(w, lam)
+            residual = op.apply(w) - lam * f0
             ab = solve_block_tridiagonal(*blocks, np.stack((-residual, f0), axis=1))
             a, b = ab[:, 0], ab[:, 1]
             # (J_w phi) x = -curv * x[::-1] and J_lam phi = -f1 * phi[::-1]
@@ -604,7 +596,7 @@ def continue_ray(
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    branch = Branch(sigma=sigma)
+    branch = Branch()
     zero = np.zeros(grid.m + 1)
     origin = (0.0, StatePair(zero, zero))
 

@@ -127,6 +127,11 @@ class ScalingExponents:
     beta: float
 
 
+def _failure_rank(residual: float) -> tuple[bool, float]:
+    """Sort key of a residual that ranks nan, which fails every bound, worst."""
+    return math.isnan(residual), residual
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Residuals (relative to the largest monomial) and sign checks.
@@ -148,7 +153,7 @@ class IdentityReport:
     signs: dict
 
     def worst_residual(self) -> tuple[str, float]:
-        name = max(self.residuals, key=lambda k: self.residuals[k])
+        name = max(self.residuals, key=lambda k: _failure_rank(self.residuals[k]))
         return name, self.residuals[name]
 
     def ok(self, tol: float = _IDENTITY_TOL) -> bool:

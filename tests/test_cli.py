@@ -428,6 +428,19 @@ class TestVerify:
         assert out.splitlines()[0] == "residual rescale nan FAIL"
         assert out.splitlines()[-1] == "RESULT FAIL worst rescale nan"
 
+    def test_nan_residual_is_the_worst_failure(self, capsys, monkeypatch):
+        # With rescale failing by a number and value_at_2t0 by nan, the
+        # worst failure depended on the order of the checks.
+        import exle.thresholds as thresholds_mod
+
+        real = thresholds_mod.eval_H
+        monkeypatch.setattr(thresholds_mod, "eval_H", lambda e, x: real(e, x) + 1e-3)
+        monkeypatch.setattr(thresholds_mod, "eval_t0", lambda e: np.nan)
+        code, out, _ = run(["verify", "--p", "2", "--theta", "3"], capsys)
+        assert code == 1
+        assert out.splitlines()[0].endswith(" FAIL")
+        assert out.splitlines()[-1] == "RESULT FAIL worst value_at_2t0 nan"
+
     def test_symmetric_pair_reports_split_identity(self, capsys):
         code, out, _ = run(["verify", "--p", "2", "--theta", "2"], capsys)
         assert code == 0
@@ -577,6 +590,24 @@ class TestContinue:
             summary = json.loads((tmp_path / "partial.summary.json").read_text())
             assert summary["budget_exhausted"] is True
             assert summary["lambda_hi"] is None
+
+    def test_subnormal_load_exits_2(self, tmp_path, capsys):
+        # The torsion load of this ray is subnormal (about 3e-323): the
+        # branch was computed from underflowed states, with mu1 = 0.
+        out = tmp_path / "branch.csv"
+        argv = [
+            "continue", "--p", "1e65", "--theta", "1", "--sigma", "1e261",
+            "--nodes", "64", "--out", str(out),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(argv, capsys)
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "must be at least" in errors[0]
+        assert not out.exists()
+        assert not (tmp_path / "branch.summary.json").exists()
 
     def test_tol_is_picard_step_tolerance(self, tmp_path, capsys):
         sweeps = {}

@@ -222,7 +222,7 @@ def synthetic_trials(slope, n_points=10, lam_star=1.0):
 
 
 def synthetic_branch(slope, n_points=10, lam_star=1.0):
-    return Branch(sigma=1.0, trials=synthetic_trials(slope, n_points, lam_star))
+    return Branch(trials=synthetic_trials(slope, n_points, lam_star))
 
 
 class TestExtremalExtrapolate:
@@ -237,7 +237,7 @@ class TestExtremalExtrapolate:
             res = solve_minimal(PAIR22, lam, lam, grid)
             trials.append(Trial(lam, lam, res.iterations, "walk", res.state))
         hi = bracket.lambda_hi
-        branch = Branch(sigma=1.0, trials=trials + [Trial(hi, hi, 1, "walk")])
+        branch = Branch(trials=trials + [Trial(hi, hi, 1, "walk")])
         diag = extremal_extrapolate(branch, PAIR22, 3)
         assert diag.bounded_looking
         assert diag.below_threshold
@@ -259,18 +259,18 @@ class TestExtremalExtrapolate:
 
     def test_requires_bracket_and_enough_points(self):
         trials = synthetic_trials(-0.3)
-        open_branch = Branch(sigma=1.0, trials=trials[:-1])
+        open_branch = Branch(trials=trials[:-1])
         assert open_branch.lambda_hi is None
         with pytest.raises(DiagnosticError):
             extremal_extrapolate(open_branch, PAIR22, 3)
-        short = Branch(sigma=1.0, trials=trials[:4] + trials[-1:])
+        short = Branch(trials=trials[:4] + trials[-1:])
         assert (short.lambda_lo, short.lambda_hi) == (trials[3].lam, 1.0)
         with pytest.raises(DiagnosticError):
             extremal_extrapolate(short, PAIR22, 3)
 
     def test_rejects_points_at_or_above_bracket(self):
         trials = synthetic_trials(-0.3)[:-1]
-        branch = Branch(sigma=1.0, trials=trials + [synthetic_trial(trials[-1].lam)])
+        branch = Branch(trials=trials + [synthetic_trial(trials[-1].lam)])
         assert branch.lambda_hi == branch.lambda_lo
         with pytest.raises(DiagnosticError):
             extremal_extrapolate(branch, PAIR22, 3)

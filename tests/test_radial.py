@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -228,9 +229,14 @@ class TestSolveMinimal:
 
     def test_load_validation(self):
         g = RadialGrid.uniform(3, 64)
-        for lam, gam in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0)):
-            with pytest.raises(DomainError):
+        for lam, gam in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
                 solve_minimal(PAIR22, lam, gam, g)
+        tiny = sys.float_info.min
+        for lam, gam in ((5e-324, 1.0), (1.0, tiny / 2.0)):
+            with pytest.raises(DomainError, match="must be at least"):
+                solve_minimal(PAIR22, lam, gam, g)
+        assert solve_minimal(PAIR22, tiny, tiny, g).converged
 
     def test_component_swap_symmetry(self):
         # solving with (theta, p) and swapped loads exchanges the roles
@@ -700,17 +706,6 @@ def grid_of(dim, m, kind):
     return RadialGrid(dim, boundary_graded_nodes(m))
 
 
-def jacobian_blocks(op, fu, fv):
-    """J = (-Lap) - f' as the (2, 2, n) block stacks solve_minimal builds."""
-    n = op._diag.size
-    lower, diag, upper = (np.zeros((2, 2, n)) for _ in range(3))
-    for i in range(2):
-        lower[i, i], diag[i, i], upper[i, i] = op._lower, op._diag, op._upper
-    diag[0, 1, :-1] = -fu[:-1]
-    diag[1, 0, :-1] = -fv[:-1]
-    return lower, diag, upper
-
-
 def dense_jacobian(op, fu, fv):
     """J on interleaved (u0, v0, u1, ...), built from the dense operator."""
     jac = np.kron(op.to_dense(), np.eye(2))
@@ -752,9 +747,68 @@ class TestCyclicReduction:
         fu, fv = coupling(PAIR22, 0.25, 0.25, res.state)
         rhs = rng.standard_normal((2, m + 1))
         rhs[:, -1] = 0.0
-        got = _cyclic.solve_block_tridiagonal(*jacobian_blocks(op, fu, fv), rhs)
+        got = _cyclic.solve_block_tridiagonal(*op.jacobian(np.stack((fu, fv))), rhs)
         ref = np.linalg.solve(dense_jacobian(op, fu, fv), rhs.T.ravel()).reshape(-1, 2).T
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 25),
+        m=st.integers(16, 600),
+        with_rowsum=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_solve_bit_for_bit_alone(self, dim, m, with_rowsum, seed):
+        # Tridiagonal.solve on (2, n) is its two 1-D solves, bit for bit
+        op = RadialGrid.uniform(dim, m).laplacian
+        rowsum = np.zeros(m + 1)
+        rowsum[-1] = 1.0
+        factors = _cyclic.Tridiagonal(
+            op._lower, op._diag, op._upper, rowsum if with_rowsum else None
+        )
+        rhs = np.random.default_rng(seed).standard_normal((2, m + 1))
+        got = factors.solve(rhs)
+        assert got.shape == rhs.shape
+        for row in range(2):
+            assert np.array_equal(got[row], factors.solve(rhs[row].copy()))
+
+    def test_each_row_keeps_its_own_floor(self, monkeypatch):
+        # Row 1 (sup 1/6) dips to -1e-9: below its own floor -1e-12, above
+        # the floor -1.7e-6 that the sup 1.7e6 of row 0 would set.
+        op = RadialGrid.uniform(3, 64).laplacian
+        real = op._factors.solve
+
+        def dip(rhs):
+            sol = real(rhs)
+            sol[1, 3] = -1e-9
+            return sol
+
+        monkeypatch.setattr(op._factors, "solve", dip)
+        f = np.ones((2, 65))
+        f[0] *= 1e7
+        with pytest.raises(NumericalError, match="maximum principle violated: min -1.000e-09"):
+            op.solve_dirichlet(f)
+        # a row with negative data is not checked
+        f[1, 0] = -1.0
+        assert op.solve_dirichlet(f)[1, 3] == -1e-9
+
+    @pytest.mark.parametrize("kind", ("uniform", "graded"))
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_jacobian_matches_dense(self, dim, kind):
+        g = grid_of(dim, 40, kind)
+        op = g.laplacian
+        c = np.random.default_rng(dim).uniform(0.0, 5.0, (2, 41))
+        lower, diag, upper = op.jacobian(c)
+        dense = np.zeros((82, 82))
+        for i in range(41):
+            dense[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = diag[..., i]
+            if i > 0:
+                dense[2 * i : 2 * i + 2, 2 * i - 2 : 2 * i] = lower[..., i]
+            if i < 40:
+                dense[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = upper[..., i]
+        assert np.array_equal(dense, dense_jacobian(op, c[0], c[1]))
+        # the operator's own blocks are left as they were
+        assert np.array_equal(op.jacobian(np.zeros((2, 41)))[1][0, 1], np.zeros(41))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_many_right_hand_sides(self, dim):
@@ -762,7 +816,7 @@ class TestCyclicReduction:
         g = grid_of(dim, 300, "graded")
         op = g.laplacian
         res = solve_minimal(PAIR22, 0.25, 0.25, g)
-        blocks = jacobian_blocks(op, *coupling(PAIR22, 0.25, 0.25, res.state))
+        blocks = op.jacobian(np.stack(coupling(PAIR22, 0.25, 0.25, res.state)))
         rhs = np.random.default_rng(dim).standard_normal((2, 3, 301))
         rhs[..., -1] = 0.0
         got = _cyclic.solve_block_tridiagonal(*blocks, rhs)
@@ -782,7 +836,7 @@ class TestCyclicReduction:
         fu, fv = coupling(PAIR22, pt.lam, pt.gam, pt.state)
         rhs = np.random.default_rng(4).standard_normal((2, 65))
         rhs[:, -1] = 0.0
-        got = _cyclic.solve_block_tridiagonal(*jacobian_blocks(op, fu, fv), rhs)
+        got = _cyclic.solve_block_tridiagonal(*op.jacobian(np.stack((fu, fv))), rhs)
         ref = np.linalg.solve(dense_jacobian(op, fu, fv), rhs.T.ravel()).reshape(-1, 2).T
         assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -796,7 +850,7 @@ class TestCyclicReduction:
             for _ in range(5):
                 assert op.solve_dirichlet(nonnegative_data(rng, 257)).min() >= 0.0
             pt = continue_ray(PAIR22, 1.0, g).points[-1]
-            blocks = jacobian_blocks(op, *coupling(PAIR22, pt.lam, pt.gam, pt.state))
+            blocks = op.jacobian(np.stack(coupling(PAIR22, pt.lam, pt.gam, pt.state)))
             for _ in range(5):
                 rhs = nonnegative_data(rng, (2, 257))
                 assert _cyclic.solve_block_tridiagonal(*blocks, rhs).min() >= 0.0

@@ -8,6 +8,7 @@ import pytest
 from exle import (
     DomainError,
     ExponentPair,
+    IdentityReport,
     check_polynomial_identities,
     eval_H,
     eval_L,
@@ -188,6 +189,19 @@ class TestIdentities:
         monkeypatch.setattr(thresholds, "eval_H", lambda e, x: np.full_like(x, np.nan))
         report = check_polynomial_identities(ExponentPair(2.0, 3.0), sample_count=16)
         assert math.isnan(report.residuals["rescale"])
+        assert not report.ok()
+
+    def test_nan_residual_is_the_worst(self):
+        # max() over a nan key depended on the order of the residuals and
+        # named rescale here, a residual that passes.
+        report = IdentityReport(
+            s0=3.0,
+            residuals={"rescale": 1e-16, "value_at_2t0": math.nan, "value_at_p_plus_1": 0.0},
+            signs={"negative_at_2": True},
+        )
+        name, value = report.worst_residual()
+        assert name == "value_at_2t0"
+        assert math.isnan(value)
         assert not report.ok()
 
     @pytest.mark.parametrize("theta", (2e153, 1.3e154))
