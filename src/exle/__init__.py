@@ -15,7 +15,6 @@ import importlib
 
 _SUBMODULES = {
     "diagnostics": (
-        "DiagnosticsReport",
         "GrowthDiagnostic",
         "energy_report",
         "extremal_extrapolate",
@@ -38,7 +37,6 @@ _SUBMODULES = {
         "MonotoneResult",
         "RadialGrid",
         "RadialLaplacian",
-        "StatePair",
         "assemble_radial_laplacian",
         "continue_ray",
         "solve_minimal",

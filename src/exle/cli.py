@@ -325,12 +325,12 @@ def cmd_continue(args: argparse.Namespace) -> int:
     margins = []
     energies = []
     for pt in branch.points:
-        state = pt.state
-        margin = souplet_check(pair, state, pt.lam, pt.gam)
-        energy = energy_report(pair, state, s_energy, grid).energy_J2
+        margin = souplet_check(pair, pt.state, pt.lam, pt.gam)
+        energy = energy_report(pair, pt.state, s_energy, grid)
         margins.append(margin)
         energies.append(energy)
-        row = (pt.lam, pt.gam, state.sup_u, state.sup_v, pt.mu1, margin, energy, pt.iterations)
+        sup_u, sup_v = np.max(pt.state, axis=1)
+        row = (pt.lam, pt.gam, sup_u, sup_v, pt.mu1, margin, energy, pt.iterations)
         lines.append(",".join(_fmt(x) for x in row))
 
     bounded: bool | None

@@ -3,14 +3,15 @@
 These routines check, on discrete solutions, the pointwise and integral
 estimates that the threshold algebra promises for stable solutions: the
 shifted comparison inequality between the two components, the weighted
-energy integrals, scaling covariance of the system, the explicit
+energy integral, scaling covariance of the system, the explicit
 singular profile, and a growth heuristic that classifies a branch end
 as bounded- or unbounded-looking.
 
+A state is a (2, n) float array with rows u and v, as `radial` makes it.
 All asymmetric formulas assume the canonical order p <= theta with u
 the component forced by (u+1)^theta; inputs in the opposite order are
-reoriented by swapping (u, v), (lam, gam), (p, theta), which maps the
-system onto itself.
+reoriented by swapping the rows, (lam, gam) and (p, theta), which maps
+the system onto itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, DomainError
-from .radial import Branch, RadialGrid, StatePair
+from .radial import Branch, RadialGrid
 from . import radial, thresholds
 from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents, threshold_report
 
@@ -30,16 +31,6 @@ from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents, 
 _GROWTH_SLOPE_CUT = -0.15
 # Accepted branch points the tail slope is fitted over.
 _TAIL_POINTS = 8
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Integral diagnostics for one state at integrability exponent s."""
-
-    energy_J2: float
-    energy_power: float
-    local_ratio: float
-    s_used: float
 
 
 @dataclass(frozen=True)
@@ -66,15 +57,16 @@ class GrowthDiagnostic:
 
 
 def _orient(
-    e: ExponentPair, state: StatePair, lam: float | None, gam: float | None
+    e: ExponentPair, state: np.ndarray, lam: float | None, gam: float | None
 ):
     """Return (p, theta, u, v, lam, gam) in canonical order p <= theta."""
+    u, v = radial._as_state(state)
     if e.p <= e.theta:
-        return float(e.p), float(e.theta), state.u, state.v, lam, gam
-    return float(e.theta), float(e.p), state.v, state.u, gam, lam
+        return float(e.p), float(e.theta), u, v, lam, gam
+    return float(e.theta), float(e.p), v, u, gam, lam
 
 
-def souplet_check(e: ExponentPair, state: StatePair, lam: float, gam: float) -> float:
+def souplet_check(e: ExponentPair, state: np.ndarray, lam: float, gam: float) -> float:
     """Minimum over nodes of the shifted comparison margin.
 
     With kappa = gam (p+1) / (lam (theta+1)) and the shift
@@ -97,57 +89,37 @@ def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: int) -> float:
 
 
 def energy_report(
-    e: ExponentPair, state: StatePair, s: float, grid: RadialGrid
-) -> DiagnosticsReport:
-    """Weighted energy integrals for one state.
+    e: ExponentPair, state: np.ndarray, s: float, grid: RadialGrid
+) -> float:
+    """Weighted energy integral J2 of one state.
 
-    energy_J2 integrates (u+1)^((theta-1)/2) (v+1)^((p+2s-1)/2) over the
-    ball; energy_power integrates (u+1)^(theta + (theta+1)(s-1)/(p+1)).
-    local_ratio compares the mixed integrand over the half-radius ball
-    (the nodes up to m // 2) against the plain power of (v+1) over the full
-    ball, the discrete form of the interior doubling estimate at R = 1.  The zero state
-    makes both energies equal the ball volume and local_ratio = 2^-dim.
+    J2 integrates (u+1)^((theta-1)/2) (v+1)^((p+2s-1)/2) over the ball;
+    the zero state makes it the ball volume.
     """
     check_energy_exponent(e, s)
     p, theta, u, v, _, _ = _orient(e, state, None, None)
     if u.size != grid.m + 1:
         raise DomainError("state does not match the grid")
-    half = grid.m // 2
-    nodes = grid.nodes
-    j2 = _ball_integral(
+    return _ball_integral(
         (u + 1.0) ** ((theta - 1.0) / 2.0) * (v + 1.0) ** ((p + 2.0 * s - 1.0) / 2.0),
-        nodes,
+        grid.nodes,
         grid.dim,
-    )
-    power = _ball_integral(
-        (u + 1.0) ** (theta + (theta + 1.0) * (s - 1.0) / (p + 1.0)), nodes, grid.dim
-    )
-    local_num = _ball_integral(
-        ((u + 1.0) ** theta * (v + 1.0) ** (s - 1.0))[: half + 1],
-        nodes[: half + 1],
-        grid.dim,
-    )
-    local_den = _ball_integral((v + 1.0) ** s, nodes, grid.dim)
-    return DiagnosticsReport(
-        energy_J2=j2,
-        energy_power=power,
-        local_ratio=local_num / local_den,
-        s_used=float(s),
     )
 
 
-def restrict_state(state: StatePair, grid: RadialGrid, r0: float) -> StatePair:
-    """Slice a state to the nodes with r <= r0; r0 must be a grid node."""
+def restrict_state(state: np.ndarray, grid: RadialGrid, r0: float) -> np.ndarray:
+    """Slice a (2, n) state to the nodes with r <= r0; r0 must be a grid node."""
+    state = radial._as_state(state)
     if not (0.0 < r0 <= 1.0):
         raise DomainError(f"r0 must lie in (0, 1], got {r0}")
     idx = int(np.argmin(np.abs(grid.nodes - r0)))
     if abs(grid.nodes[idx] - r0) > 1e-12:
         raise DomainError(f"r0 = {r0} is not a node of the grid")
-    return StatePair(state.u[: idx + 1].copy(), state.v[: idx + 1].copy())
+    return state[:, : idx + 1].copy()
 
 
-def rescale(e: ExponentPair, state: StatePair, r0: float) -> StatePair:
-    """Zoom a state on the ball of radius r0 to the unit ball.
+def rescale(e: ExponentPair, state: np.ndarray, r0: float) -> np.ndarray:
+    """Zoom a (2, n) state on the ball of radius r0 to the unit ball.
 
     With (alpha, beta) the scaling exponents, u_new + 1 = r0^alpha
     (u + 1) and v_new + 1 = r0^beta (v + 1) sampled at the same nodes
@@ -157,12 +129,11 @@ def rescale(e: ExponentPair, state: StatePair, r0: float) -> StatePair:
     interior finite-difference residual is multiplied by r0^(alpha+2) =
     r0^(beta * p), which is at most 1.
     """
+    u, v = radial._as_state(state)
     if not (0.0 < r0 <= 1.0) or not math.isfinite(r0):
         raise DomainError(f"r0 must lie in (0, 1], got {r0}")
     se = scaling_exponents(e)
-    u_new = r0 ** se.alpha * (state.u + 1.0) - 1.0
-    v_new = r0 ** se.beta * (state.v + 1.0) - 1.0
-    return StatePair(u_new, v_new)
+    return np.stack((r0 ** se.alpha * (u + 1.0) - 1.0, r0 ** se.beta * (v + 1.0) - 1.0))
 
 
 def singular_profile(
@@ -216,7 +187,7 @@ def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDia
     # The slope is an exponent as the gap closes, so the doubling walk's
     # far, pre-asymptotic points count little next to those at the fold.
     weight = 1.0 / np.sqrt(gaps)
-    table = tuple((pt.lam, pt.state.sup_u, pt.state.sup_v) for pt in pts)
+    table = tuple((pt.lam, *np.max(pt.state, axis=1).tolist()) for pt in pts)
     _, sup_u, sup_v = np.array(table).T
     slope_u = float(np.polyfit(log_gap, np.log(sup_u), 1, w=weight)[0])
     slope_v = float(np.polyfit(log_gap, np.log(sup_v), 1, w=weight)[0])

@@ -20,6 +20,12 @@ off-diagonals and its row sums (zero but at the Dirichlet row), which
 makes its solves accurate entry by entry.  The grid owns that factored
 operator (`RadialGrid.laplacian`), so every solver on one grid shares it,
 and its `jacobian` assembles J = -Lap - f' for both Newton solves.
+
+A state is a float array of shape (2, n) sampled on the n grid nodes,
+row 0 = u and row 1 = v; its sups are `state.max(axis=1)`.  Solver
+states are nonnegative with zero boundary values, which nothing enforces
+(rescaled restrictions legitimately violate both); `_as_state` checks the
+shape wherever a caller hands a state in.
 """
 
 from __future__ import annotations
@@ -100,31 +106,12 @@ class RadialGrid:
         return assemble_radial_laplacian(self)
 
 
-@dataclass
-class StatePair:
-    """Component fields (u, v) sampled on the grid nodes.
-
-    Solver-produced states are nonnegative with zero boundary values;
-    the container itself does not enforce that (rescaled restrictions
-    legitimately violate both).
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape or self.u.ndim != 1:
-            raise ConfigurationError("u and v must be 1-d arrays of equal length")
-
-    @property
-    def sup_u(self) -> float:
-        return float(np.max(self.u))
-
-    @property
-    def sup_v(self) -> float:
-        return float(np.max(self.v))
+def _as_state(state) -> np.ndarray:
+    """state as a float array of shape (2, n): row 0 is u, row 1 is v."""
+    state = np.asarray(state, dtype=float)
+    if state.ndim != 2 or state.shape[0] != 2:
+        raise ConfigurationError(f"a state must be a (2, n) array, got shape {state.shape}")
+    return state
 
 
 class RadialLaplacian:
@@ -227,14 +214,14 @@ def assemble_radial_laplacian(grid: RadialGrid) -> RadialLaplacian:
 class MonotoneResult:
     """Outcome of the monotone Newton iteration.
 
-    state is None only when the Newton correction of solve_minimal turned
-    negative or non-finite, which certifies that no representable solution
-    exists at this load.  Budget exhaustion is not an outcome: it raises
-    BudgetError.  iterations counts Newton iterations, the accepting one
-    included.
+    state is the (2, n) minimal solution.  It is None only when the Newton
+    correction of solve_minimal turned negative or non-finite, which
+    certifies that no representable solution exists at this load.  Budget
+    exhaustion is not an outcome: it raises BudgetError.  iterations
+    counts Newton iterations, the accepting one included.
     """
 
-    state: StatePair | None
+    state: np.ndarray | None
     iterations: int
 
     @property
@@ -258,11 +245,12 @@ def solve_minimal(
     grid: RadialGrid,
     *,
     tol: float = 1e-10,
-    seed: StatePair | None = None,
+    seed: np.ndarray | None = None,
 ) -> MonotoneResult:
     """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
-    Each iteration on the state w = (u, v), a (2, n) array, takes the
+    The state w = (u, v) is a (2, n) array: a copy of seed, or 0, at the
+    start, and returned itself on acceptance.  Each iteration takes the
     Picard step d = (-Lap)^{-1} F(w) - w, one two-column solve_dirichlet
     on the grid's factors, and then the Newton step delta, J delta =
     (-Lap) d, with J = (-Lap) - f' from `RadialLaplacian.jacobian` and f'
@@ -286,9 +274,9 @@ def solve_minimal(
     _check_load(lam, gam)
     op = grid.laplacian
     n = grid.m + 1
-    if seed is not None and seed.u.size != n:
+    w = np.zeros((2, n)) if seed is None else _as_state(np.array(seed, dtype=float))
+    if w.shape[1] != n:
         raise ConfigurationError("seed state does not match the grid")
-    w = np.zeros((2, n)) if seed is None else np.stack((seed.u, seed.v))
     p, theta = float(e.p), float(e.theta)
     for k in range(1, _NEWTON_BUDGET + 1):
         u, v = w
@@ -304,19 +292,20 @@ def solve_minimal(
         w = w + d
         # A tol below the roundoff of an n-point solve reads as that roundoff.
         if float(np.max(d)) < max(tol, n * _EPS * scale):
-            return MonotoneResult(StatePair(*w), k)
+            return MonotoneResult(w, k)
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
 def stability_mu1(
     e: ExponentPair,
-    state: StatePair,
+    state: np.ndarray,
     lam: float,
     gam: float,
     grid: RadialGrid,
 ) -> float:
     """Principal eigenvalue mu1 of -Lap(phi) = mu W phi, Dirichlet data.
 
+    With (u, v) the rows of the (2, n) state,
     W = sqrt(lam gam p theta (v+1)^(p-1) (u+1)^(theta-1)) is the
     geometric-mean linearized weight; mu1 >= 1 is the semi-stability
     inequality satisfied by minimal solutions.  On the nodes 0..M-1, mu1
@@ -329,7 +318,7 @@ def stability_mu1(
     _check_load(lam, gam)
     op = grid.laplacian
     p, theta = float(e.p), float(e.theta)
-    u, v = state.u[:-1], state.v[:-1]
+    u, v = _as_state(state)[:, :-1]
     w = np.sqrt(lam * gam * p * theta * (v + 1.0) ** (p - 1.0) * (u + 1.0) ** (theta - 1.0))
     diag = op._diag[:-1] / w
     off = -np.sqrt(op._upper[:-2] * op._lower[1:-1] / (w[:-1] * w[1:]))
@@ -362,18 +351,19 @@ class ContinuationConfig:
 class Trial:
     """One trial load (lam, gam) of continue_ray and what solve_minimal made of it.
 
-    state is the minimal solution there, with mu1 its stability_mu1, or
-    None when a negative Newton step certified that the load has no
-    solution.  chosen_by names what picked the load: "walk" (the geometric
-    search for the first load without a solution), "predictor" (the
-    certification loads around the Moore-Spence fold) or "bisection".
+    state is the (2, n) minimal solution there, with mu1 its
+    stability_mu1, or None when a negative Newton step certified that the
+    load has no solution.  chosen_by names what picked the load: "walk"
+    (the geometric search for the first load without a solution),
+    "predictor" (the certification loads around the Moore-Spence fold) or
+    "bisection".
     """
 
     lam: float
     gam: float
     iterations: int
     chosen_by: str
-    state: StatePair | None = None
+    state: np.ndarray | None = None
     mu1: float | None = None
 
     @property
@@ -427,7 +417,7 @@ def _fold_newton(
     e: ExponentPair,
     sigma: float,
     lam: float,
-    state: StatePair,
+    w: np.ndarray,
     grid: RadialGrid,
     tol: float,
 ) -> tuple[float | None, int]:
@@ -452,7 +442,6 @@ def _fold_newton(
     op = grid.laplacian
     expo = np.array([[float(e.p)], [float(e.theta)]])
     ray = np.array([[1.0], [sigma]])
-    w = np.stack((state.u, state.v))
 
     def linearize(w, lam):
         # f(w) = lam * f0, with f0 and its derivatives in the other
@@ -597,8 +586,7 @@ def continue_ray(
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     branch = Branch()
-    zero = np.zeros(grid.m + 1)
-    origin = (0.0, StatePair(zero, zero))
+    origin = (0.0, np.zeros((2, grid.m + 1)))
 
     def attempt(lam: float, chosen_by: str) -> bool:
         """Solve at lam and log the trial; True if solved."""
@@ -614,7 +602,7 @@ def continue_ray(
         seed = None
         if lam1 > 0.0:
             t = (lam - lam1) / (lam1 - lam0) if lam1 - lam0 > 4.0 * _EPS * lam1 else 0.0
-            seed = StatePair(w1.u + t * (w1.u - w0.u), w1.v + t * (w1.v - w0.v))
+            seed = w1 + t * (w1 - w0)
         gam = sigma * lam
         try:
             result = solve_minimal(e, lam, gam, grid, tol=config.tol, seed=seed)
@@ -622,8 +610,7 @@ def continue_ray(
             raise BudgetError(str(exc), partial=branch) from exc
         state, mu1 = result.state, None
         if state is not None:
-            slack = -1e-9 * max(1.0, state.sup_u, state.sup_v)
-            if float(np.min(state.u - w1.u)) < slack or float(np.min(state.v - w1.v)) < slack:
+            if float(np.min(state - w1)) < -1e-9 * max(1.0, float(np.max(state))):
                 raise NumericalError("branch states are not nondecreasing in lambda")
             mu1 = stability_mu1(e, state, lam, gam, grid)
         branch.trials.append(Trial(lam, gam, result.iterations, chosen_by, state, mu1))

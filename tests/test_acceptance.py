@@ -15,7 +15,6 @@ from exle import (
     ContinuationConfig,
     ExponentPair,
     RadialGrid,
-    StatePair,
     assemble_radial_laplacian,
     check_polynomial_identities,
     continue_ray,
@@ -160,10 +159,11 @@ def souplet_slack(state, grid, lam, gam, p, theta):
     kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
     alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
     h = grid.spacing
+    sup_u, sup_v = np.max(state, axis=1)
     return h * h * (
         1.0
-        + (state.sup_v + 1.0 + alpha) ** (p + 1.0)
-        + kappa * (state.sup_u + 1.0) ** (theta + 1.0)
+        + (sup_v + 1.0 + alpha) ** (p + 1.0)
+        + kappa * (sup_u + 1.0) ** (theta + 1.0)
     )
 
 
@@ -231,7 +231,7 @@ def test_criterion_8_energy_stabilizes(branch_256):
     running = []
     peak = -math.inf
     for pt in branch.points:
-        peak = max(peak, energy_report(PAIR22, pt.state, s, grid).energy_J2)
+        peak = max(peak, energy_report(PAIR22, pt.state, s, grid))
         running.append(peak)
     change = abs(running[-1] - running[-2]) / running[-2]
     ok = len(running) >= 2 and change < 0.05
@@ -255,22 +255,22 @@ def test_criterion_9_rescale_covariance(branch_256):
         sub = restrict_state(state, grid, r0)
         zoomed = rescale(PAIR22, sub, r0)
         sup_u_err = abs(
-            np.max(zoomed.u + 1.0) - r0**se.alpha * np.max(sub.u + 1.0)
-        ) / np.max(zoomed.u + 1.0)
+            np.max(zoomed[0] + 1.0) - r0**se.alpha * np.max(sub[0] + 1.0)
+        ) / np.max(zoomed[0] + 1.0)
         sup_v_err = abs(
-            np.max(zoomed.v + 1.0) - r0**se.beta * np.max(sub.v + 1.0)
-        ) / np.max(zoomed.v + 1.0)
-        inner = RadialGrid(grid.dim, grid.nodes[: sub.u.size] / r0)
+            np.max(zoomed[1] + 1.0) - r0**se.beta * np.max(sub[1] + 1.0)
+        ) / np.max(zoomed[1] + 1.0)
+        inner = RadialGrid(grid.dim, grid.nodes[: sub.shape[1]] / r0)
         op_fine = assemble_radial_laplacian(grid)
         op_zoom = assemble_radial_laplacian(inner)
-        k = sub.u.size - 1
+        k = sub.shape[1] - 1
         eps_fine = max(
-            np.abs((op_fine.apply(state.u) - lam * (state.v + 1.0) ** 2)[:k]).max(),
-            np.abs((op_fine.apply(state.v) - lam * (state.u + 1.0) ** 2)[:k]).max(),
+            np.abs((op_fine.apply(state[0]) - lam * (state[1] + 1.0) ** 2)[:k]).max(),
+            np.abs((op_fine.apply(state[1]) - lam * (state[0] + 1.0) ** 2)[:k]).max(),
         )
         eps_zoom = max(
-            np.abs((op_zoom.apply(zoomed.u) - lam * (zoomed.v + 1.0) ** 2)[:k]).max(),
-            np.abs((op_zoom.apply(zoomed.v) - lam * (zoomed.u + 1.0) ** 2)[:k]).max(),
+            np.abs((op_zoom.apply(zoomed[0]) - lam * (zoomed[1] + 1.0) ** 2)[:k]).max(),
+            np.abs((op_zoom.apply(zoomed[1]) - lam * (zoomed[0] + 1.0) ** 2)[:k]).max(),
         )
         ok = ok and sup_u_err < 1e-13 and sup_v_err < 1e-13 and eps_zoom <= 10.0 * eps_fine
         details.append(

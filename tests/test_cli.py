@@ -609,6 +609,16 @@ class TestContinue:
         assert not out.exists()
         assert not (tmp_path / "branch.summary.json").exists()
 
+    def test_tiny_sigma_computes_only_what_it_writes(self, tmp_path, capsys):
+        # An energy integral that no output read overflowed on this ray
+        # and warned; pytest turns each RuntimeWarning into an error.
+        out = tmp_path / "branch.csv"
+        argv = ["continue", "--p", "2", "--theta", "2", "--sigma", "1e-300", "--nodes", "64"]
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        assert err == ""
+        assert len(out.read_text().splitlines()) > 1
+
     def test_tol_is_picard_step_tolerance(self, tmp_path, capsys):
         sweeps = {}
         for tol in ("1e-6", "1e-10"):
@@ -718,7 +728,7 @@ def test_lazy_namespace_resolves_every_public_name():
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] 39 module 'exle' has no attribute 'no_such_name'\n"
+    assert proc.stdout == "[] 37 module 'exle' has no attribute 'no_such_name'\n"
 
 
 CLI_THREADS = (

@@ -20,10 +20,12 @@ from exle import (
     ExponentPair,
     NumericalError,
     RadialGrid,
-    StatePair,
     assemble_radial_laplacian,
     continue_ray,
+    rescale,
+    restrict_state,
     solve_minimal,
+    souplet_check,
     stability_mu1,
 )
 from exle import _cyclic, radial
@@ -84,15 +86,39 @@ class TestRadialGrid:
             RadialGrid(3, shuffled)
 
 
-class TestStatePair:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StatePair(np.zeros(5), np.zeros(6))
+class TestStateArray:
+    """A state is a (2, n) float array; every entry point checks the shape."""
 
-    def test_sup_and_copy(self):
-        s = StatePair(np.array([0.0, 2.0, 1.0]), np.array([0.5, 0.0, 0.25]))
-        assert s.sup_u == 2.0
-        assert s.sup_v == 0.5
+    ENTRY_POINTS = {
+        "solve_minimal": lambda w, g: solve_minimal(PAIR22, 0.5, 0.5, g, seed=w),
+        "stability_mu1": lambda w, g: stability_mu1(PAIR22, w, 0.5, 0.5, g),
+        "souplet_check": lambda w, g: souplet_check(PAIR22, w, 0.5, 0.5),
+        "restrict_state": lambda w, g: restrict_state(w, g, 0.5),
+        "rescale": lambda w, g: rescale(PAIR22, w, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_bad_shapes_rejected(self, name):
+        g = RadialGrid.uniform(3, 64)
+        for bad in (np.zeros(65), np.zeros((3, 65))):
+            with pytest.raises(ConfigurationError, match=r"\(2, n\) array"):
+                self.ENTRY_POINTS[name](bad, g)
+
+    def test_seed_off_the_grid_rejected(self):
+        g = RadialGrid.uniform(3, 64)
+        with pytest.raises(ConfigurationError, match="seed state does not match the grid"):
+            solve_minimal(PAIR22, 0.5, 0.5, g, seed=np.zeros((2, 66)))
+
+    def test_sups_are_row_maxima(self):
+        g = RadialGrid.uniform(3, 64)
+        seed = solve_minimal(PAIR22, 0.5, 0.5, g).state
+        state = solve_minimal(ExponentPair(2.0, 3.0), 0.5, 1.0, g, seed=seed).state
+        assert state.shape == (2, 65) and state.dtype == float
+        assert not np.shares_memory(state, seed)
+        # radial minimal solutions peak on the axis
+        sup_u, sup_v = np.max(state, axis=1)
+        assert (sup_u, sup_v) == (state[0, 0], state[1, 0])
+        assert sup_v > sup_u > 0.0
 
 
 def loop_assembly(grid):
@@ -206,14 +232,14 @@ class TestSolveMinimal:
         g = RadialGrid.uniform(3, 128)
         res = solve_minimal(PAIR22, 1e-6, 1e-6, g)
         assert res.converged
-        assert res.state.sup_u == pytest.approx(1e-6 / 6.0, rel=1e-2)
-        assert res.state.sup_v == pytest.approx(1e-6 / 6.0, rel=1e-2)
+        assert res.state[0].max() == pytest.approx(1e-6 / 6.0, rel=1e-2)
+        assert res.state[1].max() == pytest.approx(1e-6 / 6.0, rel=1e-2)
 
     def test_iterates_increase_to_fixed_point(self):
         g = RadialGrid.uniform(3, 64)
         res = solve_minimal(PAIR22, 1.0, 1.0, g)
         assert res.converged
-        u, v = res.state.u, res.state.v
+        u, v = res.state
         assert u.min() >= 0.0 and v.min() >= 0.0
         assert u[-1] == 0.0 and v[-1] == 0.0
         # fixed point: u = A^-1 lam (v+1)^p at solver tolerance
@@ -245,8 +271,8 @@ class TestSolveMinimal:
         fwd = solve_minimal(ExponentPair(2.0, 3.0), 0.7, 1.1, g)
         rev = solve_minimal(ExponentPair(3.0, 2.0), 1.1, 0.7, g)
         assert fwd.converged and rev.converged
-        assert np.abs(fwd.state.u - rev.state.v).max() < 1e-7
-        assert np.abs(fwd.state.v - rev.state.u).max() < 1e-7
+        assert np.abs(fwd.state[0] - rev.state[1]).max() < 1e-7
+        assert np.abs(fwd.state[1] - rev.state[0]).max() < 1e-7
 
     def test_warm_start_reaches_same_solution(self):
         g = RadialGrid.uniform(3, 64)
@@ -255,7 +281,7 @@ class TestSolveMinimal:
         warm = solve_minimal(PAIR22, 1.5, 1.5, g, seed=lower.state)
         assert warm.converged
         assert warm.iterations <= cold.iterations
-        assert np.abs(warm.state.u - cold.state.u).max() < 1e-8
+        assert np.abs(warm.state[0] - cold.state[0]).max() < 1e-8
 
     def test_overflowing_step_past_fold_certifies(self):
         # Seeded from the solution at a = 2.468662109375 on the singular ray,
@@ -279,7 +305,7 @@ class TestSolveMinimal:
         res = solve_minimal(PAIR22, 2.3, 2.3, g, tol=1e-300)
         ref = solve_minimal(PAIR22, 2.3, 2.3, g, tol=1e-10)
         assert res.converged
-        assert np.abs(res.state.u - ref.state.u).max() < 1e-9
+        assert np.abs(res.state[0] - ref.state[0]).max() < 1e-9
 
 
 class TestStabilityMu1:
@@ -295,7 +321,7 @@ class TestStabilityMu1:
             op = g.laplacian
             res = solve_minimal(pair, lam, gam, g)
             mu = stability_mu1(pair, res.state, lam, gam, g)
-            u, v = res.state.u, res.state.v
+            u, v = res.state
             w = np.sqrt(
                 lam * gam * pair.p * pair.theta
                 * (v + 1.0) ** (pair.p - 1.0) * (u + 1.0) ** (pair.theta - 1.0)
@@ -349,7 +375,7 @@ class TestContinuation:
         assert len(branch.points) >= 3
         lams = [pt.lam for pt in branch.points]
         assert all(b > a for a, b in zip(lams, lams[1:]))
-        sups = [pt.state.sup_u for pt in branch.points]
+        sups = [pt.state[0].max() for pt in branch.points]
         assert all(b >= a for a, b in zip(sups, sups[1:]))
         assert branch.lambda_hi is not None
         assert branch.lambda_lo == pytest.approx(lams[-1])
@@ -457,7 +483,7 @@ class TestContinuation:
         size = np.abs(op.to_dense())
         eps = np.finfo(float).eps
         for lam, gam, z in seeds:
-            for w, f in ((z.u, lam * (z.v + 1.0) ** pair.p), (z.v, gam * (z.u + 1.0) ** pair.theta)):
+            for w, f in ((z[0], lam * (z[1] + 1.0) ** pair.p), (z[1], gam * (z[0] + 1.0) ** pair.theta)):
                 excess = (op.apply(w) - f)[:-1]
                 roundoff = 64.0 * eps * (size @ np.abs(w) + f)[:-1]
                 assert np.all(excess <= roundoff), (lam, float(np.max(excess / roundoff)))
@@ -596,7 +622,7 @@ def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol
     points = branch.points
     assert all(a.lam < b.lam for a, b in zip(points, points[1:]))
     for a, b in zip(points, points[1:]):
-        assert np.all(b.state.u >= a.state.u) and np.all(b.state.v >= a.state.v)
+        assert np.all(b.state >= a.state)
     assert branch.lambda_lo == (points[-1].lam if points else None)
     failed = [t.lam for t in branch.trials if not t.converged]
     assert branch.lambda_hi == (min(failed) if failed else None)
@@ -697,8 +723,8 @@ class TestTorsionLoad:
         res = solve_minimal(e, lam, sigma * lam, grid)
         assert res.converged
         slack = 1e-9 * max(t, s)
-        assert np.all(res.state.u <= t * psi / big_m + slack)
-        assert np.all(res.state.v <= s * psi / big_m + slack)
+        assert np.all(res.state[0] <= t * psi / big_m + slack)
+        assert np.all(res.state[1] <= s * psi / big_m + slack)
 
 def grid_of(dim, m, kind):
     if kind == "uniform":
@@ -716,8 +742,8 @@ def dense_jacobian(op, fu, fv):
 
 
 def coupling(pair, lam, gam, state):
-    fu = lam * pair.p * (state.v + 1.0) ** (pair.p - 1.0)
-    fv = gam * pair.theta * (state.u + 1.0) ** (pair.theta - 1.0)
+    fu = lam * pair.p * (state[1] + 1.0) ** (pair.p - 1.0)
+    fv = gam * pair.theta * (state[0] + 1.0) ** (pair.theta - 1.0)
     return fu, fv
 
 
@@ -868,7 +894,7 @@ class TestCyclicReduction:
         pt = continue_ray(PAIR22, 1.0, g).points[-1]
         mu = stability_mu1(PAIR22, pt.state, pt.lam, pt.gam, g)
         a = op.to_dense()[:-1, :-1]
-        u, v = pt.state.u[:-1], pt.state.v[:-1]
+        u, v = pt.state[:, :-1]
         w = np.sqrt(pt.lam * pt.gam * 4.0 * (v + 1.0) * (u + 1.0))
         off = -np.sqrt(np.diag(a, 1) * np.diag(a, -1) / (w[:-1] * w[1:]))
         sym = np.diag(np.diag(a) / w) + np.diag(off, 1) + np.diag(off, -1)
