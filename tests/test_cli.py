@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -267,6 +268,37 @@ class TestThresholds:
         code, _, _ = run(["thresholds", "--grid", "1.1:3:0.1", "--out", str(blocks)], capsys)
         assert code == 0
         assert blocks.read_bytes() == whole.read_bytes()
+        code, out, _ = run(["thresholds", "--grid", "1.1:3:0.1"], capsys)
+        assert code == 0
+        assert out.encode() == whole.read_bytes()
+
+    def test_failing_last_block_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # 4 grid values, 10 pairs, blocks of 3: only the last pair,
+        # (3e17, 3e17), has a smaller exponent past 2^58.
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 3)
+        out = tmp_path / "t.csv"
+        for dest in (["--out", str(out)], []):
+            code, stdout, err = run(["thresholds", "--grid", "1.5:3e17:1e17", *dest], capsys)
+            assert code == 2
+            assert "the smaller exponent must not exceed 2.8823e+17, got (3e+17, 3e+17)" in err
+            assert stdout == ""
+        assert not out.exists()
+
+    def test_table_text_is_never_held_whole(self, tmp_path, capsys):
+        # The traced peak may grow by less than 100 B per pair; the whole
+        # table text is about 100 B per pair on its own.
+        peaks = []
+        for grid in ("1.1:10:0.1", "1.1:30:0.1"):  # 4095 and 42195 pairs
+            tracemalloc.start()
+            try:
+                code, _, _ = run(
+                    ["thresholds", "--grid", grid, "--out", str(tmp_path / "t.csv")], capsys
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert (peaks[1] - peaks[0]) / (42195 - 4095) < 100
 
     def test_bad_grid_exits_2(self, capsys):
         for bad in ("1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5", "1:inf:1", "1.5:2:inf", "nan:2:0.1"):

@@ -1,4 +1,5 @@
-"""threshold_rows, the one root path, against exact rational arithmetic."""
+"""threshold_rows, the one root path, against exact rational arithmetic,
+and its in-place root sweep against the plain array expressions."""
 
 import math
 import sys
@@ -80,6 +81,109 @@ def test_rows_bracket_the_exact_root(rows, tol, swap):
     flipped = threshold_rows([b for _, b in rows], [a for a, _ in rows], tol)
     for name in FIELDS:
         assert hexes(getattr(got, name)) == hexes(getattr(flipped, name)), name
+
+
+def _reference_quartic(s, c2, c1, c0):
+    ss = s * s
+    return (ss - c2) * ss + c1 * s - c0
+
+
+def reference_largest_roots(c2, c1, c0, tol):
+    """The root sweep as plain array expressions, a new array at every step.
+
+    The loop of thresholds._largest_roots before it updated its arrays in
+    place, copied verbatim; np.float_power stands for _float_pow on arrays.
+    """
+    _quartic, _float_pow, _BRACKET_CAP = _reference_quartic, np.float_power, 2.0 ** 60
+    s0 = np.full(c2.size, np.nan)
+    failed: dict[int, str] = {}
+
+    f_lo = (4.0 - c2) * 4.0 + c1 * 2.0 - c0
+    negative_at_2 = f_lo < 0
+    for row in np.flatnonzero(~negative_at_2).tolist():
+        failed[row] = f"expected L(2) < 0, got {float(f_lo[row])}"
+    hi = np.full(c2.size, 4.0)
+    grow = np.flatnonzero(negative_at_2 & (_quartic(hi, c2, c1, c0) <= 0.0))
+    while grow.size:
+        hi[grow] *= 2.0
+        over = hi[grow] > _BRACKET_CAP
+        for row in grow[over].tolist():
+            failed[row] = "no sign change of the energy quartic below 2^60"
+        grow = grow[~over]
+        grow = grow[_quartic(hi[grow], c2[grow], c1[grow], c0[grow]) <= 0.0]
+
+    idx = np.flatnonzero(negative_at_2)
+    if failed:
+        idx = idx[~np.isin(idx, list(failed))]
+    lo = np.full(idx.size, 2.0)
+    hi, c2, c1, c0 = hi[idx], c2[idx], c1[idx], c0[idx]
+    for _ in range(500):
+        width = hi - lo
+        x = 0.5 * (lo + hi)
+        done = (width <= tol) | (x == lo) | (x == hi)
+        if done.any():
+            s0[idx[done]] = x[done]
+            keep = ~done
+            idx, lo, hi, width, x = idx[keep], lo[keep], hi[keep], width[keep], x[keep]
+            c2, c1, c0 = c2[keep], c1[keep], c0[keep]
+        if not idx.size:
+            break
+        # Newton from the midpoint, kept only inside the bracket (a zero d
+        # gives inf or nan, which fails the test).
+        fx = _quartic(x, c2, c1, c0)
+        d = 4.0 * _float_pow(x, 3) - 2.0 * c2 * x + c1
+        x_newton = x - fx / d
+        x = np.where((lo < x_newton) & (x_newton < hi), x_newton, x)
+        below = _quartic(x, c2, c1, c0) < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        # Force at least a halving per sweep so progress is geometric
+        # even when Newton keeps landing next to one endpoint.
+        halve = hi - lo > 0.5 * width
+        mid = 0.5 * (lo + hi)
+        below = _quartic(mid, c2, c1, c0) < 0.0
+        lo = np.where(halve & below, mid, lo)
+        hi = np.where(halve & ~below, mid, hi)
+    else:
+        for row in idx.tolist():
+            failed[row] = "root refinement did not reach the requested width"
+    if failed:
+        row = min(failed)
+        return s0, (row, failed[row])
+    return s0, None
+
+
+# Pairs at the edges of the domain, and (1e18, 1e18) past it, whose root
+# lies beyond the bracket cap.  In the order (theta, p) the coefficients
+# are not the energy quartic's, and many rows fail at L(2) < 0 instead.
+EDGE_PAIRS = (
+    (2.0**58, 2.0**58),
+    (2.0**58, 1e154),
+    (1.0, 2.0**58),
+    (1.5, math.sqrt(sys.float_info.max)),
+    (10000.0, 10000.0),
+    (2.0, 3.0),
+    (1.0, 7.5),
+    (1e18, 1e18),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(pairs() | st.sampled_from(EDGE_PAIRS), min_size=1, max_size=24),
+    tol=st.sampled_from(TOLS),
+    swap=st.booleans(),
+)
+def test_in_place_sweep_matches_the_array_expressions_bit_for_bit(rows, tol, swap):
+    p, theta = (np.array(column) for column in zip(*rows))
+    if swap:
+        p, theta = theta, p
+    with np.errstate(all="ignore"):
+        coeffs = thresholds._energy_coeffs(p, theta)
+        want, want_failure = reference_largest_roots(*coeffs, tol)
+        got, got_failure = thresholds._largest_roots(*coeffs, tol)
+    assert hexes(got) == hexes(want)
+    assert got_failure == want_failure
 
 
 def test_width_below_roundoff_counts_as_roundoff():
