@@ -34,9 +34,9 @@ _SUBMODULES = {
     "radial": (
         "Branch",
         "ContinuationConfig",
-        "MonotoneResult",
         "RadialGrid",
         "RadialLaplacian",
+        "Trial",
         "assemble_radial_laplacian",
         "continue_ray",
         "solve_minimal",

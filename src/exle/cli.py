@@ -81,7 +81,7 @@ _OPTIONS = {
         _THETA,
         ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
         ("dim", int, 3, "space dimension N"),
-        ("nodes", int, 256, "radial grid nodes"),
+        ("nodes", int, 256, "grid intervals m (m + 1 nodes)"),
         ("tol", float, 1e-12, "Newton correction tolerance"),
         ("bracket_tol", float, ContinuationConfig.bracket_tol, "relative width of the fold bracket"),
         ("s", float, None, "energy integrability exponent"),
@@ -178,7 +178,7 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
 
 
 def _pair_from(cfg: dict) -> ExponentPair:
-    pair = ExponentPair(float(cfg["p"]), float(cfg["theta"]))
+    pair = ExponentPair(cfg["p"], cfg["theta"])
     if pair.p > pair.theta:
         lo, hi = pair.canonical()
         print(

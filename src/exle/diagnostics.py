@@ -62,8 +62,8 @@ def _orient(
     """Return (p, theta, u, v, lam, gam) in canonical order p <= theta."""
     u, v = radial._as_state(state)
     if e.p <= e.theta:
-        return float(e.p), float(e.theta), u, v, lam, gam
-    return float(e.theta), float(e.p), v, u, gam, lam
+        return e.p, e.theta, u, v, lam, gam
+    return e.theta, e.p, v, u, gam, lam
 
 
 def souplet_check(e: ExponentPair, state: np.ndarray, lam: float, gam: float) -> float:
@@ -155,7 +155,7 @@ def singular_profile(
         )
     a = se.alpha * (dim - 2.0 - se.alpha)
     b = se.beta * (dim - 2.0 - se.beta)
-    p, theta = float(e.p), float(e.theta)
+    p, theta = e.p, e.theta
     log2_b_amp = (
         theta * math.log2(a) + math.log2(b) - math.log2(gam) - theta * math.log2(lam)
     ) / (p * theta - 1.0)

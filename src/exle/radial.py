@@ -8,7 +8,9 @@ along a ray gamma = sigma * lambda up to the fold, in three phases: a
 doubling walk from a load that the torsion function certifies to have a
 solution to the first load without one, a Moore-Spence Newton solve for
 the fold that places three certification loads, and bisection of whatever
-bracket those leave too wide.
+bracket those leave too wide.  Each nonlinear solve makes one `Trial`:
+`solve_minimal` returns it, and `continue_ray` logs it with what picked
+the load and its mu1.
 
 Every linear system here is a tridiagonal M-matrix (-Lap, and -Lap
 shifted for mu1) or, while a solution exists, a 2x2-block tridiagonal
@@ -33,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .errors import (
     DomainError,
     NumericalError,
 )
-from .thresholds import ExponentPair
+from .thresholds import ExponentPair, _check_dim
 
 _MIN_INTERVALS = 16
 # Newton iterations per nonlinear solve.  Most loads take at most about 15,
@@ -70,10 +72,8 @@ class RadialGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or isinstance(self.dim, bool):
-            raise ConfigurationError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
+        _check_dim(self.dim)
+        object.__setattr__(self, "dim", int(self.dim))
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < _MIN_INTERVALS + 1:
@@ -89,7 +89,7 @@ class RadialGrid:
     def uniform(cls, dim: int, m: int) -> "RadialGrid":
         if not isinstance(m, (int, np.integer)) or m < _MIN_INTERVALS:
             raise ConfigurationError(f"m must be an integer >= {_MIN_INTERVALS}, got {m}")
-        return cls(dim=int(dim), nodes=np.linspace(0.0, 1.0, int(m) + 1))
+        return cls(dim=dim, nodes=np.linspace(0.0, 1.0, int(m) + 1))
 
     @property
     def m(self) -> int:
@@ -210,19 +210,27 @@ def assemble_radial_laplacian(grid: RadialGrid) -> RadialLaplacian:
     return RadialLaplacian(grid)
 
 
-@dataclass
-class MonotoneResult:
-    """Outcome of the monotone Newton iteration.
+@dataclass(frozen=True)
+class Trial:
+    """One nonlinear solve: what solve_minimal returns and continue_ray logs.
 
-    state is the (2, n) minimal solution.  It is None only when the Newton
-    correction of solve_minimal turned negative or non-finite, which
-    certifies that no representable solution exists at this load.  Budget
-    exhaustion is not an outcome: it raises BudgetError.  iterations
-    counts Newton iterations, the accepting one included.
+    state is the (2, n) minimal solution at the load (lam, gam), or None
+    when the Newton correction of solve_minimal turned negative or
+    non-finite, which certifies that no representable solution exists
+    there.  Budget exhaustion is not an outcome: it raises BudgetError.
+    iterations counts Newton iterations, the accepting one included.
+    continue_ray sets the fields solve_minimal leaves None: chosen_by names
+    what picked the load, "walk" (the geometric search for the first load
+    without a solution), "predictor" (the certification loads around the
+    Moore-Spence fold) or "bisection", and mu1 is the state's stability_mu1.
     """
 
-    state: np.ndarray | None
+    lam: float
+    gam: float
     iterations: int
+    chosen_by: str | None = None
+    state: np.ndarray | None = None
+    mu1: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -246,14 +254,14 @@ def solve_minimal(
     *,
     tol: float = 1e-10,
     seed: np.ndarray | None = None,
-) -> MonotoneResult:
+) -> Trial:
     """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
     The state w = (u, v) is a (2, n) array: a copy of seed, or 0, at the
-    start, and returned itself on acceptance.  Each iteration takes the
-    Picard step d = (-Lap)^{-1} F(w) - w, one two-column solve_dirichlet
-    on the grid's factors, and then the Newton step delta, J delta =
-    (-Lap) d, with J = (-Lap) - f' from `RadialLaplacian.jacobian` and f'
+    start, and on acceptance the returned Trial's state, w itself.  Each
+    iteration takes the Picard step d = (-Lap)^{-1} F(w) - w, one
+    two-column solve_dirichlet on the grid's factors, and then the Newton
+    step delta, J delta = (-Lap) d, with J = (-Lap) - f' from `RadialLaplacian.jacobian` and f'
     the coupling lam p (v+1)^(p-1), gam theta (u+1)^(theta-1).  It is
     formed as delta = d + e with J e = f' max(d[::-1], 0), so the Laplacian
     is never applied to d.  A state is accepted once max delta < tol (never
@@ -262,7 +270,7 @@ def solve_minimal(
     system stay subsolutions below every solution, so d >= 0 (asserted)
     and, while a solution exists, J is an M-matrix and e >= 0: a negative
     or non-finite e certifies that this load has no (representable)
-    solution.
+    solution, and the Trial returned has no state.
 
     J e is solved by 2x2-block cyclic reduction on the blocks (u_i, v_i),
     without pivoting: while J is an M-matrix every block pivot is one too,
@@ -277,7 +285,7 @@ def solve_minimal(
     w = np.zeros((2, n)) if seed is None else _as_state(np.array(seed, dtype=float))
     if w.shape[1] != n:
         raise ConfigurationError("seed state does not match the grid")
-    p, theta = float(e.p), float(e.theta)
+    p, theta = e.p, e.theta
     for k in range(1, _NEWTON_BUDGET + 1):
         u, v = w
         d = op.solve_dirichlet(np.stack((lam * (v + 1.0) ** p, gam * (u + 1.0) ** theta))) - w
@@ -287,12 +295,12 @@ def solve_minimal(
         coupling = np.stack((lam * p * (v + 1.0) ** (p - 1.0), gam * theta * (u + 1.0) ** (theta - 1.0)))
         corr = solve_block_tridiagonal(*op.jacobian(coupling), coupling * np.maximum(d[::-1], 0.0))
         if not float(np.min(corr)) >= 0.0:
-            return MonotoneResult(None, k)
+            return Trial(lam, gam, k)
         d += corr
         w = w + d
         # A tol below the roundoff of an n-point solve reads as that roundoff.
         if float(np.max(d)) < max(tol, n * _EPS * scale):
-            return MonotoneResult(w, k)
+            return Trial(lam, gam, k, state=w)
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
@@ -317,7 +325,7 @@ def stability_mu1(
     """
     _check_load(lam, gam)
     op = grid.laplacian
-    p, theta = float(e.p), float(e.theta)
+    p, theta = e.p, e.theta
     u, v = _as_state(state)[:, :-1]
     w = np.sqrt(lam * gam * p * theta * (v + 1.0) ** (p - 1.0) * (u + 1.0) ** (theta - 1.0))
     diag = op._diag[:-1] / w
@@ -345,30 +353,6 @@ class ContinuationConfig:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.tol > 0):
             raise ConfigurationError(f"tol must be positive, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class Trial:
-    """One trial load (lam, gam) of continue_ray and what solve_minimal made of it.
-
-    state is the (2, n) minimal solution there, with mu1 its
-    stability_mu1, or None when a negative Newton step certified that the
-    load has no solution.  chosen_by names what picked the load: "walk"
-    (the geometric search for the first load without a solution),
-    "predictor" (the certification loads around the Moore-Spence fold) or
-    "bisection".
-    """
-
-    lam: float
-    gam: float
-    iterations: int
-    chosen_by: str
-    state: np.ndarray | None = None
-    mu1: float | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.state is not None
 
 
 @dataclass
@@ -440,7 +424,7 @@ def _fold_newton(
     places trial loads with the result.
     """
     op = grid.laplacian
-    expo = np.array([[float(e.p)], [float(e.theta)]])
+    expo = np.array([[e.p], [e.theta]])
     ray = np.array([[1.0], [sigma]])
 
     def linearize(w, lam):
@@ -509,7 +493,7 @@ def _torsion_load(e: ExponentPair, sigma: float, grid: RadialGrid) -> float:
     and X = (p-1)^(p-1) / p^p.
     """
     psi = grid.laplacian.solve_dirichlet(np.ones(grid.m + 1))
-    p, theta = float(e.p), float(e.theta)
+    p, theta = e.p, e.theta
     ell = math.log(p) + math.log(theta)
     log_sigma = math.log(sigma)
 
@@ -603,18 +587,17 @@ def continue_ray(
         if lam1 > 0.0:
             t = (lam - lam1) / (lam1 - lam0) if lam1 - lam0 > 4.0 * _EPS * lam1 else 0.0
             seed = w1 + t * (w1 - w0)
-        gam = sigma * lam
         try:
-            result = solve_minimal(e, lam, gam, grid, tol=config.tol, seed=seed)
+            trial = solve_minimal(e, lam, sigma * lam, grid, tol=config.tol, seed=seed)
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
-        state, mu1 = result.state, None
+        state, mu1 = trial.state, None
         if state is not None:
             if float(np.min(state - w1)) < -1e-9 * max(1.0, float(np.max(state))):
                 raise NumericalError("branch states are not nondecreasing in lambda")
-            mu1 = stability_mu1(e, state, lam, gam, grid)
-        branch.trials.append(Trial(lam, gam, result.iterations, chosen_by, state, mu1))
-        return state is not None
+            mu1 = stability_mu1(e, state, lam, trial.gam, grid)
+        branch.trials.append(replace(trial, chosen_by=chosen_by, mu1=mu1))
+        return trial.converged
 
     def done() -> bool:
         lo, hi = branch.lambda_lo, branch.lambda_hi

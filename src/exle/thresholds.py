@@ -44,6 +44,7 @@ order, so every root is the same to the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -67,16 +68,21 @@ class ExponentPair:
 
     The pair is stored in the user's order; use canonical() where the
     asymmetric formulas require p <= theta.  p = theta = 1 is rejected
-    because p*theta = 1 degenerates every formula in this module.
+    because p*theta = 1 degenerates every formula in this module.  Any
+    real number but a bool is accepted (numpy scalars too) and stored as
+    a Python float, so no caller casts the fields again.
     """
 
     p: float
     theta: float
 
     def __post_init__(self):
-        for name, value in (("p", self.p), ("theta", self.theta)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+        for name in ("p", "theta"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
                 raise DomainError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.p < 1 or self.theta < 1:
             raise DomainError(
                 f"exponents must satisfy p >= 1 and theta >= 1, got ({self.p}, {self.theta})"
@@ -95,7 +101,7 @@ class ExponentPair:
 
     def canonical(self) -> tuple[float, float]:
         """Return (p, theta) with p <= theta."""
-        p, theta = float(self.p), float(self.theta)
+        p, theta = self.p, self.theta
         return (p, theta) if p <= theta else (theta, p)
 
     @property

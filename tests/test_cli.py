@@ -91,11 +91,12 @@ PARTIAL_PINS = (
 # torsion load.
 FALLBACK_CSV_SHA256 = "bb6d9cd09a62b7b5325b86a806b2fc69567174358607ee8dbf0f106b1e68e0d0"
 # sha256 of `exle <command> --help` at 80 columns (Python 3.11's argparse),
-# taken while the required flags were still checked outside the table.
+# taken while the required flags were still checked outside the table;
+# `continue` re-pinned when the --nodes help came to name the interval count.
 HELP_SHA256 = {
     "roots": "34afabe201617c3ff5fd60f3ccfa03e601d1667d67504ebaebac2f3bd1531de9",
     "thresholds": "14587a089fcdf62ae4dd5243bc023fcb4c5379fc5e850a041f233f734c237bc5",
-    "continue": "2916133f6738b35730bc41838cfb328b61417875eab69bc7d6e4d38c05091c5e",
+    "continue": "9063d5cf38314fe9932b841d75a5bca118db2d39b5f9effed5a43833f871fb2f",
     "verify": "a941c277f2ea10f7be8f661669a869321e2a92a5d143fd58a4fb5f496617a188",
     "partial": "d736111afce9443574e5871bd85b4ee23102c537659f7a3ad5328ac47e4a8926",
 }

@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import exle
 from exle import (
     Branch,
     BudgetError,
@@ -69,10 +70,17 @@ class TestRadialGrid:
             RadialGrid.uniform(3, 8)
 
     def test_bad_dim_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             RadialGrid.uniform(0, 64)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             RadialGrid(2.5, np.linspace(0.0, 1.0, 65))
+
+    def test_uniform_checks_dim_before_casting(self):
+        for bad in (2.5, True):
+            with pytest.raises(DomainError, match="dim must be an integer"):
+                RadialGrid.uniform(bad, 64)
+        g = RadialGrid.uniform(np.int64(3), 64)
+        assert type(g.dim) is int and g.dim == 3
 
     def test_bad_nodes_rejected(self):
         nodes = np.linspace(0.0, 1.0, 65)
@@ -247,6 +255,19 @@ class TestSolveMinimal:
         forced = op.solve_dirichlet(1.0 * (v + 1.0) ** 2)
         assert np.abs(forced - u).max() < 1e-8
 
+    @pytest.mark.parametrize("lam, converged, iterations", [(1.0, True, 4), (5.0, False, 2)])
+    def test_returns_the_trial_record(self, lam, converged, iterations):
+        g = RadialGrid.uniform(3, 64)
+        trial = solve_minimal(PAIR22, lam, 0.5 * lam, g)
+        assert isinstance(trial, radial.Trial)
+        assert (trial.lam, trial.gam) == (lam, 0.5 * lam)
+        assert trial.chosen_by is None and trial.mu1 is None
+        assert (trial.converged, trial.iterations) == (converged, iterations)
+
+    def test_trial_is_exported(self):
+        assert exle.Trial is radial.Trial
+        assert "Trial" in exle.__all__ and "MonotoneResult" not in exle.__all__
+
     def test_divergence_past_fold(self):
         g = RadialGrid.uniform(3, 64)
         res = solve_minimal(PAIR22, 5.0, 5.0, g)
@@ -388,6 +409,25 @@ class TestContinuation:
         assert all(b <= a + 1e-8 for a, b in zip(mus, mus[1:]))
         for pt in branch.points:
             assert pt.gam == pytest.approx(pt.lam)
+
+    def test_logs_the_records_solve_minimal_returns(self, monkeypatch):
+        returned = []
+        solve = radial.solve_minimal
+
+        def recording(*args, **kwargs):
+            returned.append(solve(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(radial, "solve_minimal", recording)
+        branch = continue_ray(PAIR22, 1.5, RadialGrid.uniform(3, 64))
+        assert len(branch.trials) == len(returned) >= 4
+        for logged, record in zip(branch.trials, returned):
+            assert (logged.lam, logged.gam, logged.iterations) == (
+                record.lam, record.gam, record.iterations
+            )
+            assert logged.state is record.state
+            assert logged.chosen_by in ("walk", "predictor", "bisection")
+            assert (logged.mu1 is None) == (logged.state is None)
 
     def test_sigma_scales_the_ray(self):
         g = RadialGrid.uniform(3, 64)

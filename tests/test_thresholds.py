@@ -62,6 +62,27 @@ class TestExponentPair:
             with pytest.raises(DomainError):
                 ExponentPair(2.0, bad)
 
+    def test_bool_rejected(self):
+        for bad in (True, False):
+            with pytest.raises(DomainError, match="must be a finite number"):
+                ExponentPair(bad, 3.0)
+            with pytest.raises(DomainError, match="must be a finite number"):
+                ExponentPair(3.0, bad)
+
+    @pytest.mark.parametrize(
+        "p, theta, expected",
+        [
+            (np.int64(2), 3, (2.0, 3.0)),
+            (np.float32(2.5), np.int32(3), (2.5, 3.0)),
+            (2, np.float64(3.0), (2.0, 3.0)),
+        ],
+    )
+    def test_real_numbers_stored_as_floats(self, p, theta, expected):
+        pair = ExponentPair(p, theta)
+        assert (pair.p, pair.theta) == expected
+        assert type(pair.p) is float and type(pair.theta) is float
+        assert threshold_report(pair) == threshold_report(ExponentPair(*expected))
+
     def test_canonical_and_symmetry(self):
         assert ExponentPair(3.0, 2.0).canonical() == (2.0, 3.0)
         assert ExponentPair(2.0, 3.0).canonical() == (2.0, 3.0)
