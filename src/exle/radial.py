@@ -290,8 +290,12 @@ def solve_minimal(
         u, v = w
         d = op.solve_dirichlet(np.stack((lam * (v + 1.0) ** p, gam * (u + 1.0) ** theta))) - w
         scale = max(1.0, float(np.max(w + d)))
-        if float(np.min(d)) < -1e-9 * scale:
-            raise NumericalError("monotone iteration decreased; seed not a subsolution?")
+        d_min, floor = float(np.min(d)), -1e-9 * scale
+        if d_min < floor:
+            raise NumericalError(
+                f"monotone iteration decreased at lam={lam:.12g}, Newton iteration {k}: "
+                f"min d = {d_min:.3g} below its floor {floor:.3g}"
+            )
         coupling = np.stack((lam * p * (v + 1.0) ** (p - 1.0), gam * theta * (u + 1.0) ** (theta - 1.0)))
         corr = solve_block_tridiagonal(*op.jacobian(coupling), coupling * np.maximum(d[::-1], 0.0))
         if not float(np.min(corr)) >= 0.0:

@@ -54,6 +54,7 @@ from .errors import DomainError, NumericalError
 
 _BRACKET_CAP = 2.0 ** 60
 _IDENTITY_TOL = 1e-9  # bound on each normalized identity residual
+_SIGN_GUARD = 1e-6  # the equivalence scan skips s with |L(s)| at most this
 # The largest exponent whose (exponent + 1)^2, a factor of the energy
 # coefficients, is a finite float.
 _EXPONENT_MAX = math.sqrt(sys.float_info.max)
@@ -80,7 +81,11 @@ class ExponentPair:
         for name in ("p", "theta"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
+            try:
+                finite = real and math.isfinite(value)
+            except OverflowError:  # an int beyond the float range reads as inf
+                finite, value = False, math.inf if value > 0 else -math.inf
+            if not finite:
                 raise DomainError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.p < 1 or self.theta < 1:
@@ -143,7 +148,7 @@ def _failure_rank(residual: float) -> tuple[bool, float]:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Residuals (relative to the largest monomial) and sign checks.
+    """Residuals (relative to the largest monomial), sign checks and the scans.
 
     residuals keys:
       rescale          -- H(k*s) - k^4 * L(s) over sampled s
@@ -155,20 +160,33 @@ class IdentityReport:
       negative_at_2, negative_at_p_plus_1, negative_at_mid,
       mid_below_root   -- L(2) < 0, L(p+1) < 0, L(m) < 0 and m < s0
                           for the interior point m = 2*theta*(p+1)/(theta+1)
+    scan is (disagreements, scanned) over sampled s, counting where
+    stability_product - 1 and L(s) share a sign; scaling is the residual of
+    the exact identities beta*p = alpha + 2 and alpha*theta = beta + 2.
     """
 
     s0: float
     residuals: dict
     signs: dict
+    scan: tuple[int, int]
+    scaling: float
 
     def worst_residual(self) -> tuple[str, float]:
         name = max(self.residuals, key=lambda k: _failure_rank(self.residuals[k]))
         return name, self.residuals[name]
 
+    def failures(self, tol: float = _IDENTITY_TOL) -> list[tuple[str, float]]:
+        """Every failed check as (name, weight), heaviest first: a residual weighs
+        its value, a sign inf, the scan its disagreements, nan most; ties keep order."""
+        checks = [(name, r, r <= tol) for name, r in self.residuals.items()]
+        checks += [(name, math.inf, ok) for name, ok in self.signs.items()]
+        checks.append(("equivalence_scan", float(self.scan[0]), self.scan[0] == 0))
+        checks.append(("scaling_identity", self.scaling, self.scaling <= tol))
+        failed = [(name, weight) for name, weight, passed in checks if not passed]
+        return sorted(failed, key=lambda check: _failure_rank(check[1]), reverse=True)
+
     def ok(self, tol: float = _IDENTITY_TOL) -> bool:
-        return all(r <= tol for r in self.residuals.values()) and all(
-            self.signs.values()
-        )
+        return not self.failures(tol)
 
 
 def _float_pow(x, n: int):
@@ -485,8 +503,8 @@ def check_polynomial_identities(
 
     Residuals are normalized by the largest monomial magnitude at the
     evaluation point, so the pass threshold is scale-free.  Sample
-    points are drawn uniformly from [0, 2*s0] with a seeded generator;
-    identical inputs give identical reports.
+    points from [0, 2*s0] and the sign scan's from (p+1+1e-6, 1.5*s0) are
+    each drawn by default_rng(seed), so identical inputs give identical reports.
     """
     if sample_count < 1:
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
@@ -533,4 +551,15 @@ def check_polynomial_identities(
         "negative_at_mid": eval_L(canon, mid) < 0.0,
         "mid_below_root": mid < s0,
     }
-    return IdentityReport(s0=s0, residuals=residuals, signs=signs)
+    # The sign of stability_product - 1 must oppose that of L(s) wherever
+    # |L(s)| is above the guard (a nan L(s) is scanned).
+    s_scan = np.random.default_rng(seed).uniform(p + 1.0 + 1e-6, 1.5 * s0, size=sample_count)
+    l_scan = eval_L(canon, s_scan)
+    scanned = ~(np.abs(l_scan) <= _SIGN_GUARD)
+    above = stability_product(canon, s_scan[scanned]) > 1.0
+    disagreements = np.count_nonzero(above != (l_scan[scanned] < 0.0))
+    scan = (int(disagreements), int(np.count_nonzero(scanned)))
+    se = scaling_exponents(e)
+    gaps = (se.beta * e.p - se.alpha - 2.0, se.alpha * e.theta - se.beta - 2.0)
+    scaling = max(abs(gap) for gap in gaps) / (se.alpha + 2.0)
+    return IdentityReport(s0=s0, residuals=residuals, signs=signs, scan=scan, scaling=scaling)

@@ -677,6 +677,23 @@ class TestContinue:
         assert summary["budget_exhausted"] is True
         assert summary["lambda_hi"] is None
 
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="ROADMAP item 2: Newton stalls next to the fold and spends its budget (exit 4)",
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--p 1.01 --theta 20 --sigma 8.336866576787306 --dim 12 --nodes 512 "
+            "--bracket-tol 1e-8",
+            "--p 1.5 --theta 4 --sigma 1.8823529411764706 --dim 12 --nodes 256 --tol 1e-10 "
+            "--bracket-tol 1e-12",
+        ],
+        ids=["p1.01-theta20-N12", "p1.5-theta4-N12"],
+    )
+    def test_newton_reaches_the_fold(self, tmp_path, flags):
+        assert cli.main(["continue", *flags.split(), "--out", str(tmp_path / "b.csv")]) == 0
+
     def test_eigen_tol_flag_exits_2(self, tmp_path, capsys):
         # mu1 comes from a direct eigen-solve; its power-iteration knob is
         # gone, and so are the first trial load and the growth factor

@@ -528,6 +528,16 @@ class TestContinuation:
                 roundoff = 64.0 * eps * (size @ np.abs(w) + f)[:-1]
                 assert np.all(excess <= roundoff), (lam, float(np.max(excess / roundoff)))
 
+    @pytest.mark.xfail(
+        raises=NumericalError,
+        reason="ROADMAP item 2: next to the fold the Newton correction drifts past d >= 0",
+    )
+    def test_graded_grid_reaches_a_tight_bracket(self):
+        g = RadialGrid(20, np.linspace(0.0, 1.0, 513) ** 1.5)
+        continue_ray(
+            ExponentPair(1.5, 4.0), 32.0 / 17.0, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-9)
+        )
+
     @pytest.mark.parametrize(
         "pair, dim",
         [(PAIR22, 3), (ExponentPair(1.5, 4.0), 3), (ExponentPair(1.5, 4.0), 10), (PAIR22, 10)],

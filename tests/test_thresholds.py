@@ -1,6 +1,7 @@
 """Threshold algebra: exact values, identities, and sign equivalences."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from exle import (
     stability_product,
     threshold_report,
 )
-from exle import thresholds
+from exle import cli, thresholds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +62,13 @@ class TestExponentPair:
                 ExponentPair(bad, 2.0)
             with pytest.raises(DomainError):
                 ExponentPair(2.0, bad)
+
+    def test_int_beyond_the_float_range_rejected(self):
+        # math.isfinite(10**400) raised OverflowError.
+        with pytest.raises(DomainError, match="p must be a finite number, got inf"):
+            ExponentPair(10**400, 2.0)
+        with pytest.raises(DomainError, match="theta must be a finite number, got -inf"):
+            ExponentPair(2.0, -(10**400))
 
     def test_bool_rejected(self):
         for bad in (True, False):
@@ -219,11 +227,42 @@ class TestIdentities:
             s0=3.0,
             residuals={"rescale": 1e-16, "value_at_2t0": math.nan, "value_at_p_plus_1": 0.0},
             signs={"negative_at_2": True},
+            scan=(3, 16),
+            scaling=3.0,
         )
         name, value = report.worst_residual()
         assert name == "value_at_2t0"
         assert math.isnan(value)
         assert not report.ok()
+        assert [name for name, _ in report.failures()] == [
+            "value_at_2t0", "equivalence_scan", "scaling_identity"
+        ]
+
+    def test_broken_stability_product_fails(self, monkeypatch, capsys):
+        # The equivalence scan ran only in `exle verify`, which exited 1
+        # while ok() read True.
+        real = thresholds.stability_product
+        monkeypatch.setattr(thresholds, "stability_product", lambda e, s: 2.0 - real(e, s))
+        report = check_polynomial_identities(ExponentPair(2.0, 3.0), 200, 0)
+        assert report.scan == (200, 200)
+        assert report.failures() == [("equivalence_scan", 200.0)]
+        assert not report.ok()
+        assert cli.main(["verify", "--p", "2", "--theta", "3"]) == 1
+
+    def test_broken_scaling_exponents_fail(self, monkeypatch):
+        real = thresholds.scaling_exponents
+        monkeypatch.setattr(
+            thresholds, "scaling_exponents", lambda e: replace(real(e), alpha=real(e).alpha * 1.001)
+        )
+        report = check_polynomial_identities(ExponentPair(2.0, 3.0), sample_count=16)
+        assert [name for name, _ in report.failures()] == ["scaling_identity"]
+        assert not report.ok()
+
+    def test_ok_is_the_verdict_of_exle_verify(self, capsys):
+        for pair in _sample_pairs(25, seed=3):
+            report = check_polynomial_identities(pair, sample_count=128, seed=1)
+            flags = ["--p", repr(pair.p), "--theta", repr(pair.theta), "--samples", "128"]
+            assert report.ok() == (cli.main(["verify", *flags, "--seed", "1"]) == 0)
 
     @pytest.mark.parametrize("theta", (2e153, 1.3e154))
     def test_rescale_past_the_square_overflow(self, theta):
