@@ -28,17 +28,14 @@ fully symmetric, so the threshold itself does not depend on the order.
 
 There is one root iteration, _largest_roots, on numpy arrays of pairs:
 threshold_rows runs it for a whole table, and threshold_report (and with
-it largest_root_L) is row 0 of threshold_rows for one pair.  It replaced a
+it largest_root_L) runs threshold_rows on one row.  It replaced a
 scalar loop of the same steps and matched it to the last bit, so no output
 changed: +, -, *, /, sqrt and comparisons are correctly rounded in numpy
 as in Python.  Float powers are not: numpy's power loops may take a SIMD
 path that differs from the C library's pow in the last bit of a few
 percent of cubes.  So every float power on arrays is np.float_power,
 which calls the C library's pow for each element, as CPython's float pow
-does (_float_pow).  The sweep writes each step into arrays it allocates
-once per set of unfinished rows (out= buffers and np.copyto with where=)
-instead of making a new array per step, and keeps the operations and their
-order, so every root is the same to the last bit.
+does (_float_pow).
 """
 
 from __future__ import annotations
@@ -263,12 +260,9 @@ def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
 def threshold_report(e: ExponentPair, tol: float = 1e-12) -> ThresholdReport:
     """Full threshold summary: t0, s0, x0 and both dimension thresholds.
 
-    Row 0 of threshold_rows([e.p], [e.theta], tol), as Python floats.
+    The one row of threshold_rows([e.p], [e.theta], tol), as Python floats.
     """
-    # Two copies of the pair: a numpy ufunc that writes into one of its
-    # inputs takes about twice as long when the arrays have one element,
-    # and the root sweep makes some 2000 such calls.
-    rows = threshold_rows([e.p] * 2, [e.theta] * 2, tol)
+    rows = threshold_rows([e.p], [e.theta], tol)
     return ThresholdReport(*(float(getattr(rows, f.name)[0]) for f in fields(ThresholdReport)))
 
 
@@ -320,28 +314,15 @@ def _quartic(s, c2, c1, c0):
     return (ss - c2) * ss + c1 * s - c0
 
 
-def _quartic_into(out, s, c2, c1, c0, tmp):
-    # _quartic(s, c2, c1, c0) written into out, operation for operation;
-    # tmp is scratch of the same shape.
-    np.multiply(s, s, out=tmp)
-    np.subtract(tmp, c2, out=out)
-    out *= tmp
-    np.multiply(c1, s, out=tmp)
-    out += tmp
-    out -= c0
-
-
 def _largest_roots(c2, c1, c0, tol: float):
     """Largest roots in (2, inf) for arrays of energy-quartic coefficients.
 
     Bracketing bisection with safeguarded Newton steps, on every row at
-    once with masks.  A row is done, at its bracket midpoint, once the
-    bracket is at most tol wide or its ends are adjacent floats (a width
-    below roundoff counts as that roundoff).  The sweep writes into arrays
-    allocated once per set of unfinished rows; the comments give each step
-    as the array expression it computes, operation for operation.  Returns
-    the roots and None, or the roots and (row, message) for the first row
-    that fails.
+    once with masks; threshold_report passes one row.  A row is done, at
+    its bracket midpoint, once the bracket is at most tol wide or its ends
+    are adjacent floats (a width below roundoff counts as that roundoff).
+    Returns the roots and None, or the roots and (row, message) for the
+    first row that fails.
     """
     s0 = np.full(c2.size, np.nan)
     failed: dict[int, str] = {}
@@ -365,61 +346,33 @@ def _largest_roots(c2, c1, c0, tol: float):
         idx = idx[~np.isin(idx, list(failed))]
     lo = np.full(idx.size, 2.0)
     hi, c2, c1, c0 = hi[idx], c2[idx], c1[idx], c0[idx]
-    two_c2 = 2.0 * c2
-    width, x, fx, d, tmp = np.empty((5, idx.size))
-    done, flag, below, halve = np.empty((4, idx.size), dtype=bool)
     for _ in range(500):
-        np.subtract(hi, lo, out=width)  # width = hi - lo
-        np.add(lo, hi, out=x)  # x = 0.5 * (lo + hi)
-        x *= 0.5
-        np.less_equal(width, tol, out=done)  # done = (width <= tol) | (x == lo) | (x == hi)
-        np.equal(x, lo, out=flag)
-        done |= flag
-        np.equal(x, hi, out=flag)
-        done |= flag
+        width = hi - lo
+        x = 0.5 * (lo + hi)
+        done = (width <= tol) | (x == lo) | (x == hi)
         if done.any():
             s0[idx[done]] = x[done]
             keep = ~done
             idx, lo, hi, width, x = idx[keep], lo[keep], hi[keep], width[keep], x[keep]
             c2, c1, c0 = c2[keep], c1[keep], c0[keep]
-            two_c2 = 2.0 * c2
-            fx, d, tmp = np.empty((3, idx.size))
-            done, flag, below, halve = np.empty((4, idx.size), dtype=bool)
         if not idx.size:
             break
         # Newton from the midpoint, kept only inside the bracket (a zero d
         # gives inf or nan, which fails the test).
-        _quartic_into(fx, x, c2, c1, c0, tmp)  # fx = L(x)
-        np.float_power(x, 3, out=d)  # d = 4.0 * x**3 - 2.0 * c2 * x + c1
-        d *= 4.0
-        np.multiply(two_c2, x, out=tmp)
-        d -= tmp
-        d += c1
-        np.divide(fx, d, out=d)  # x_newton = x - fx / d, in d
-        np.subtract(x, d, out=d)
-        np.less(lo, d, out=flag)  # x = where(lo < x_newton < hi, x_newton, x)
-        np.less(d, hi, out=below)
-        flag &= below
-        np.copyto(x, d, where=flag)
-        _quartic_into(fx, x, c2, c1, c0, tmp)  # below = L(x) < 0
-        np.less(fx, 0.0, out=below)
-        np.copyto(lo, x, where=below)  # lo = where(below, x, lo)
-        np.logical_not(below, out=below)  # hi = where(below, hi, x)
-        np.copyto(hi, x, where=below)
+        fx = _quartic(x, c2, c1, c0)
+        d = 4.0 * _float_pow(x, 3) - 2.0 * c2 * x + c1
+        x_newton = x - fx / d
+        x = np.where((lo < x_newton) & (x_newton < hi), x_newton, x)
+        below = _quartic(x, c2, c1, c0) < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
         # Force at least a halving per sweep so progress is geometric
         # even when Newton keeps landing next to one endpoint.
-        np.subtract(hi, lo, out=tmp)  # halve = hi - lo > 0.5 * width
-        width *= 0.5
-        np.greater(tmp, width, out=halve)
-        np.add(lo, hi, out=x)  # mid = 0.5 * (lo + hi), in x
-        x *= 0.5
-        _quartic_into(fx, x, c2, c1, c0, tmp)  # below = L(mid) < 0
-        np.less(fx, 0.0, out=below)
-        np.logical_and(halve, below, out=flag)  # lo = where(halve & below, mid, lo)
-        np.copyto(lo, x, where=flag)
-        np.logical_not(below, out=below)  # hi = where(halve & ~below, mid, hi)
-        below &= halve
-        np.copyto(hi, x, where=below)
+        halve = hi - lo > 0.5 * width
+        mid = 0.5 * (lo + hi)
+        below = _quartic(mid, c2, c1, c0) < 0.0
+        lo = np.where(halve & below, mid, lo)
+        hi = np.where(halve & ~below, mid, hi)
     else:
         for row in idx.tolist():
             failed[row] = "root refinement did not reach the requested width"
@@ -504,10 +457,13 @@ def check_polynomial_identities(
     Residuals are normalized by the largest monomial magnitude at the
     evaluation point, so the pass threshold is scale-free.  Sample
     points from [0, 2*s0] and the sign scan's from (p+1+1e-6, 1.5*s0) are
-    each drawn by default_rng(seed), so identical inputs give identical reports.
+    each drawn by default_rng(seed), seed >= 0, so identical inputs give
+    identical reports.
     """
     if sample_count < 1:
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     p, theta = e.canonical()
     canon = ExponentPair(p, theta)
     s0 = largest_root_L(canon, tol)

@@ -500,8 +500,17 @@ class TestVerify:
         assert out == ""
 
     def test_samples_validated(self, capsys):
-        code, _, _ = run(["verify", "--p", "2", "--theta", "3", "--samples", "0"], capsys)
+        code, out, err = run(["verify", "--p", "2", "--theta", "3", "--samples", "0"], capsys)
         assert code == 2
+        assert out == ""
+        assert err == "error: sample_count must be >= 1, got 0\n"
+
+    def test_negative_seed_exits_2(self, capsys):
+        # default_rng raised ValueError, which exited 1 with a traceback.
+        code, out, err = run(["verify", "--p", "2", "--theta", "3", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
 
 
 class TestPartial:

@@ -1,5 +1,6 @@
 """threshold_rows, the one root path, against exact rational arithmetic,
-and its in-place root sweep against the plain array expressions."""
+its root sweep against a frozen copy of its array expressions, and
+threshold_report, one row of it, against the rows of a whole table."""
 
 import math
 import sys
@@ -81,6 +82,19 @@ def test_rows_bracket_the_exact_root(rows, tol, swap):
     flipped = threshold_rows([b for _, b in rows], [a for a, _ in rows], tol)
     for name in FIELDS:
         assert hexes(getattr(got, name)) == hexes(getattr(flipped, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(pairs(), min_size=1, max_size=6))
+def test_one_pair_is_its_row_of_the_table(rows):
+    rows = rows + [(b, a) for a, b in rows]  # both orders
+    p, theta = [a for a, _ in rows], [b for _, b in rows]
+    for tol in TOLS:
+        table = threshold_rows(p, theta, tol)
+        for i, (a, b) in enumerate(rows):
+            rep = threshold_report(ExponentPair(a, b), tol)
+            got = [getattr(rep, name) for name in FIELDS]
+            assert hexes(got) == hexes(getattr(table, name)[i] for name in FIELDS), (a, b, tol)
 
 
 def _reference_quartic(s, c2, c1, c0):
