@@ -265,6 +265,7 @@ class TestThresholds:
         whole = tmp_path / "whole.csv"
         run(["thresholds", "--grid", "1.1:3:0.1", "--out", str(whole)], capsys)
         monkeypatch.setattr(cli, "_TABLE_BLOCK", 7)  # 210 pairs: 30 blocks
+        monkeypatch.setattr(cli, "_TABLE_CHUNK", 5)  # 42 chunks, across the blocks
         blocks = tmp_path / "blocks.csv"
         code, _, _ = run(["thresholds", "--grid", "1.1:3:0.1", "--out", str(blocks)], capsys)
         assert code == 0
@@ -300,6 +301,23 @@ class TestThresholds:
                 tracemalloc.stop()
             assert code == 0
         assert (peaks[1] - peaks[0]) / (42195 - 4095) < 100
+
+    def test_formatting_transients_stay_small(self, tmp_path, capsys):
+        # 18 145 pairs.  Past the roots array (48 B a pair) the traced peak
+        # was 1.35 MB when the text was formatted in 2048-row blocks and is
+        # 0.88 MB with 512-row chunks.  A small table first pays the one-time
+        # allocations of a first run (0.18 MB in a fresh interpreter).
+        run(["thresholds", "--grid", "2:3:1", "--out", str(tmp_path / "t.csv")], capsys)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                ["thresholds", "--grid", "1.1:20:0.1", "--out", str(tmp_path / "t.csv")], capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - 48 * 18145 < 1.0e6
 
     def test_bad_grid_exits_2(self, capsys):
         for bad in ("1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5", "1:inf:1", "1.5:2:inf", "nan:2:0.1"):
@@ -752,19 +770,21 @@ class TestContinue:
             assert list(tmp_path.iterdir()) == []
 
 
-def run_child(*args, **env):
-    """Run python with args; env adds variables, and OPENBLAS_NUM_THREADS
-    is set only when given (this process may have set it)."""
+def child_env(**env):
+    """This process's environment plus env; OPENBLAS_NUM_THREADS is set
+    only when given (this process may have set it)."""
     # The child must import the same package as this process, installed or
     # found through pytest's pythonpath setting.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**base, "PYTHONPATH": path, **env}
+
+
+def run_child(*args, **env):
+    """Run python with args in child_env(**env)."""
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**base, "PYTHONPATH": path, **env},
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(**env)
     )
 
 
@@ -823,6 +843,86 @@ def test_console_script_installed():
     proc = run_child("-m", "exle.cli", "roots", "--p", "2", "--theta", "2")
     assert proc.returncode == 0
     assert ROOTS_22_ROW in proc.stdout
+    assert proc.stderr == ""
+
+
+def buffered_env():
+    """child_env() with stdout block-buffered on a pipe."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_console_exit_writes_what_main_writes(capsysbinary):
+    # console_main ends the process with os._exit; what stdout holds in its
+    # buffer then (the table is 19 kB, over two 8 kB buffers) must be
+    # flushed first.
+    argv = ["thresholds", "--grid", "1.1:3:0.1"]
+    assert cli.main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "exle.cli", *argv], capture_output=True, env=buffered_env()
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["thresholds", "--grid", "1:2:0.5"], "error: p*theta must exceed 1\n"),
+        (
+            ["thresholds", "--bogus"],
+            "usage: exle [-h] {roots,thresholds,continue,verify,partial} ...\n"
+            "exle: error: unrecognized arguments: --bogus\n",
+        ),
+    ],
+    ids=["domain-error", "bad-flag"],
+)
+def test_console_error_exits_2(argv, err):
+    proc = run_child("-m", "exle.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == err
+
+
+BROKEN_PIPE_AT_EXIT = (
+    "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+    "BrokenPipeError: [Errno 32] Broken pipe\n"
+)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs EPIPE on a pipe")
+@pytest.mark.parametrize(
+    "unbuffered, code, err",
+    [
+        # Each write fails in main, which reports it as an I/O error.
+        (True, 3, "error: [Errno 32] Broken pipe\n"),
+        # The row waits in the buffer; the flush at exit fails, and the
+        # interpreter's teardown reports it with its own status, 120.
+        (False, 120, BROKEN_PIPE_AT_EXIT),
+    ],
+    ids=["unbuffered", "buffered"],
+)
+def test_closed_stdout_pipe(unbuffered, code, err):
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "exle.cli", "roots", "--p", "2", "--theta", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == err
 
 
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):

@@ -103,10 +103,11 @@ def _reference_quartic(s, c2, c1, c0):
 
 
 def reference_largest_roots(c2, c1, c0, tol):
-    """The root sweep as plain array expressions, a new array at every step.
+    """The root sweep of thresholds._largest_roots, frozen.
 
-    The loop of thresholds._largest_roots before it updated its arrays in
-    place, copied verbatim; np.float_power stands for _float_pow on arrays.
+    A verbatim copy of its loop, so any change to the sweep that moves a
+    bit or a failure message fails the test below; np.float_power stands
+    for _float_pow on arrays.
     """
     _quartic, _float_pow, _BRACKET_CAP = _reference_quartic, np.float_power, 2.0 ** 60
     s0 = np.full(c2.size, np.nan)
@@ -188,7 +189,7 @@ EDGE_PAIRS = (
     tol=st.sampled_from(TOLS),
     swap=st.booleans(),
 )
-def test_in_place_sweep_matches_the_array_expressions_bit_for_bit(rows, tol, swap):
+def test_sweep_matches_the_frozen_reference_bit_for_bit(rows, tol, swap):
     p, theta = (np.array(column) for column in zip(*rows))
     if swap:
         p, theta = theta, p
