@@ -24,6 +24,15 @@ The summary of `continue` holds the certified fold bracket lambda_lo <
 lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
 placed the bracket, or null when the run fell back to bisection.
 
+Only `continue` loads radial, _cyclic and diagnostics; every other command
+needs numpy and thresholds alone.  The names cmd_continue calls from those
+modules (continue_ray, RadialGrid, ContinuationConfig, souplet_check,
+energy_report, extremal_extrapolate) are attributes of this module bound on
+first access (PEP 562), so `exle.cli.continue_ray` still resolves, and a
+function set there, such as a tracing wrapper, is the one `continue` calls.
+`exle thresholds` keeps one root per pair and forms each 512-row chunk of
+the table from it.
+
 No command calls BLAS, so this module sets OPENBLAS_NUM_THREADS=1 before
 it first imports numpy; otherwise numpy's OpenBLAS starts a worker thread
 that spins for about 0.1 s of CPU in every process.  It leaves the
@@ -50,18 +59,42 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
 
 import argparse
 import contextlib
+import importlib
 import json
 import math
 from collections.abc import Iterable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import energy_report, extremal_extrapolate, souplet_check
 from .errors import BudgetError, ConfigurationError, DiagnosticError, DomainError, ExleError
-from .radial import ContinuationConfig, RadialGrid, continue_ray
 from . import thresholds
 from .thresholds import ExponentPair, largest_root_L, threshold_report
+
+if TYPE_CHECKING:
+    from .diagnostics import energy_report, extremal_extrapolate, souplet_check
+    from .radial import ContinuationConfig, RadialGrid, continue_ray
+
+# The names cmd_continue calls from the `continue` layers, by module.  They
+# are bound on first access (PEP 562), so only `continue` loads radial,
+# _cyclic and diagnostics; a value set on this module first is kept.
+_CONTINUE_NAMES = {
+    "continue_ray": "radial",
+    "RadialGrid": "radial",
+    "ContinuationConfig": "radial",
+    "souplet_check": "diagnostics",
+    "energy_report": "diagnostics",
+    "extremal_extrapolate": "diagnostics",
+}
+
+
+def __getattr__(name: str):
+    if name not in _CONTINUE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_CONTINUE_NAMES[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -89,10 +122,12 @@ _OPTIONS = {
         ("dim", int, 3, "space dimension N"),
         ("nodes", int, 256, "grid intervals m (m + 1 nodes)"),
         ("tol", float, 1e-12, "Newton correction tolerance"),
-        ("bracket_tol", float, ContinuationConfig.bracket_tol, "relative width of the fold bracket"),
+        # ContinuationConfig's defaults, written out so that building the
+        # parser loads no radial; a test pins them to the class.
+        ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
         ("s", float, None, "energy integrability exponent"),
         ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
-        ("max_steps", int, ContinuationConfig.max_steps, "trial budget per branch"),
+        ("max_steps", int, 200, "trial budget per branch"),
     ),
     "verify": (
         _P,
@@ -106,14 +141,15 @@ _OPTIONS = {
 
 # Every float of a CSV or stdout table: 12 significant digits.
 _FLOAT = "%.12g"
-# Pairs per threshold_rows call; it bounds the kernel's temporary arrays.
+# Pairs per threshold_roots call; it bounds the kernel's temporary arrays.
 _TABLE_BLOCK = 2048
-# Rows per formatted chunk of the table.  The chunk's float tuple, template
-# and text are the formatting transients, which scale with it: on 18 145
-# pairs (Linux, Python 3.11, numpy 2.4) tracemalloc traces 0.72 MB of them
-# at 2048 rows and 0.18 MB at 512.  Formatting the table takes 30-46 ms
-# (min of 25 runs, 2-core Xeon) at every size from 256 to 2048 rows, with
-# no trend.
+# Rows per formatted chunk of the table.  The table keeps s0 alone, 8 B a
+# pair; a chunk's other five columns (threshold_columns), float tuple,
+# template and text are the formatting transients, which scale with the
+# chunk: on 18 145 pairs (Linux, Python 3.11, numpy 2.4) tracemalloc traces
+# a peak of 1.45 MB for the whole command at 2048 rows and 0.78 MB at 512.
+# Formatting the table takes 30-46 ms (min of 25 runs, 2-core Xeon) at
+# every size from 256 to 2048 rows, with no trend.
 _TABLE_CHUNK = 512
 
 
@@ -229,17 +265,16 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     cfg = _effective(args, "thresholds")
     values = _parse_grid(str(cfg["grid"]))
     grid = np.array(values)
-    first, second = np.triu_indices(grid.size)  # p <= theta, row by row
+    # p <= theta, row by row; a grid index fits in 4 bytes.
+    first, second = (index.astype(np.int32) for index in np.triu_indices(grid.size))
     tol = float(cfg["tol"])
     # Every root is computed before any byte is written, so a failing pair
-    # leaves no partial table behind.
-    roots = np.empty((first.size, 6))
+    # leaves no partial table behind.  Only s0 is kept; each chunk forms its
+    # other columns, which are elementwise and so the same bits.
+    s0 = np.empty(first.size)
     for start in range(0, first.size, _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
-        rep = thresholds.threshold_rows(grid[first[rows]], grid[second[rows]], tol)
-        roots[rows] = np.column_stack(
-            (rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement)
-        )
+        s0[rows] = thresholds.threshold_roots(grid[first[rows]], grid[second[rows]], tol)
     # p and theta are grid values, each formatted once; a chunk of rows is
     # one % over a template that holds them.
     labels = [_FLOAT % v for v in values]
@@ -249,11 +284,15 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         yield "p,theta,t0,s0,x0,n_cowan,n_new,improvement"
         for start in range(0, first.size, _TABLE_CHUNK):
             rows = slice(start, start + _TABLE_CHUNK)
+            i, j = first[rows], second[rows]
+            rep = thresholds.threshold_columns(grid[i], grid[j], s0[rows])
+            columns = np.column_stack(
+                (rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement)
+            )
             template = "\n".join([
-                labels[i] + "," + labels[j] + tail
-                for i, j in zip(first[rows].tolist(), second[rows].tolist())
+                labels[a] + "," + labels[b] + tail for a, b in zip(i.tolist(), j.tolist())
             ])
-            yield template % tuple(roots[rows].ravel().tolist())
+            yield template % tuple(columns.ravel().tolist())
 
     _write_lines(cfg["out"], text())
     return EXIT_OK
@@ -266,8 +305,7 @@ def cmd_partial(args: argparse.Namespace) -> int:
     dim = int(cfg["dim"])
     tol = float(cfg["tol"])
     rep = threshold_report(pair, tol)
-    bound = thresholds.hausdorff_bound(pair, dim, tol)
-    proof_form = thresholds.hausdorff_bound_proof_form(pair, dim, tol)
+    bound, proof_form = thresholds._hausdorff_bounds(rep, dim)
     _write_lines(None, [
         "dim,n_new,bound,bound_proof_form",
         ",".join(_fmt(x) for x in (dim, rep.n_new, bound, proof_form)),
@@ -300,6 +338,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_continue(args: argparse.Namespace) -> int:
     """minimal-branch continuation along gamma = sigma*lambda"""
     cfg = _effective(args, "continue")
+    for name in _CONTINUE_NAMES:  # a name already set here is kept
+        if name not in globals():
+            __getattr__(name)
     pair = _pair_from(cfg)
     sigma = float(cfg["sigma"])
     dim = int(cfg["dim"])

@@ -341,9 +341,10 @@ def stability_mu1(
 class ContinuationConfig:
     """Knobs for continue_ray; defaults match the desk-scale studies.
 
-    `exle continue` reads its bracket_tol and max_steps defaults from here.
-    Its tol default is 1e-12, tighter than the 1e-10 here; neither moves,
-    since either change would change output bytes.
+    `exle continue` has the same bracket_tol and max_steps defaults, written
+    out in its option table so that its parser loads no radial; a test pins
+    them to these.  Its tol default is 1e-12, tighter than the 1e-10 here;
+    no default moves, since any change would change output bytes.
     """
 
     bracket_tol: float = 1e-4  # relative to lambda_lo

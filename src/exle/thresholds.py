@@ -27,15 +27,16 @@ quantities use the canonical order p <= theta.  The dimension quartic is
 fully symmetric, so the threshold itself does not depend on the order.
 
 There is one root iteration, _largest_roots, on numpy arrays of pairs:
-threshold_rows runs it for a whole table, and threshold_report (and with
-it largest_root_L) runs threshold_rows on one row.  It replaced a
-scalar loop of the same steps and matched it to the last bit, so no output
-changed: +, -, *, /, sqrt and comparisons are correctly rounded in numpy
-as in Python.  Float powers are not: numpy's power loops may take a SIMD
-path that differs from the C library's pow in the last bit of a few
-percent of cubes.  So every float power on arrays is np.float_power,
-which calls the C library's pow for each element, as CPython's float pow
-does (_float_pow).
+threshold_roots runs it for a whole table, threshold_columns forms the
+other columns from the roots, threshold_rows is the two in turn, and
+threshold_report (and with it largest_root_L) runs threshold_rows on one
+row.  It replaced a scalar loop of the same steps and matched it to the
+last bit, so no output changed: +, -, *, /, sqrt and comparisons are
+correctly rounded in numpy as in Python.  Float powers are not: numpy's
+power loops may take a SIMD path that differs from the C library's pow in
+the last bit of a few percent of cubes.  So every float power on arrays is
+np.float_power, which calls the C library's pow for each element, as
+CPython's float pow does (_float_pow).
 """
 
 from __future__ import annotations
@@ -275,6 +276,16 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
     fail, the first failing row raises the error it would raise on its
     own, with the pair named.
     """
+    s0 = threshold_roots(p, theta, tol)
+    return threshold_columns(np.asarray(p, dtype=float), np.asarray(theta, dtype=float), s0)
+
+
+def threshold_roots(p, theta, tol: float = 1e-12) -> np.ndarray:
+    """The s0 column of threshold_rows(p, theta, tol) alone, with its checks.
+
+    threshold_columns forms the other columns from it, so a table can
+    hold 8 B a pair and form the rest a chunk at a time.
+    """
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if p.ndim != 1 or p.shape != theta.shape:
@@ -293,18 +304,31 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
     # Python floats overflow to inf and nan without a word; so do these.
     with np.errstate(all="ignore"):
         s0, failure = _largest_roots(*_energy_coeffs(p_c, theta_c), tol)
-        t0 = _t0(p_c, theta_c)
-        k = (theta_c + 1.0) / (p_c * theta_c - 1.0)
-        x0 = k * s0
-        n_cowan = 2.0 + 4.0 * t0 * k
-        n_new = 2.0 + 2.0 * x0
     if failure is not None:
         row, message = failure
         raise NumericalError(f"{message}; pair {ExponentPair(float(p[row]), float(theta[row]))}")
     if n < p.size:
         ExponentPair(float(p[n]), float(theta[n]))  # raises the row's DomainError
+    return s0
+
+
+def threshold_columns(p, theta, s0) -> ThresholdReport:
+    """The rows of threshold_rows for valid pairs whose roots s0 are known.
+
+    p, theta and s0 are 1-D arrays of one length, each pair in either
+    order.  Every column is elementwise in its row, so a slice of the
+    arrays gives the same bits as the slice of the whole.
+    """
+    p_c, theta_c = np.minimum(p, theta), np.maximum(p, theta)
+    with np.errstate(all="ignore"):
+        t0 = _t0(p_c, theta_c)
+        k = (theta_c + 1.0) / (p_c * theta_c - 1.0)
+        x0 = k * s0
+        n_cowan = 2.0 + 4.0 * t0 * k
+        n_new = 2.0 + 2.0 * x0
+        improvement = n_new - n_cowan
     return ThresholdReport(
-        t0=t0, s0=s0, x0=x0, n_cowan=n_cowan, n_new=n_new, improvement=n_new - n_cowan
+        t0=t0, s0=s0, x0=x0, n_cowan=n_cowan, n_new=n_new, improvement=improvement
     )
 
 
@@ -385,8 +409,7 @@ def _largest_roots(c2, c1, c0, tol: float):
 def hausdorff_bound(e: ExponentPair, dim: int, tol: float = 1e-12) -> float:
     """Upper bound max(N - (2 + 2*x0), 0) on the singular-set dimension."""
     _check_dim(dim)
-    rep = threshold_report(e, tol)
-    return max(float(dim) - rep.n_new, 0.0)
+    return _hausdorff_bounds(threshold_report(e, tol), dim)[0]
 
 
 def hausdorff_bound_proof_form(e: ExponentPair, dim: int, tol: float = 1e-12) -> float:
@@ -399,8 +422,16 @@ def hausdorff_bound_proof_form(e: ExponentPair, dim: int, tol: float = 1e-12) ->
     _check_dim(dim)
     if dim <= 2:
         return 0.0
-    rep = threshold_report(e, tol)
-    return max(float(dim) - (2.0 * dim / (dim - 2.0)) * rep.x0, 0.0)
+    return _hausdorff_bounds(threshold_report(e, tol), dim)[1]
+
+
+def _hausdorff_bounds(rep: ThresholdReport, dim: int) -> tuple[float, float]:
+    """hausdorff_bound and hausdorff_bound_proof_form at dim from one report."""
+    _check_dim(dim)
+    bound = max(float(dim) - rep.n_new, 0.0)
+    if dim <= 2:
+        return bound, 0.0
+    return bound, max(float(dim) - (2.0 * dim / (dim - 2.0)) * rep.x0, 0.0)
 
 
 def _check_dim(dim: int) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exle import cli, radial
+from exle import cli, radial, thresholds
 from exle.errors import (
     BudgetError,
     ConfigurationError,
@@ -20,6 +20,7 @@ from exle.errors import (
     DomainError,
     NumericalError,
 )
+from exle.thresholds import threshold_rows
 
 # sha256 of `exle thresholds --grid 1.1:6:0.1` (1275 pairs), as written by
 # the one-pair-at-a-time table that preceded threshold_rows.
@@ -159,6 +160,13 @@ class TestSurface:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+    def test_continue_defaults_are_the_library_defaults(self):
+        # cli writes them out so that building the parser loads no radial.
+        defaults = {key: default for key, _, default, _ in cli._OPTIONS["continue"]}
+        library = radial.ContinuationConfig()
+        assert defaults["bracket_tol"] == library.bracket_tol
+        assert defaults["max_steps"] == library.max_steps
 
     @pytest.mark.parametrize(
         "command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items() for f in flags]
@@ -303,10 +311,11 @@ class TestThresholds:
         assert (peaks[1] - peaks[0]) / (42195 - 4095) < 100
 
     def test_formatting_transients_stay_small(self, tmp_path, capsys):
-        # 18 145 pairs.  Past the roots array (48 B a pair) the traced peak
-        # was 1.35 MB when the text was formatted in 2048-row blocks and is
-        # 0.88 MB with 512-row chunks.  A small table first pays the one-time
-        # allocations of a first run (0.18 MB in a fresh interpreter).
+        # 18 145 pairs.  The table keeps s0 alone (8 B a pair); past it the
+        # traced peak is 0.64 MB with 512-row chunks and int32 pair indices
+        # (0.88 MB when all six columns were kept, 48 B a pair).  A small
+        # table first pays the one-time allocations of a first run (0.18 MB
+        # in a fresh interpreter).
         run(["thresholds", "--grid", "2:3:1", "--out", str(tmp_path / "t.csv")], capsys)
         tracemalloc.start()
         try:
@@ -317,7 +326,7 @@ class TestThresholds:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak - 48 * 18145 < 1.0e6
+        assert peak - 8 * 18145 < 0.8e6
 
     def test_bad_grid_exits_2(self, capsys):
         for bad in ("1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5", "1:inf:1", "1.5:2:inf", "nan:2:0.1"):
@@ -554,6 +563,19 @@ class TestPartial:
         assert code == 2
         assert "exponents must not exceed" in err
         assert out == ""
+
+    def test_one_root_solve(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return threshold_rows(*args, **kwargs)
+
+        monkeypatch.setattr(thresholds, "threshold_rows", counted)
+        code, out, _ = run(["partial", "--p", "1.5", "--theta", "4", "--dim", "20"], capsys)
+        assert code == 0
+        assert out == "dim,n_new,bound,bound_proof_form\n" + PARTIAL_ROWS[1][3] + "\n"
+        assert len(calls) == 1
 
     def test_everything_regular_below_threshold(self, capsys):
         code, out, _ = run(["partial", "--p", "2", "--theta", "2", "--dim", "10"], capsys)
@@ -923,6 +945,72 @@ def test_closed_stdout_pipe(unbuffered, code, err):
         os.close(write_end)
     assert proc.returncode == code
     assert proc.stderr == err
+
+
+CONTINUE_LAYERS = ("exle.radial", "exle._cyclic", "exle.diagnostics")
+
+
+def test_only_continue_loads_its_layers(tmp_path):
+    table = tmp_path / "t.csv"
+    branch = tmp_path / "b.csv"
+    code = (
+        "import sys, exle.cli\n"
+        f"layers = {CONTINUE_LAYERS!r}\n"
+        "for argv in (\n"
+        f"    ['thresholds', '--grid', '1.1:2:0.1', '--out', {str(table)!r}],\n"
+        "    ['roots', '--p', '2', '--theta', '3'],\n"
+        "    ['verify', '--p', '2', '--theta', '3', '--samples', '10'],\n"
+        "    ['partial', '--p', '2', '--theta', '3', '--dim', '16'],\n"
+        "):\n"
+        "    assert exle.cli.main(argv) == 0, argv\n"
+        "print([m for m in layers if m in sys.modules])\n"
+        "code = exle.cli.main(['continue', '--p', '2', '--theta', '2', '--nodes', '32',\n"
+        f"                      '--out', {str(branch)!r}])\n"
+        "print(code, [m for m in layers if m in sys.modules])\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", f"0 {list(CONTINUE_LAYERS)}"]
+
+
+def test_continue_names_resolve_before_any_command():
+    code = (
+        "import exle.cli, exle.diagnostics, exle.radial\n"
+        "names = sorted(exle.cli._CONTINUE_NAMES)\n"
+        "homes = [exle.diagnostics if m == 'diagnostics' else exle.radial\n"
+        "         for m in map(exle.cli._CONTINUE_NAMES.get, names)]\n"
+        "print(all(getattr(exle.cli, n) is getattr(h, n) for n, h in zip(names, homes)))\n"
+        "try:\n"
+        "    exle.cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\nmodule 'exle.cli' has no attribute 'no_such_name'\n"
+    proc = run_child("-c", "import exle.cli; print(exle.cli.souplet_check.__module__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "exle.diagnostics\n"
+
+
+def test_wrapper_set_before_loading_is_the_one_continue_runs(tmp_path):
+    # Set in a fresh process, before radial was ever loaded: binding the
+    # other names must leave it in place.
+    branch = tmp_path / "b.csv"
+    code = (
+        "import sys, exle.cli\n"
+        "calls = []\n"
+        "def wrapper(*args):\n"
+        "    calls.append(args)\n"
+        "    return sys.modules['exle.radial'].continue_ray(*args)\n"
+        "exle.cli.continue_ray = wrapper\n"
+        "code = exle.cli.main(['continue', '--p', '2', '--theta', '2', '--nodes', '32',\n"
+        f"                      '--out', {str(branch)!r}])\n"
+        "print(code, len(calls), exle.cli.continue_ray is wrapper)\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1 True\n"
 
 
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):

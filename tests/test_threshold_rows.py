@@ -97,6 +97,25 @@ def test_one_pair_is_its_row_of_the_table(rows):
             assert hexes(got) == hexes(getattr(table, name)[i] for name in FIELDS), (a, b, tol)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(pairs(), min_size=2, max_size=24), cut=st.integers(1, 23), swap=st.booleans())
+def test_columns_of_a_slice_are_the_slice_of_the_columns(rows, cut, swap):
+    # The table keeps s0 alone and forms the other columns a chunk at a time.
+    if swap:
+        rows = [(b, a) for a, b in rows]
+    p = np.array([a for a, _ in rows])
+    theta = np.array([b for _, b in rows])
+    whole = threshold_rows(p, theta)
+    s0 = thresholds.threshold_roots(p, theta)
+    assert hexes(s0) == hexes(whole.s0)
+    cut = min(cut, len(rows) - 1)
+    halves = (slice(None, cut), slice(cut, None))
+    parts = [thresholds.threshold_columns(p[k], theta[k], s0[k]) for k in halves]
+    for name in FIELDS:
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        assert hexes(joined) == hexes(getattr(whole, name)), name
+
+
 def _reference_quartic(s, c2, c1, c0):
     ss = s * s
     return (ss - c2) * ss + c1 * s - c0
