@@ -15,7 +15,6 @@ import importlib
 
 _SUBMODULES = {
     "diagnostics": (
-        "GrowthDiagnostic",
         "energy_report",
         "extremal_extrapolate",
         "rescale",

@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError, DiagnosticError, DomainError, ExleError
+from .errors import BudgetError, ConfigurationError, DomainError, ExleError
 from . import thresholds
 from .thresholds import ExponentPair, largest_root_L, threshold_report
 
@@ -256,7 +256,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise DomainError(f"grid values must be finite: {spec!r}")
     if not (lo < hi) or not (step > 0):
         raise DomainError(f"grid needs pmin < pmax and step > 0, got {spec!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise DomainError(f"grid has too many values: {spec!r}")
+    count = int(math.floor(span + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 
 
@@ -377,11 +380,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
         row = (pt.lam, pt.gam, sup_u, sup_v, pt.mu1, margin, energy, pt.iterations)
         lines.append(",".join(_fmt(x) for x in row))
 
-    bounded: bool | None
-    try:
-        bounded = extremal_extrapolate(branch, pair, dim).bounded_looking
-    except DiagnosticError:
-        bounded = None
     summary = {
         "p": pair.p,
         "theta": pair.theta,
@@ -396,14 +394,12 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "mu1_min": branch.mu1_min,
         "souplet_margin_min": min(margins) if margins else None,
         "observed_C_s": max(energies) if energies else None,
-        "bounded_looking": bounded,
+        "bounded_looking": extremal_extrapolate(branch),
         "budget_exhausted": budget_hit,
     }
     _write_lines(out, lines)
     summary_path = str(Path(out).with_suffix(".summary.json"))
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_lines(summary_path, [json.dumps(summary, sort_keys=True, indent=2)])
     return BudgetError.exit_code if budget_hit else EXIT_OK
 
 

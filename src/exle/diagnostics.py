@@ -4,8 +4,8 @@ These routines check, on discrete solutions, the pointwise and integral
 estimates that the threshold algebra promises for stable solutions: the
 shifted comparison inequality between the two components, the weighted
 energy integral, scaling covariance of the system, the explicit
-singular profile, and a growth heuristic that classifies a branch end
-as bounded- or unbounded-looking.
+singular profile, and a growth heuristic whose verdict on a branch end
+is True (bounded-looking), False (unbounded-looking) or None (undecided).
 
 A state is a (2, n) float array with rows u and v, as `radial` makes it.
 All asymmetric formulas assume the canonical order p <= theta with u
@@ -17,43 +17,21 @@ the system onto itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DiagnosticError, DomainError
 from .radial import Branch, RadialGrid
 from . import radial, thresholds
-from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents, threshold_report
+from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents
+# Unused here, but bench/tracer.py wraps exle.diagnostics.threshold_report.
+from .thresholds import threshold_report  # noqa: F401
 
 # Log-log growth slope separating plateauing from blowing-up branch
 # tails; desk-scale runs sit near -0.04 (bounded) and -0.6 (unbounded).
 _GROWTH_SLOPE_CUT = -0.15
 # Accepted branch points the tail slope is fitted over.
 _TAIL_POINTS = 8
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostic:
-    """Tail-growth classification of a branch near its fold bracket.
-
-    table rows are (lambda, sup_u, sup_v) for the fitted tail points;
-    dim_threshold is the no-singular-set dimension bound 2 + 2*x0 the
-    flag should be read against (dim below the threshold is the regime
-    where bounded-looking is expected).
-    """
-
-    table: tuple[tuple[float, float, float], ...]
-    slope_u: float
-    slope_v: float
-    bounded_looking: bool
-    dim: int
-    dim_threshold: float
-    below_threshold: bool
-
-    @property
-    def points_used(self) -> int:
-        return len(self.table)
 
 
 def _orient(
@@ -164,22 +142,20 @@ def singular_profile(
     return a_amp, b_amp
 
 
-def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDiagnostic:
-    """Classify the branch tail as bounded- or unbounded-looking.
+def extremal_extrapolate(branch: Branch) -> bool | None:
+    """Read the branch tail as bounded (True), unbounded (False) or undecided (None).
 
-    Fits the slope of log sup-norm against log(lambda_hi - lambda) over
-    the last 8 accepted points, each squared residual weighted by
-    1/(lambda_hi - lambda).  A plateauing branch has slope
-    near 0; a branch heading for an unbounded extremal state keeps a
-    markedly negative slope.  Needs at least 5 points and a closed
-    bracket.  The report carries the dimension threshold 2 + 2*x0 for
-    side-by-side reading.
+    Fits the slopes of log sup u and log sup v against
+    log(lambda_hi - lambda) over the last 8 accepted points, each squared
+    residual weighted by 1/(lambda_hi - lambda).  A plateauing branch has
+    slopes near 0; a branch heading for an unbounded extremal state keeps
+    a markedly negative one.  The verdict is None while the bracket is
+    open or with fewer than 5 points.  Raises DiagnosticError for points
+    not strictly below lambda_hi.
     """
-    if branch.lambda_hi is None:
-        raise DiagnosticError("branch has no fold bracket to extrapolate toward")
     pts = branch.points[-_TAIL_POINTS:]
-    if len(pts) < 5:
-        raise DiagnosticError(f"need at least 5 branch points, got {len(pts)}")
+    if branch.lambda_hi is None or len(pts) < 5:
+        return None
     gaps = np.array([branch.lambda_hi - pt.lam for pt in pts])
     if np.any(gaps <= 0.0):
         raise DiagnosticError("branch points are not strictly below lambda_hi")
@@ -187,17 +163,6 @@ def extremal_extrapolate(branch: Branch, e: ExponentPair, dim: int) -> GrowthDia
     # The slope is an exponent as the gap closes, so the doubling walk's
     # far, pre-asymptotic points count little next to those at the fold.
     weight = 1.0 / np.sqrt(gaps)
-    table = tuple((pt.lam, *np.max(pt.state, axis=1).tolist()) for pt in pts)
-    _, sup_u, sup_v = np.array(table).T
-    slope_u = float(np.polyfit(log_gap, np.log(sup_u), 1, w=weight)[0])
-    slope_v = float(np.polyfit(log_gap, np.log(sup_v), 1, w=weight)[0])
-    threshold = threshold_report(e).n_new
-    return GrowthDiagnostic(
-        table=table,
-        slope_u=slope_u,
-        slope_v=slope_v,
-        bounded_looking=min(slope_u, slope_v) > _GROWTH_SLOPE_CUT,
-        dim=int(dim),
-        dim_threshold=threshold,
-        below_threshold=dim < threshold,
-    )
+    sups = np.array([np.max(pt.state, axis=1) for pt in pts]).T
+    slope = min(np.polyfit(log_gap, np.log(sup), 1, w=weight)[0] for sup in sups)
+    return bool(slope > _GROWTH_SLOPE_CUT)

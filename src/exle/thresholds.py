@@ -34,9 +34,9 @@ row.  It replaced a scalar loop of the same steps and matched it to the
 last bit, so no output changed: +, -, *, /, sqrt and comparisons are
 correctly rounded in numpy as in Python.  Float powers are not: numpy's
 power loops may take a SIMD path that differs from the C library's pow in
-the last bit of a few percent of cubes.  So every float power on arrays is
+the last bit of a few percent of cubes.  So every float power is
 np.float_power, which calls the C library's pow for each element, as
-CPython's float pow does (_float_pow).
+CPython's float pow does, on arrays and on floats alike.
 """
 
 from __future__ import annotations
@@ -187,17 +187,10 @@ class IdentityReport:
         return not self.failures(tol)
 
 
-def _float_pow(x, n: int):
-    """x ** n by the C library's pow, as CPython's float pow computes it."""
-    if isinstance(x, np.ndarray):
-        return np.float_power(x, n)
-    return x ** n
-
-
 def _energy_coeffs(p, theta):
     # Common factor 16*p*theta*(p+1)/(theta+1)^2 extracted for stability.
     # p and theta are floats, or arrays for threshold_rows.
-    f = 16.0 * p * theta * (p + 1.0) / _float_pow(theta + 1.0, 2)
+    f = 16.0 * p * theta * (p + 1.0) / np.float_power(theta + 1.0, 2)
     return f * (theta + 1.0), f * (p + theta + 2.0), f * (p + 1.0)
 
 
@@ -384,7 +377,7 @@ def _largest_roots(c2, c1, c0, tol: float):
         # Newton from the midpoint, kept only inside the bracket (a zero d
         # gives inf or nan, which fails the test).
         fx = _quartic(x, c2, c1, c0)
-        d = 4.0 * _float_pow(x, 3) - 2.0 * c2 * x + c1
+        d = 4.0 * np.float_power(x, 3) - 2.0 * c2 * x + c1
         x_newton = x - fx / d
         x = np.where((lo < x_newton) & (x_newton < hi), x_newton, x)
         below = _quartic(x, c2, c1, c0) < 0.0
@@ -533,9 +526,9 @@ def check_polynomial_identities(
         split = (s * s + 4.0 * p * s - 4.0 * p) * (s * s - 4.0 * p * s + 4.0 * p)
         residuals["symmetric_split"] = np.max(np.abs(ls - split) / scale)
     signs = {
-        "negative_at_2": eval_L(canon, 2.0) < 0.0,
-        "negative_at_p_plus_1": eval_L(canon, p + 1.0) < 0.0,
-        "negative_at_mid": eval_L(canon, mid) < 0.0,
+        "negative_at_2": bool(eval_L(canon, 2.0) < 0.0),
+        "negative_at_p_plus_1": bool(eval_L(canon, p + 1.0) < 0.0),
+        "negative_at_mid": bool(eval_L(canon, mid) < 0.0),
         "mid_below_root": mid < s0,
     }
     # The sign of stability_product - 1 must oppose that of L(s) wherever

@@ -40,7 +40,7 @@ def test_traced_passes_fire_every_span(tracer, tmp_path):
             ])
         assert code == 0
         # The 3-point continue branch is too short for extremal_extrapolate,
-        # which raises before it calls threshold_report; roots calls it.
+        # which returns None; roots calls threshold_report.
         with tr.span("cli.main"):
             code = cli.main(["roots", "--p", "2", "--theta", "3"])
         assert code == 0

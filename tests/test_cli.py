@@ -329,7 +329,10 @@ class TestThresholds:
         assert peak - 8 * 18145 < 0.8e6
 
     def test_bad_grid_exits_2(self, capsys):
-        for bad in ("1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5", "1:inf:1", "1.5:2:inf", "nan:2:0.1"):
+        for bad in (
+            "1.1:0.9:0.1", "abc", "1:2", "1:2:-0.5", "1:inf:1", "1.5:2:inf", "nan:2:0.1",
+            "1.1:1e300:1e-300",  # a value count past any float
+        ):
             code, _, err = run(["thresholds", "--grid", bad], capsys)
             assert code == 2
             assert "grid" in err
@@ -829,7 +832,7 @@ def test_lazy_namespace_resolves_every_public_name():
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] 37 module 'exle' has no attribute 'no_such_name'\n"
+    assert proc.stdout == "[] 36 module 'exle' has no attribute 'no_such_name'\n"
 
 
 CLI_THREADS = (

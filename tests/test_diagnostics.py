@@ -211,51 +211,55 @@ def synthetic_branch(slope, n_points=10, lam_star=1.0):
 
 
 class TestExtremalExtrapolate:
-    def test_computed_branch_low_dim_is_bounded_looking(self):
-        # continue_ray reaches the fold in 3 points, too few to fit; the tail
-        # is the minimal solutions at 6 loads closing in on its bracket.
-        grid = RadialGrid.uniform(3, 64)
-        bracket = continue_ray(PAIR22, 1.0, grid)
+    @pytest.mark.parametrize(
+        "pair, sigma, dim, m",
+        [
+            pytest.param(PAIR22, 1.0, 3, 64, id="p2-theta2-dim3"),
+            # N = 12 lies below n_new = 12.75, so the extremal solution is
+            # bounded, but the tail fit reads slope_v -0.385 (ROADMAP item 8).
+            pytest.param(
+                ExponentPair(1.01, 20.0), 8.336866576787306, 12, 256,
+                id="p1.01-theta20-dim12",
+                marks=pytest.mark.xfail(
+                    strict=True, raises=AssertionError, reason="tail slope misreads N < n_new"
+                ),
+            ),
+        ],
+    )
+    def test_computed_branch_low_dim_is_bounded_looking(self, pair, sigma, dim, m):
+        # continue_ray reaches the fold in a few points, too few to fit; the
+        # tail is the minimal solutions at 6 loads closing in on its bracket.
+        assert dim < threshold_report(pair).n_new
+        grid = RadialGrid.uniform(dim, m)
+        bracket = continue_ray(pair, sigma, grid)
         trials = []
         for gap in (0.5, 0.25, 0.1, 0.03, 0.01, 0.0):
             lam = bracket.lambda_lo * (1.0 - gap)
-            res = solve_minimal(PAIR22, lam, lam, grid)
-            trials.append(Trial(lam, lam, res.iterations, "walk", res.state))
+            res = solve_minimal(pair, lam, sigma * lam, grid)
+            trials.append(Trial(lam, sigma * lam, res.iterations, "walk", res.state))
         hi = bracket.lambda_hi
-        branch = Branch(trials=trials + [Trial(hi, hi, 1, "walk")])
-        diag = extremal_extrapolate(branch, PAIR22, 3)
-        assert diag.bounded_looking
-        assert diag.below_threshold
-        assert diag.dim == 3
-        assert diag.dim_threshold == pytest.approx(threshold_report(PAIR22).n_new)
-        assert diag.points_used == min(8, len(branch.points))
-        assert len(diag.table[0]) == 3
+        branch = Branch(trials=trials + [Trial(hi, sigma * hi, 1, "walk")])
+        assert extremal_extrapolate(branch) is True
 
+    # Slopes 0.01 either side of the cut -0.15 pin the fit to that width.
     def test_synthetic_flat_tail_reads_bounded(self):
-        diag = extremal_extrapolate(synthetic_branch(-0.02), PAIR22, 3)
-        assert diag.bounded_looking
-        assert diag.slope_u == pytest.approx(-0.02, abs=1e-10)
+        assert extremal_extrapolate(synthetic_branch(-0.14)) is True
 
     def test_synthetic_growing_tail_reads_unbounded(self):
-        diag = extremal_extrapolate(synthetic_branch(-0.3), PAIR22, 20)
-        assert not diag.bounded_looking
-        assert not diag.below_threshold
-        assert diag.slope_v == pytest.approx(-0.3, abs=1e-10)
+        assert extremal_extrapolate(synthetic_branch(-0.16)) is False
 
     def test_requires_bracket_and_enough_points(self):
         trials = synthetic_trials(-0.3)
         open_branch = Branch(trials=trials[:-1])
         assert open_branch.lambda_hi is None
-        with pytest.raises(DiagnosticError):
-            extremal_extrapolate(open_branch, PAIR22, 3)
+        assert extremal_extrapolate(open_branch) is None
         short = Branch(trials=trials[:4] + trials[-1:])
         assert (short.lambda_lo, short.lambda_hi) == (trials[3].lam, 1.0)
-        with pytest.raises(DiagnosticError):
-            extremal_extrapolate(short, PAIR22, 3)
+        assert extremal_extrapolate(short) is None
 
     def test_rejects_points_at_or_above_bracket(self):
         trials = synthetic_trials(-0.3)[:-1]
         branch = Branch(trials=trials + [synthetic_trial(trials[-1].lam)])
         assert branch.lambda_hi == branch.lambda_lo
         with pytest.raises(DiagnosticError):
-            extremal_extrapolate(branch, PAIR22, 3)
+            extremal_extrapolate(branch)

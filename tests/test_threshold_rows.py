@@ -125,10 +125,9 @@ def reference_largest_roots(c2, c1, c0, tol):
     """The root sweep of thresholds._largest_roots, frozen.
 
     A verbatim copy of its loop, so any change to the sweep that moves a
-    bit or a failure message fails the test below; np.float_power stands
-    for _float_pow on arrays.
+    bit or a failure message fails the test below.
     """
-    _quartic, _float_pow, _BRACKET_CAP = _reference_quartic, np.float_power, 2.0 ** 60
+    _quartic, _BRACKET_CAP = _reference_quartic, 2.0 ** 60
     s0 = np.full(c2.size, np.nan)
     failed: dict[int, str] = {}
 
@@ -165,7 +164,7 @@ def reference_largest_roots(c2, c1, c0, tol):
         # Newton from the midpoint, kept only inside the bracket (a zero d
         # gives inf or nan, which fails the test).
         fx = _quartic(x, c2, c1, c0)
-        d = 4.0 * _float_pow(x, 3) - 2.0 * c2 * x + c1
+        d = 4.0 * np.float_power(x, 3) - 2.0 * c2 * x + c1
         x_newton = x - fx / d
         x = np.where((lo < x_newton) & (x_newton < hi), x_newton, x)
         below = _quartic(x, c2, c1, c0) < 0.0
@@ -297,11 +296,14 @@ def test_empty_and_misshaped_input():
 
 def test_float_pow_matches_cpython_pow_bit_for_bit():
     # numpy's ** may round a few percent of cubes differently from the C
-    # library's pow; _float_pow must not, or the table bytes would move.
+    # library's pow; np.float_power must not, on arrays or on floats, or
+    # the table bytes would move.
     rng = np.random.default_rng(20)
     x = np.exp(rng.uniform(0.0, 60.0 * math.log(2.0), 200_000))
     x = np.concatenate((x, [1.0, 2.0**60, np.nextafter(2.0**60, 0.0)]))
     for n in (2, 3):
-        got = thresholds._float_pow(x, n)
+        expected = hexes(v**n for v in x.tolist())
+        got = np.float_power(x, n)
         assert got.dtype == np.float64
-        assert hexes(got) == hexes(pow(v, n) for v in x.tolist())
+        assert hexes(got) == expected
+        assert hexes(np.float_power(v, n) for v in x.tolist()) == expected

@@ -187,7 +187,7 @@ class TestIdentities:
         for pair in _sample_pairs(25, seed=3):
             report = check_polynomial_identities(pair, sample_count=128, seed=1)
             assert report.ok(1e-9), report.worst_residual()
-            assert all(report.signs.values())
+            assert all(value is True for value in report.signs.values())
 
     def test_symmetric_split_key_presence(self):
         sym = check_polynomial_identities(ExponentPair(2.5, 2.5), sample_count=32)
