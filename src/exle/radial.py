@@ -49,8 +49,8 @@ from .errors import (
 from .thresholds import ExponentPair, _check_dim
 
 _MIN_INTERVALS = 16
-# Newton iterations per nonlinear solve.  Most loads take at most about 15,
-# but next to a fold the step can stall and spend all 50 (ROADMAP item 2).
+# Newton iterations per nonlinear solve.  Most loads take at most about 15;
+# next to a fold the Picard image is accepted once its step is at roundoff.
 _NEWTON_BUDGET = 50
 _EPS = float(np.finfo(float).eps)
 # Moore-Spence Newton iterations for the fold.  From the walk's last
@@ -246,6 +246,21 @@ def _check_load(lam: float, gam: float) -> None:
             raise DomainError(f"{name} must be at least {sys.float_info.min} (normal), got {value}")
 
 
+def _reaction(e: ExponentPair, lam: float, gam: float, w: np.ndarray) -> np.ndarray:
+    """(F, F', F'') of F(w) = (lam (v+1)^p, gam (u+1)^theta) as a (3, 2, n)
+    array, each derivative taken in the other component and 0 at the
+    Dirichlet node.  Powers are exp(c log1p(w)), accurate where v + 1 rounds
+    to 1 but p v does not; out of range they are inf, which on huge-p rays
+    only F'' reaches, and only the fold solve reads it."""
+    expo = np.array([[e.p], [e.theta]])
+    load = np.array([[lam], [gam]])
+    with np.errstate(over="ignore"):
+        coef = np.stack((load, load * expo, load * expo * (expo - 1.0)))
+        out = coef * np.exp((expo - np.arange(3.0)[:, None, None]) * np.log1p(w[::-1]))
+    out[..., -1] = 0.0
+    return out
+
+
 def solve_minimal(
     e: ExponentPair,
     lam: float,
@@ -262,10 +277,13 @@ def solve_minimal(
     iteration takes the Picard step d = (-Lap)^{-1} F(w) - w, one
     two-column solve_dirichlet on the grid's factors, and then the Newton
     step delta, J delta = (-Lap) d, with J = (-Lap) - f' from `RadialLaplacian.jacobian` and f'
-    the coupling lam p (v+1)^(p-1), gam theta (u+1)^(theta-1).  It is
-    formed as delta = d + e with J e = f' max(d[::-1], 0), so the Laplacian
-    is never applied to d.  A state is accepted once max delta < tol (never
-    below roundoff).  From (0, 0) or a subsolution seed (e.g. the minimal
+    the coupling lam p (v+1)^(p-1), gam theta (u+1)^(theta-1), both from
+    `_reaction`.  It is formed as delta = d + e with J e = f' max(d[::-1], 0),
+    so the Laplacian is never applied to d.  The state w + delta is accepted
+    once max delta < tol, a tol below the roundoff n eps max(1, w + d) reading
+    as that roundoff.  Next to a fold e need not shrink, as |J^{-1}| grows,
+    while d reaches that roundoff: the Picard image w + d is accepted then.
+    From (0, 0) or a subsolution seed (e.g. the minimal
     solution at a smaller load) the iterates of this convex cooperative
     system stay subsolutions below every solution, so d >= 0 (asserted)
     and, while a solution exists, J is an M-matrix and e >= 0: a negative
@@ -285,10 +303,9 @@ def solve_minimal(
     w = np.zeros((2, n)) if seed is None else _as_state(np.array(seed, dtype=float))
     if w.shape[1] != n:
         raise ConfigurationError("seed state does not match the grid")
-    p, theta = e.p, e.theta
     for k in range(1, _NEWTON_BUDGET + 1):
-        u, v = w
-        d = op.solve_dirichlet(np.stack((lam * (v + 1.0) ** p, gam * (u + 1.0) ** theta))) - w
+        f, coupling, _ = _reaction(e, lam, gam, w)
+        d = op.solve_dirichlet(f) - w
         scale = max(1.0, float(np.max(w + d)))
         d_min, floor = float(np.min(d)), -1e-9 * scale
         if d_min < floor:
@@ -296,15 +313,16 @@ def solve_minimal(
                 f"monotone iteration decreased at lam={lam:.12g}, Newton iteration {k}: "
                 f"min d = {d_min:.3g} below its floor {floor:.3g}"
             )
-        coupling = np.stack((lam * p * (v + 1.0) ** (p - 1.0), gam * theta * (u + 1.0) ** (theta - 1.0)))
         corr = solve_block_tridiagonal(*op.jacobian(coupling), coupling * np.maximum(d[::-1], 0.0))
         if not float(np.min(corr)) >= 0.0:
             return Trial(lam, gam, k)
-        d += corr
-        w = w + d
-        # A tol below the roundoff of an n-point solve reads as that roundoff.
-        if float(np.max(d)) < max(tol, n * _EPS * scale):
-            return Trial(lam, gam, k, state=w)
+        roundoff = n * _EPS * scale
+        step = d + corr
+        if float(np.max(step)) < max(tol, roundoff):
+            return Trial(lam, gam, k, state=w + step)
+        if float(np.max(d)) <= roundoff:
+            return Trial(lam, gam, k, state=w + d)
+        w = w + step
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
 
@@ -329,9 +347,7 @@ def stability_mu1(
     """
     _check_load(lam, gam)
     op = grid.laplacian
-    p, theta = e.p, e.theta
-    u, v = _as_state(state)[:, :-1]
-    w = np.sqrt(lam * gam * p * theta * (v + 1.0) ** (p - 1.0) * (u + 1.0) ** (theta - 1.0))
+    w = np.sqrt(np.prod(_reaction(e, lam, gam, _as_state(state))[1, :, :-1], axis=0))
     diag = op._diag[:-1] / w
     off = -np.sqrt(op._upper[:-2] * op._lower[1:-1] / (w[:-1] * w[1:]))
     return smallest_eigenvalue(diag, off)
@@ -429,21 +445,8 @@ def _fold_newton(
     places trial loads with the result.
     """
     op = grid.laplacian
-    expo = np.array([[e.p], [e.theta]])
-    ray = np.array([[1.0], [sigma]])
-
-    def linearize(w, lam):
-        # f(w) = lam * f0, with f0 and its derivatives in the other
-        # component, zero on the Dirichlet rows, and J = -Lap - lam f1.
-        base = w[::-1] + 1.0
-        f0 = ray * base**expo
-        f1 = ray * expo * base ** (expo - 1.0)
-        f2 = ray * expo * (expo - 1.0) * base ** (expo - 2.0)
-        for f in (f0, f1, f2):
-            f[:, -1] = 0.0
-        return f0, f1, f2, op.jacobian(lam * f1)
-
-    blocks = linearize(w, lam)[3]
+    # F(w) = lam f0 on the ray, (f0, f1, f2) at unit load, J = -Lap - lam f1
+    blocks = op.jacobian(lam * _reaction(e, 1.0, sigma, w)[1])
     phi = np.ones_like(w)
     phi[:, -1] = 0.0
     for _ in range(_NULL_STEPS):
@@ -454,7 +457,8 @@ def _fold_newton(
     # non-finite iterate ends the solve, so numpy need not warn of it.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(1, _FOLD_BUDGET + 1):
-            f0, f1, f2, blocks = linearize(w, lam)
+            f0, f1, f2 = _reaction(e, 1.0, sigma, w)
+            blocks = op.jacobian(lam * f1)
             residual = op.apply(w) - lam * f0
             ab = solve_block_tridiagonal(*blocks, np.stack((-residual, f0), axis=1))
             a, b = ab[:, 0], ab[:, 1]

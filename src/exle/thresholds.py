@@ -401,7 +401,6 @@ def _largest_roots(c2, c1, c0, tol: float):
 
 def hausdorff_bound(e: ExponentPair, dim: int, tol: float = 1e-12) -> float:
     """Upper bound max(N - (2 + 2*x0), 0) on the singular-set dimension."""
-    _check_dim(dim)
     return _hausdorff_bounds(threshold_report(e, tol), dim)[0]
 
 
@@ -412,9 +411,6 @@ def hausdorff_bound_proof_form(e: ExponentPair, dim: int, tol: float = 1e-12) ->
     before it is weakened to the statement form; it degenerates at
     N <= 2, where no singular set can occur anyway, so 0 is returned.
     """
-    _check_dim(dim)
-    if dim <= 2:
-        return 0.0
     return _hausdorff_bounds(threshold_report(e, tol), dim)[1]
 
 

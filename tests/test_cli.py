@@ -48,21 +48,21 @@ PARTIAL_ROWS = (
 )
 # sha256 of (branch CSV, summary JSON) of `exle continue` on two rays: the
 # fold-subcritical ray, and a ray at N=20 whose first rows take the flux
-# form and whose fold solve falls back to bisection.  Both were taken when
-# the walk began at the torsion load instead of at 1e-3, which moved every
-# trial load.
+# form and whose fold solve falls back to bisection.  Both were taken with
+# the walk starting at the torsion load, every power of the reaction formed
+# as exp(c log1p(w)), and a Picard step at roundoff accepted.
 CONTINUE_PINS = (
     pytest.param(
         ("--p", "2", "--theta", "2", "--dim", "3", "--nodes", "256"),
-        "fbc50ccba20c82f8a8a4d53b481cc4acce6e323afa5e0483f40f07f8e6617061",
-        "84020c7323bd558ea34bf71e907608b4ef2c37d9b853bcdc3e015382a2d25c85",
+        "4f6c7ee0beb60f3df9a2fbb2197dcc1651c6f0ee62e74837f5153027a7f35778",
+        "582daacbe600bcdfcfe2b30f4c580be5a7e6d539cdd846440fc8658ef8db7a9e",
         id="p2-theta2-dim3",
     ),
     pytest.param(
         ("--p", "1.5", "--theta", "4", "--sigma", "1.8823529411764706", "--dim", "20",
          "--nodes", "256"),
-        "f82b48529d8da0a40aa764c40deaf076e20388a87619a8f71c19bd22f4042821",
-        "37808a4a70f4e4fe86fb30640a85b940fad3e04cda35330d52b831fcc535b483",
+        "09bc2d18897faece21f977fa3e0ea529637da8b6fcc042d821c6b2eef9a1f80a",
+        "4c7b10191679cfde328f3b05d80abcae4cbc6917aa5862740542ccce4643f9c1",
         id="p1.5-theta4-dim20",
     ),
 )
@@ -71,26 +71,25 @@ CONTINUE_PINS = (
 # --nodes 64 --bracket-tol 1e-12 --max-steps <steps>`, which exits 4 with a
 # partial branch: after the first walk load the bracket is open (lambda_hi
 # null); after 4 loads (2 walk, 2 certification) both ends are set, 0.280
-# apart.  Taken with the walk starting at the torsion load.
+# apart.  Taken when the CONTINUE_PINS were.
 PARTIAL_PINS = (
     pytest.param(
         "1",
         "0cf70c9425716a962bbf6f9882b9df2390e82dc057291132e4d51495410d8188",
-        "af7233dcc840cf4d67a8bb2506e345744893ffcc8653565988d9a94bfa814881",
+        "ba5022a3f3c0b58612321a119db93f8df9095971a90189e4e9058ccbf5439d2a",
         id="open-bracket",
     ),
     pytest.param(
         "4",
-        "64f1b7cd18ce9407d4363b863ba036cd0cd26a633e402f13c5ca6d7bb1ad71a7",
-        "5d7b777b23301876e108d8fcbd05b7ac55b2678deffd423e24d34500bf64ba4e",
+        "3550b15bc8fa078ae78ba014cf8347ac82d291bd763e153453c5f6a1ffd82c9e",
+        "7e5d0649fb579a508925257b1f7412d4c1996c95f4047d4f41c810b1d1cb5b68",
         id="closed-bracket",
     ),
 )
 
 # sha256 of the branch CSV of the singular ray in TestContinue, where the
-# fold solve falls back to bisection; taken with the walk starting at the
-# torsion load.
-FALLBACK_CSV_SHA256 = "bb6d9cd09a62b7b5325b86a806b2fc69567174358607ee8dbf0f106b1e68e0d0"
+# fold solve falls back to bisection; taken when the CONTINUE_PINS were.
+FALLBACK_CSV_SHA256 = "334ecdd4e0a155567c64175d9975f2f6a1d33bed4eb455d5f9d2ec6ba26a2a4a"
 # sha256 of `exle <command> --help` at 80 columns (Python 3.11's argparse),
 # taken while the required flags were still checked outside the table;
 # `continue` re-pinned when the --nodes help came to name the interval count.
@@ -694,6 +693,33 @@ class TestContinue:
         assert not out.exists()
         assert not (tmp_path / "branch.summary.json").exists()
 
+    def test_huge_p_at_a_tiny_load_reaches_the_fold(self, tmp_path, capsys):
+        # After one Newton iteration max v is 3e-101 and p v is 0.30: a power
+        # taken as (v + 1) ** p rounded v + 1 to 1, lost a factor e^0.30, and
+        # the next Picard step went negative at the certified torsion load.
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "branch.csv"
+        argv = ["continue", "--p", "1e100", "--theta", "1", "--sigma", "1e-200", "--nodes", "64"]
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        assert err == "# note: canonical order (p, theta) = (1, 1e+100) used for threshold quantities\n"
+        pair = thresholds.ExponentPair(1e100, 1.0)
+        grid = radial.RadialGrid.uniform(3, 64)
+        first = radial.continue_ray(pair, 1e-200, grid, radial.ContinuationConfig(tol=1e-12)).points[0]
+        # -Lap w - F(w) with F at 50 digits, against the size of its terms;
+        # 1 + v needs 101 digits, so the powers go through log1p there too.
+        with mpmath.workdps(50):
+            lap = grid.laplacian.to_dense()
+            loads = (mpmath.mpf(first.lam), mpmath.mpf(first.gam))
+            worst = size = mpmath.mpf(0)
+            for i in range(grid.m):
+                for row, (load, expo) in enumerate(zip(loads, (pair.p, pair.theta))):
+                    f = load * mpmath.exp(expo * mpmath.log1p(first.state[1 - row, i]))
+                    terms = [mpmath.mpf(a) * mpmath.mpf(x) for a, x in zip(lap[i], first.state[row]) if a]
+                    worst = max(worst, abs(mpmath.fsum(terms) - f))
+                    size = max(size, mpmath.fsum(abs(t) for t in terms) + f)
+        assert worst <= (grid.m + 1) * np.finfo(float).eps * size
+
     def test_tiny_sigma_computes_only_what_it_writes(self, tmp_path, capsys):
         # An energy integral that no output read overflowed on this ray
         # and warned; pytest turns each RuntimeWarning into an error.
@@ -729,10 +755,6 @@ class TestContinue:
         assert summary["budget_exhausted"] is True
         assert summary["lambda_hi"] is None
 
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        reason="ROADMAP item 2: Newton stalls next to the fold and spends its budget (exit 4)",
-    )
     @pytest.mark.parametrize(
         "flags",
         [

@@ -528,15 +528,45 @@ class TestContinuation:
                 roundoff = 64.0 * eps * (size @ np.abs(w) + f)[:-1]
                 assert np.all(excess <= roundoff), (lam, float(np.max(excess / roundoff)))
 
-    @pytest.mark.xfail(
-        raises=NumericalError,
-        reason="ROADMAP item 2: next to the fold the Newton correction drifts past d >= 0",
-    )
     def test_graded_grid_reaches_a_tight_bracket(self):
+        # Next to the fold the Newton correction drifted past d >= 0 while
+        # the Picard step was already at roundoff.
         g = RadialGrid(20, np.linspace(0.0, 1.0, 513) ** 1.5)
         continue_ray(
             ExponentPair(1.5, 4.0), 32.0 / 17.0, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-9)
         )
+
+    @pytest.mark.parametrize(
+        "pair, sigma, dim, m, cfg",
+        [
+            (PAIR22, 1.0, 3, 256, {}),
+            (ExponentPair(1.5, 4.0), 32.0 / 17.0, 20, 256, {}),
+            (PAIR22, 1.0, 3, 64, {"bracket_tol": 1e-12}),
+            (ExponentPair(1.01, 20.0), 8.336866576787306, 12, 512, {"bracket_tol": 1e-8}),
+            (ExponentPair(1.5, 4.0), 32.0 / 17.0, 12, 256, {"bracket_tol": 1e-12, "tol": 1e-10}),
+            (PAIR22, 1.0, 16, 256, {}),
+            (ExponentPair(3.0, 1.2), 0.5, 5, 256, {}),
+        ],
+        ids=["p2-N3", "p1.5-N20", "p2-N3-tight", "p1.01-N12", "p1.5-N12-tight", "p2-N16",
+             "p3-N5"],
+    )
+    def test_accepted_states_meet_a_residual_bound(self, pair, sigma, dim, m, cfg):
+        # Every accepted state solves the discrete system to roundoff:
+        # max |-Lap w - F(w)| <= n eps max(|Lap| |w| + |F|), with -Lap and F
+        # formed apart from the solver, in long double.
+        g = RadialGrid.uniform(dim, m)
+        branch = continue_ray(pair, sigma, g, ContinuationConfig(**{"tol": 1e-12, **cfg}))
+        lap = g.laplacian.to_dense().astype(np.longdouble)
+        n = m + 1
+        for pt in branch.points:
+            w = pt.state.astype(np.longdouble)
+            load = np.array([[pt.lam], [pt.gam]], dtype=np.longdouble)
+            expo = np.array([[pair.p], [pair.theta]], dtype=np.longdouble)
+            f = load * np.power(1 + w[::-1], expo)
+            residual = (w @ lap.T - f)[:, :-1]
+            size = (np.abs(w) @ np.abs(lap).T + f)[:, :-1]
+            ratio = float(np.max(np.abs(residual)) / np.max(size))
+            assert ratio <= n * np.finfo(float).eps, (pt.lam, ratio / (n * np.finfo(float).eps))
 
     @pytest.mark.parametrize(
         "pair, dim",
@@ -631,7 +661,7 @@ class TestContinuation:
         assert [t.chosen_by for t in trials] == ["walk"] * 2 + ["predictor"] * 2
         assert all(t.converged for t in trials[2:])
         assert branch.bracket_rel_width == pytest.approx(0.3394, abs=1e-4)
-        assert branch.lambda_fold == 3.2878190286354374
+        assert branch.lambda_fold == 3.287819028635436
         assert branch.fold_iterations == 6
 
     def test_secant_seeds_save_newton_iterations(self):
