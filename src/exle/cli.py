@@ -69,30 +69,25 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, DomainError, ExleError
-from . import thresholds
+from . import _HOME, thresholds
 from .thresholds import ExponentPair, largest_root_L, threshold_report
 
 if TYPE_CHECKING:
     from .diagnostics import energy_report, extremal_extrapolate, souplet_check
     from .radial import ContinuationConfig, RadialGrid, continue_ray
 
-# The names cmd_continue calls from the `continue` layers, by module.  They
-# are bound on first access (PEP 562), so only `continue` loads radial,
-# _cyclic and diagnostics; a value set on this module first is kept.
-_CONTINUE_NAMES = {
-    "continue_ray": "radial",
-    "RadialGrid": "radial",
-    "ContinuationConfig": "radial",
-    "souplet_check": "diagnostics",
-    "energy_report": "diagnostics",
-    "extremal_extrapolate": "diagnostics",
-}
+# The names cmd_continue calls from the `continue` layers, each from its
+# module in the package's _HOME table.  They are bound on first access
+# (PEP 562), so only `continue` loads radial, _cyclic and diagnostics; a
+# value set on this module first is kept.
+_CONTINUE_NAMES = ("continue_ray", "RadialGrid", "ContinuationConfig",
+                   "souplet_check", "energy_report", "extremal_extrapolate")
 
 
 def __getattr__(name: str):
     if name not in _CONTINUE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_CONTINUE_NAMES[name]}", __package__)
+    module = importlib.import_module(f".{_HOME[name]}", __package__)
     value = globals()[name] = getattr(module, name)
     return value
 
@@ -106,7 +101,7 @@ EXIT_IO = 3
 # leaves an optional key without a value.
 _P = ("p", float, ..., "first exponent, the power of (v+1)")
 _THETA = ("theta", float, ..., "second exponent, the power of (u+1)")
-_ROOT_TOL = ("tol", float, 1e-12, "width of the root bracket")
+_ROOT_TOL = ("tol", float, thresholds._ROOT_TOL, "width of the root bracket")
 
 _OPTIONS = {
     "roots": (_P, _THETA, _ROOT_TOL),
@@ -306,8 +301,7 @@ def cmd_partial(args: argparse.Namespace) -> int:
     cfg = _effective(args, "partial")
     pair = _pair_from(cfg)
     dim = int(cfg["dim"])
-    tol = float(cfg["tol"])
-    rep = threshold_report(pair, tol)
+    rep = threshold_report(pair, float(cfg["tol"]))
     bound, proof_form = thresholds._hausdorff_bounds(rep, dim)
     _write_lines(None, [
         "dim,n_new,bound,bound_proof_form",

@@ -52,15 +52,17 @@ def souplet_check(e: ExponentPair, state: np.ndarray, lam: float, gam: float) ->
     (v+1+alpha)^(p+1) >= kappa (u+1)^(theta+1) pointwise; the returned
     margin is min over nodes of (left - right).  In the symmetric case
     p == theta, lam == gam with u == v the margin vanishes identically.
+    Powers of the state are radial._pow1p, as in the reaction.
     """
+    radial._check_load(lam, gam)
     p, theta, u, v, lam, gam = _orient(e, state, lam, gam)
     kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
     alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
-    margin = (v + 1.0 + alpha) ** (p + 1.0) - kappa * (u + 1.0) ** (theta + 1.0)
+    margin = radial._pow1p(v + alpha, p + 1.0) - kappa * radial._pow1p(u, theta + 1.0)
     return float(np.min(margin))
 
 
-def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: int) -> float:
+def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: float) -> float:
     """Integral over the ball of a radial function sampled on nodes."""
     solid_angle = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
     return solid_angle * float(np.trapezoid(values * nodes ** (dim - 1.0), nodes))
@@ -71,15 +73,15 @@ def energy_report(
 ) -> float:
     """Weighted energy integral J2 of one state.
 
-    J2 integrates (u+1)^((theta-1)/2) (v+1)^((p+2s-1)/2) over the ball;
-    the zero state makes it the ball volume.
+    J2 integrates (u+1)^((theta-1)/2) (v+1)^((p+2s-1)/2) over the ball,
+    powers by radial._pow1p; the zero state makes it the ball volume.
     """
     check_energy_exponent(e, s)
     p, theta, u, v, _, _ = _orient(e, state, None, None)
     if u.size != grid.m + 1:
         raise DomainError("state does not match the grid")
     return _ball_integral(
-        (u + 1.0) ** ((theta - 1.0) / 2.0) * (v + 1.0) ** ((p + 2.0 * s - 1.0) / 2.0),
+        radial._pow1p(u, (theta - 1.0) / 2.0) * radial._pow1p(v, (p + 2.0 * s - 1.0) / 2.0),
         grid.nodes,
         grid.dim,
     )

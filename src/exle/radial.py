@@ -34,25 +34,25 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._cyclic import Tridiagonal, smallest_eigenvalue, solve_block_tridiagonal
+from ._cyclic import _EPS, Tridiagonal, smallest_eigenvalue, solve_block_tridiagonal
 from .errors import (
     BudgetError,
     ConfigurationError,
     DomainError,
     NumericalError,
 )
-from .thresholds import ExponentPair, _check_dim
+from .thresholds import ExponentPair
 
 _MIN_INTERVALS = 16
 # Newton iterations per nonlinear solve.  Most loads take at most about 15;
 # next to a fold the Picard image is accepted once its step is at roundoff.
 _NEWTON_BUDGET = 50
-_EPS = float(np.finfo(float).eps)
 # Moore-Spence Newton iterations for the fold.  From the walk's last
 # accepted load, a torsion load times a power of 2 within a factor 2 below
 # the fold, folds below the critical dimension take 6 or 7, and 12 on
@@ -66,14 +66,18 @@ _NULL_STEPS = 3
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Node set 0 = r_0 < ... < r_M = 1 with the space dimension."""
+    """Node set 0 = r_0 < ... < r_M = 1 with the space dimension N, a real
+    number >= 1: the operator reads N only through its coefficients."""
 
-    dim: int
+    dim: float
     nodes: np.ndarray
 
     def __post_init__(self):
-        _check_dim(self.dim)
-        object.__setattr__(self, "dim", int(self.dim))
+        dim = self.dim
+        real = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
+        if not (real and 1 <= dim < math.inf):
+            raise DomainError(f"dim must be a finite real number >= 1, got {dim!r}")
+        object.__setattr__(self, "dim", float(dim))
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < _MIN_INTERVALS + 1:
@@ -86,7 +90,7 @@ class RadialGrid:
             )
 
     @classmethod
-    def uniform(cls, dim: int, m: int) -> "RadialGrid":
+    def uniform(cls, dim: float, m: int) -> "RadialGrid":
         if not isinstance(m, (int, np.integer)) or m < _MIN_INTERVALS:
             raise ConfigurationError(f"m must be an integer >= {_MIN_INTERVALS}, got {m}")
         return cls(dim=dim, nodes=np.linspace(0.0, 1.0, int(m) + 1))
@@ -119,7 +123,7 @@ class RadialLaplacian:
 
     Interior rows use second-order central differences.  Rows where the
     advective coefficient (N-1)/(2 h r) would overpower 1/h^2 (possible
-    only for r < (N-1)h/2, so only for N >= 4 next to the axis) fall
+    only for r < (N-1)h/2, so only for N > 3 next to the axis) fall
     back to the conservative flux form, which keeps every off-diagonal
     nonpositive.  The matrix is then an M-matrix for every dimension and
     the discrete maximum principle is asserted on each solve.  Every row
@@ -246,17 +250,22 @@ def _check_load(lam: float, gam: float) -> None:
             raise DomainError(f"{name} must be at least {sys.float_info.min} (normal), got {value}")
 
 
+def _pow1p(w, c):
+    """(1 + w)^c as exp(c log1p(w)), accurate where 1 + w rounds to 1 but
+    c w does not; the one form of every power of a state in this package."""
+    return np.exp(c * np.log1p(w))
+
+
 def _reaction(e: ExponentPair, lam: float, gam: float, w: np.ndarray) -> np.ndarray:
     """(F, F', F'') of F(w) = (lam (v+1)^p, gam (u+1)^theta) as a (3, 2, n)
     array, each derivative taken in the other component and 0 at the
-    Dirichlet node.  Powers are exp(c log1p(w)), accurate where v + 1 rounds
-    to 1 but p v does not; out of range they are inf, which on huge-p rays
-    only F'' reaches, and only the fold solve reads it."""
+    Dirichlet node.  Powers are _pow1p; out of range they are inf, which on
+    huge-p rays only F'' reaches, and only the fold solve reads it."""
     expo = np.array([[e.p], [e.theta]])
     load = np.array([[lam], [gam]])
     with np.errstate(over="ignore"):
         coef = np.stack((load, load * expo, load * expo * (expo - 1.0)))
-        out = coef * np.exp((expo - np.arange(3.0)[:, None, None]) * np.log1p(w[::-1]))
+        out = coef * _pow1p(w[::-1], expo - np.arange(3.0)[:, None, None])
     out[..., -1] = 0.0
     return out
 

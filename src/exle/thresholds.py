@@ -51,6 +51,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 _BRACKET_CAP = 2.0 ** 60
+_ROOT_TOL = 1e-12  # default width of the root bracket, here and in the CLI
 _IDENTITY_TOL = 1e-9  # bound on each normalized identity residual
 _SIGN_GUARD = 1e-6  # the equivalence scan skips s with |L(s)| at most this
 # The largest exponent whose (exponent + 1)^2, a factor of the energy
@@ -241,17 +242,17 @@ def _monomial_scale_L(e: ExponentPair, s):
     return np.maximum.reduce(np.broadcast_arrays(s2 * s2, c2 * s2, c1 * np.abs(s), c0, 1.0))
 
 
-def largest_root_L(e: ExponentPair, tol: float = 1e-12) -> float:
+def largest_root_L(e: ExponentPair) -> float:
     """Largest root s0 of the energy quartic, located in (2, inf).
 
     L(2) < 0 throughout the domain and L is eventually positive, so a
     sign change exists beyond 2; L'' = 12 s^2 - 2 c2 is increasing, which
-    makes the root unique there.  The s0 of threshold_report(e, tol).
+    makes the root unique there.  The s0 of threshold_report(e).
     """
-    return threshold_report(e, tol).s0
+    return threshold_report(e).s0
 
 
-def threshold_report(e: ExponentPair, tol: float = 1e-12) -> ThresholdReport:
+def threshold_report(e: ExponentPair, tol: float = _ROOT_TOL) -> ThresholdReport:
     """Full threshold summary: t0, s0, x0 and both dimension thresholds.
 
     The one row of threshold_rows([e.p], [e.theta], tol), as Python floats.
@@ -260,7 +261,7 @@ def threshold_report(e: ExponentPair, tol: float = 1e-12) -> ThresholdReport:
     return ThresholdReport(*(float(getattr(rows, f.name)[0]) for f in fields(ThresholdReport)))
 
 
-def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
+def threshold_rows(p, theta, tol: float = _ROOT_TOL) -> ThresholdReport:
     """threshold_report for many exponent pairs at once.
 
     p and theta are 1-D arrays of equal length; each row may come in
@@ -273,7 +274,7 @@ def threshold_rows(p, theta, tol: float = 1e-12) -> ThresholdReport:
     return threshold_columns(np.asarray(p, dtype=float), np.asarray(theta, dtype=float), s0)
 
 
-def threshold_roots(p, theta, tol: float = 1e-12) -> np.ndarray:
+def threshold_roots(p, theta, tol: float = _ROOT_TOL) -> np.ndarray:
     """The s0 column of threshold_rows(p, theta, tol) alone, with its checks.
 
     threshold_columns forms the other columns from it, so a table can
@@ -399,19 +400,19 @@ def _largest_roots(c2, c1, c0, tol: float):
     return s0, None
 
 
-def hausdorff_bound(e: ExponentPair, dim: int, tol: float = 1e-12) -> float:
+def hausdorff_bound(e: ExponentPair, dim: int) -> float:
     """Upper bound max(N - (2 + 2*x0), 0) on the singular-set dimension."""
-    return _hausdorff_bounds(threshold_report(e, tol), dim)[0]
+    return _hausdorff_bounds(threshold_report(e), dim)[0]
 
 
-def hausdorff_bound_proof_form(e: ExponentPair, dim: int, tol: float = 1e-12) -> float:
+def hausdorff_bound_proof_form(e: ExponentPair, dim: int) -> float:
     """Diagnostic variant max(N - (2N/(N-2))*x0, 0).
 
     This is the expression the dimension-reduction argument produces
     before it is weakened to the statement form; it degenerates at
     N <= 2, where no singular set can occur anyway, so 0 is returned.
     """
-    return _hausdorff_bounds(threshold_report(e, tol), dim)[1]
+    return _hausdorff_bounds(threshold_report(e), dim)[1]
 
 
 def _hausdorff_bounds(rep: ThresholdReport, dim: int) -> tuple[float, float]:
@@ -470,7 +471,7 @@ def stability_product(e: ExponentPair, s):
 
 
 def check_polynomial_identities(
-    e: ExponentPair, sample_count: int = 64, seed: int = 0, tol: float = 1e-12
+    e: ExponentPair, sample_count: int = 64, seed: int = 0
 ) -> IdentityReport:
     """Verify the algebraic identities tying the two quartics together.
 
@@ -486,7 +487,7 @@ def check_polynomial_identities(
         raise DomainError(f"seed must be >= 0, got {seed}")
     p, theta = e.canonical()
     canon = ExponentPair(p, theta)
-    s0 = largest_root_L(canon, tol)
+    s0 = largest_root_L(canon)
     k = (theta + 1.0) / (p * theta - 1.0)
     s = np.random.default_rng(seed).uniform(0.0, 2.0 * s0, size=sample_count)
     ls = eval_L(canon, s)

@@ -7,6 +7,7 @@ import pytest
 
 from exle import (
     Branch,
+    ContinuationConfig,
     DiagnosticError,
     DomainError,
     ExponentPair,
@@ -24,9 +25,13 @@ from exle import (
     threshold_report,
 )
 from exle.radial import Trial
+from exle.thresholds import largest_root_L
 
 PAIR22 = ExponentPair(2.0, 2.0)
 PAIR23 = ExponentPair(2.0, 3.0)
+# A ray whose first state has max v = 3e-101 against p = 1e100: 1 + v rounds
+# to 1, so a power of it formed as (1 + v) ** p loses the factor e^(p v).
+HUGE_P = ExponentPair(1e100, 1.0)
 
 
 def ball_volume(dim):
@@ -39,6 +44,19 @@ def solved_23():
     res = solve_minimal(PAIR23, 0.5, 1.0, grid)
     assert res.converged
     return grid, res.state
+
+
+@pytest.fixture(scope="module")
+def huge_p_first():
+    """Grid and first point of `exle continue --p 1e100 --theta 1 --sigma 1e-200 --nodes 64`."""
+    grid = RadialGrid.uniform(3, 64)
+    branch = continue_ray(HUGE_P, 1e-200, grid, ContinuationConfig(tol=1e-12))
+    return grid, branch.points[0]
+
+
+def mp_pow1p(mpmath, w, c):
+    """(1 + w)^c at the working precision; 1 + 3e-101 needs 101 digits, log1p does not."""
+    return mpmath.exp(mpmath.mpf(c) * mpmath.log1p(mpmath.mpf(w)))
 
 
 class TestSouplet:
@@ -62,6 +80,32 @@ class TestSouplet:
         fwd = souplet_check(PAIR23, state, 0.5, 1.0)
         rev = souplet_check(ExponentPair(3.0, 2.0), swapped, 1.0, 0.5)
         assert fwd == rev
+
+    @pytest.mark.parametrize(
+        "lam,gam", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)]
+    )
+    def test_loads_are_validated(self, lam, gam):
+        # These raised ZeroDivisionError, a complex-power TypeError, or
+        # returned 1.0 or nan.
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            souplet_check(PAIR23, np.zeros((2, 33)), lam, gam)
+
+    def test_huge_exponent_margin_matches_mpmath(self, huge_p_first):
+        mpmath = pytest.importorskip("mpmath")
+        _, pt = huge_p_first
+        # canonical order (1, 1e100): rows and loads swap
+        p, theta, u, v, lam, gam = 1.0, 1e100, pt.state[1], pt.state[0], pt.gam, pt.lam
+        kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
+        alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
+        with mpmath.workdps(50):
+            terms = [
+                (mp_pow1p(mpmath, mpmath.mpf(vi) + mpmath.mpf(alpha), p + 1.0),
+                 kappa * mp_pow1p(mpmath, ui, theta + 1.0))
+                for ui, vi in zip(u, v)
+            ]
+            left, right = min(terms, key=lambda t: t[0] - t[1])
+            gap = abs(mpmath.mpf(souplet_check(HUGE_P, pt.state, pt.lam, pt.gam)) - (left - right))
+            assert gap <= 1e-12 * max(left, right)
 
 
 class TestEnergyReport:
@@ -94,6 +138,26 @@ class TestEnergyReport:
         high = energy_report(PAIR23, state, 4.5, grid)
         assert type(high) is float
         assert high > low
+
+    def test_huge_exponent_matches_mpmath(self, huge_p_first):
+        # The trapezoid sum of energy_report at 50 digits, at the CLI's s.
+        mpmath = pytest.importorskip("mpmath")
+        grid, pt = huge_p_first
+        s = 0.5 * (2.0 + largest_root_L(HUGE_P))
+        u, v = pt.state[1], pt.state[0]  # canonical order (1, 1e100)
+        with mpmath.workdps(50):
+            r = [mpmath.mpf(x) for x in grid.nodes]
+            f = [
+                mp_pow1p(mpmath, ui, (1e100 - 1.0) / 2.0)
+                * mp_pow1p(mpmath, vi, (1.0 + 2.0 * s - 1.0) / 2.0) * ri ** 2
+                for ui, vi, ri in zip(u, v, r)
+            ]
+            exact = 4 * mpmath.pi * mpmath.fsum(
+                (f[i] + f[i + 1]) / 2 * (r[i + 1] - r[i]) for i in range(grid.m)
+            )
+            got = energy_report(HUGE_P, pt.state, s, grid)
+            assert abs(got / exact - 1) <= 1e-12
+        assert got == pytest.approx(9.3048e175, rel=1e-4)
 
 
 class TestRescale:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import exle
 from exle import (
@@ -70,17 +70,20 @@ class TestRadialGrid:
             RadialGrid.uniform(3, 8)
 
     def test_bad_dim_rejected(self):
+        # N is any finite real >= 1, so 2.5 is a dimension; these are not.
         with pytest.raises(DomainError):
             RadialGrid.uniform(0, 64)
-        with pytest.raises(DomainError):
-            RadialGrid(2.5, np.linspace(0.0, 1.0, 65))
+        for bad in (0.5, math.nan, math.inf, "3"):
+            with pytest.raises(DomainError, match="dim must be a finite real number >= 1"):
+                RadialGrid(bad, np.linspace(0.0, 1.0, 65))
 
     def test_uniform_checks_dim_before_casting(self):
-        for bad in (2.5, True):
-            with pytest.raises(DomainError, match="dim must be an integer"):
-                RadialGrid.uniform(bad, 64)
-        g = RadialGrid.uniform(np.int64(3), 64)
-        assert type(g.dim) is int and g.dim == 3
+        # True is not cast to N = 1, and 2.5 is kept, not truncated to 2.
+        with pytest.raises(DomainError, match="dim must be a finite real number"):
+            RadialGrid.uniform(True, 64)
+        for dim in (2.5, np.int64(3), np.float32(12.5)):
+            g = RadialGrid.uniform(dim, 64)
+            assert type(g.dim) is float and g.dim == float(dim)
 
     def test_bad_nodes_rejected(self):
         nodes = np.linspace(0.0, 1.0, 65)
@@ -388,6 +391,16 @@ class TestContinuation:
         g = RadialGrid.uniform(3, 64)
         with pytest.raises(DomainError):
             continue_ray(PAIR22, 0.0, g)
+
+    def test_real_dimension_reaches_a_closed_bracket(self):
+        # N = 12.5 runs as 12.5: its bracket closes strictly between the
+        # folds of N = 12 and N = 13, which rise with N on this ray.
+        branches = [
+            continue_ray(PAIR22, 1.0, RadialGrid.uniform(dim, 128)) for dim in (12, 12.5, 13)
+        ]
+        assert all(b.bracket_rel_width <= 1e-4 for b in branches)
+        (_, hi_12), (lo, hi), (lo_13, _) = ((b.lambda_lo, b.lambda_hi) for b in branches)
+        assert hi_12 < lo < hi < lo_13
 
     def test_branch_structure_and_bracket(self):
         g = RadialGrid.uniform(3, 64)
@@ -714,6 +727,39 @@ def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol
     assert all(t.lam <= lo for t in branch.trials if t.converged)
     assert all(t.lam >= hi for t in branch.trials if not t.converged)
     assert hi - lo <= bracket_tol * lo or math.nextafter(lo, math.inf) == hi
+
+
+def eigen_load_bound(p, theta, sigma, grid):
+    """Lambda1 / sqrt(sigma k_p k_theta), above every load with a discrete solution.
+
+    With phi the left Perron vector of -Lap on the nodes 0..M-1 and
+    (1+v)^c > k_c v, k_c = c^c / (c-1)^(c-1) (k_1 = 1), a solution has
+    Lambda1 phi.u > lam k_p phi.v and Lambda1 phi.v > gam k_theta phi.u.
+    Lambda1 comes from a dense LAPACK eigen-solve, not from _cyclic.
+    """
+    lap1 = float(np.min(np.linalg.eigvals(grid.laplacian.to_dense()[:-1, :-1]).real))
+    k_p, k_theta = (c ** c / (c - 1.0) ** (c - 1.0) for c in (p, theta))
+    return lap1 / math.sqrt(sigma * k_p * k_theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.floats(1.0, 6.0),
+    theta=st.floats(1.0, 6.0),
+    log_sigma=st.floats(-1.0, 1.0),
+    dim=st.integers(1, 20),
+    m=st.sampled_from([32, 64]),
+)
+def test_every_solution_lies_below_the_eigen_bound(p, theta, log_sigma, dim, m):
+    # An independent check of every converged trial and of the fold solve:
+    # near p = theta = 1 the fold comes within 1e-4 of the bound.
+    assume(p * theta > 1.0)
+    sigma = 10.0**log_sigma
+    grid = RadialGrid.uniform(dim, m)
+    branch = continue_ray(ExponentPair(p, theta), sigma, grid)
+    bound = eigen_load_bound(p, theta, sigma, grid)
+    assert all(pt.lam < bound for pt in branch.points)
+    assert branch.lambda_fold is None or branch.lambda_fold < bound
 
 
 

@@ -1,5 +1,6 @@
 """Threshold algebra: exact values, identities, and sign equivalences."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -460,3 +461,15 @@ def test_k_certificate_positive_on_grid():
             mid = 2.0 * theta * (p + 1.0) / (theta + 1.0)
             scale = (theta + 1.0) ** 4 / (16.0 * theta * (p + 1.0) ** 2)
             assert -scale * eval_L(ExponentPair(p, theta), mid) == pytest.approx(k, rel=1e-9)
+
+
+def test_root_tolerance_has_one_home():
+    # The root-bracket width is a knob of the root solvers alone.
+    for fn in (largest_root_L, hausdorff_bound, hausdorff_bound_proof_form,
+               check_polynomial_identities):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    for fn in (threshold_report, thresholds.threshold_rows, thresholds.threshold_roots):
+        assert inspect.signature(fn).parameters["tol"].default is thresholds._ROOT_TOL
+    for command in ("roots", "thresholds", "partial"):
+        defaults = {key: default for key, _, default, _ in cli._OPTIONS[command]}
+        assert defaults["tol"] is thresholds._ROOT_TOL
