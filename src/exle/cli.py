@@ -17,8 +17,7 @@ configuration error, 4 for an exhausted budget, where stderr names the
 budget and `continue` still writes the partial branch).  A JSON config
 file (flat keys mirroring the flags) can seed any command; explicit flags
 win.  Every config key is also a flag, and the option table marks the
-required ones.  The tol of `continue` is the Newton correction tolerance;
-elsewhere it is the width of the root bracket.
+required ones.
 
 The summary of `continue` holds the certified fold bracket lambda_lo <
 lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
@@ -116,7 +115,6 @@ _OPTIONS = {
         ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
         ("dim", int, 3, "space dimension N"),
         ("nodes", int, 256, "grid intervals m (m + 1 nodes)"),
-        ("tol", float, 1e-12, "Newton correction tolerance"),
         # ContinuationConfig's defaults, written out so that building the
         # parser loads no radial; a test pins them to the class.
         ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
@@ -342,11 +340,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     sigma = float(cfg["sigma"])
     dim = int(cfg["dim"])
     grid = RadialGrid.uniform(dim, int(cfg["nodes"]))
-    run = ContinuationConfig(
-        bracket_tol=float(cfg["bracket_tol"]),
-        tol=float(cfg["tol"]),
-        max_steps=int(cfg["max_steps"]),
-    )
+    run = ContinuationConfig(bracket_tol=float(cfg["bracket_tol"]), max_steps=int(cfg["max_steps"]))
     p_lo, _ = pair.canonical()
     s_energy = float(cfg["s"]) if cfg["s"] is not None else 0.5 * (
         p_lo + 1.0 + largest_root_L(pair)

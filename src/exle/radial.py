@@ -47,7 +47,7 @@ from .errors import (
     DomainError,
     NumericalError,
 )
-from .thresholds import ExponentPair
+from .thresholds import _MAX_FLOATS, ExponentPair
 
 _MIN_INTERVALS = 16
 # Newton iterations per nonlinear solve.  Most loads take at most about 15;
@@ -75,9 +75,13 @@ class RadialGrid:
     def __post_init__(self):
         dim = self.dim
         real = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
-        if not (real and 1 <= dim < math.inf):
+        try:
+            value = float(dim) if real else math.nan
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not 1 <= value < math.inf:
             raise DomainError(f"dim must be a finite real number >= 1, got {dim!r}")
-        object.__setattr__(self, "dim", float(dim))
+        object.__setattr__(self, "dim", value)
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < _MIN_INTERVALS + 1:
@@ -93,6 +97,8 @@ class RadialGrid:
     def uniform(cls, dim: float, m: int) -> "RadialGrid":
         if not isinstance(m, (int, np.integer)) or m < _MIN_INTERVALS:
             raise ConfigurationError(f"m must be an integer >= {_MIN_INTERVALS}, got {m}")
+        if m >= _MAX_FLOATS:
+            raise ConfigurationError(f"m must be below {_MAX_FLOATS}, got {m}")
         return cls(dim=dim, nodes=np.linspace(0.0, 1.0, int(m) + 1))
 
     @property
@@ -276,28 +282,30 @@ def solve_minimal(
     gam: float,
     grid: RadialGrid,
     *,
-    tol: float = 1e-10,
     seed: np.ndarray | None = None,
 ) -> Trial:
     """Minimal solution of -Lap u = lam (v+1)^p, -Lap v = gam (u+1)^theta.
 
-    The state w = (u, v) is a (2, n) array: a copy of seed, or 0, at the
-    start, and on acceptance the returned Trial's state, w itself.  Each
-    iteration takes the Picard step d = (-Lap)^{-1} F(w) - w, one
-    two-column solve_dirichlet on the grid's factors, and then the Newton
-    step delta, J delta = (-Lap) d, with J = (-Lap) - f' from `RadialLaplacian.jacobian` and f'
-    the coupling lam p (v+1)^(p-1), gam theta (u+1)^(theta-1), both from
-    `_reaction`.  It is formed as delta = d + e with J e = f' max(d[::-1], 0),
-    so the Laplacian is never applied to d.  The state w + delta is accepted
-    once max delta < tol, a tol below the roundoff n eps max(1, w + d) reading
-    as that roundoff.  Next to a fold e need not shrink, as |J^{-1}| grows,
-    while d reaches that roundoff: the Picard image w + d is accepted then.
-    From (0, 0) or a subsolution seed (e.g. the minimal
-    solution at a smaller load) the iterates of this convex cooperative
-    system stay subsolutions below every solution, so d >= 0 (asserted)
-    and, while a solution exists, J is an M-matrix and e >= 0: a negative
-    or non-finite e certifies that this load has no (representable)
-    solution, and the Trial returned has no state.
+    The state w = (u, v) is a (2, n) array, a copy of seed or 0 at the
+    start.  Each iteration takes the Picard step d = (-Lap)^{-1} F(w) - w,
+    one two-column solve_dirichlet on the grid's factors, and then the
+    Newton step delta, J delta = (-Lap) d, with J = (-Lap) - f' from
+    `RadialLaplacian.jacobian` and f' the coupling lam p (v+1)^(p-1),
+    gam theta (u+1)^(theta-1), both from `_reaction`.  It is formed as
+    delta = d + e with J e = f' max(d[::-1], 0), so the Laplacian is never
+    applied to d.  The load is accepted once the Picard defect is at
+    roundoff, max d <= n eps max(1, w + d).  The Trial's state is then the
+    Newton iterate w + delta if max delta is below that roundoff too, and
+    the Picard image w + d otherwise, as next to a fold, where e need not
+    shrink while |J^{-1}| grows.  Since e >= 0 is checked first, delta >= d,
+    so a Newton step at roundoff always has its Picard defect there too.
+
+    From (0, 0) or a subsolution seed (e.g. the minimal solution at a
+    smaller load) the iterates of this convex cooperative system stay
+    subsolutions below every solution, so d >= 0 (asserted) and, while a
+    solution exists, J is an M-matrix and e >= 0: a negative or non-finite
+    e certifies that this load has no (representable) solution, and the
+    Trial returned has no state.
 
     J e is solved by 2x2-block cyclic reduction on the blocks (u_i, v_i),
     without pivoting: while J is an M-matrix every block pivot is one too,
@@ -327,10 +335,9 @@ def solve_minimal(
             return Trial(lam, gam, k)
         roundoff = n * _EPS * scale
         step = d + corr
-        if float(np.max(step)) < max(tol, roundoff):
-            return Trial(lam, gam, k, state=w + step)
         if float(np.max(d)) <= roundoff:
-            return Trial(lam, gam, k, state=w + d)
+            accepted = step if float(np.max(step)) < roundoff else d
+            return Trial(lam, gam, k, state=w + accepted)
         w = w + step
     raise BudgetError(f"Newton budget of {_NEWTON_BUDGET} iterations exhausted at lam={lam:.12g}")
 
@@ -366,14 +373,13 @@ def stability_mu1(
 class ContinuationConfig:
     """Knobs for continue_ray; defaults match the desk-scale studies.
 
-    `exle continue` has the same bracket_tol and max_steps defaults, written
-    out in its option table so that its parser loads no radial; a test pins
-    them to these.  Its tol default is 1e-12, tighter than the 1e-10 here;
-    no default moves, since any change would change output bytes.
+    `exle continue` has the same defaults, written out in its option table
+    so that its parser loads no radial; a test pins them to these.  Each
+    solve stops at its own roundoff (solve_minimal), so no Newton tolerance
+    is set here.
     """
 
     bracket_tol: float = 1e-4  # relative to lambda_lo
-    tol: float = 1e-10
     max_steps: int = 200
 
     def __post_init__(self):
@@ -381,8 +387,6 @@ class ContinuationConfig:
             raise ConfigurationError(f"bracket_tol must be positive, got {self.bracket_tol}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not (self.tol > 0):
-            raise ConfigurationError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -433,7 +437,6 @@ def _fold_newton(
     lam: float,
     w: np.ndarray,
     grid: RadialGrid,
-    tol: float,
 ) -> tuple[float | None, int]:
     """Fold load of the ray by Newton on the Moore-Spence system.
 
@@ -447,8 +450,8 @@ def _fold_newton(
     dlam = (1 - l.phi - l.c) / (l.d) = (1 - l.c') / (l.d), dw = a + dlam b
     and phi + dphi = c' + dlam d.
 
-    Returns (lam_fold, iterations) once the step in (w, lam) is below tol
-    or sqrt(eps) relative, and (None, iterations) when an iterate is
+    Returns (lam_fold, iterations) once the step in (w, lam) is below
+    sqrt(eps) relative, and (None, iterations) when an iterate is
     non-finite or _FOLD_BUDGET runs out.  Past the fold J is
     not an M-matrix, so nothing here is certified: continue_ray only
     places trial loads with the result.
@@ -486,7 +489,7 @@ def _fold_newton(
             # In the quadratic phase a step of sqrt(eps) relative leaves an
             # error of order eps, while smaller steps are roundoff-decided.
             scale = max(1.0, abs(lam), float(np.max(np.abs(w))))
-            if max(abs(dlam), float(np.max(np.abs(dw)))) < max(tol, math.sqrt(_EPS) * scale):
+            if max(abs(dlam), float(np.max(np.abs(dw)))) < math.sqrt(_EPS) * scale:
                 return lam, k
     return None, _FOLD_BUDGET
 
@@ -606,7 +609,7 @@ def continue_ray(
             t = (lam - lam1) / (lam1 - lam0) if lam1 - lam0 > 4.0 * _EPS * lam1 else 0.0
             seed = w1 + t * (w1 - w0)
         try:
-            trial = solve_minimal(e, lam, sigma * lam, grid, tol=config.tol, seed=seed)
+            trial = solve_minimal(e, lam, sigma * lam, grid, seed=seed)
         except BudgetError as exc:
             raise BudgetError(str(exc), partial=branch) from exc
         state, mu1 = trial.state, None
@@ -631,9 +634,7 @@ def continue_ray(
     lam_fold = None
     if not done():
         last = branch.points[-1]
-        lam_fold, branch.fold_iterations = _fold_newton(
-            e, sigma, last.lam, last.state, grid, config.tol
-        )
+        lam_fold, branch.fold_iterations = _fold_newton(e, sigma, last.lam, last.state, grid)
         if lam_fold is not None and branch.lambda_lo < lam_fold < branch.lambda_hi:
             eps = max(config.bracket_tol / 8.0, _EPS)
             for load, expected in (

@@ -54,6 +54,9 @@ _BRACKET_CAP = 2.0 ** 60
 _ROOT_TOL = 1e-12  # default width of the root bracket, here and in the CLI
 _IDENTITY_TOL = 1e-9  # bound on each normalized identity residual
 _SIGN_GUARD = 1e-6  # the equivalence scan skips s with |L(s)| at most this
+# The most entries a float array can have; numpy refuses a longer one
+# before it allocates anything.
+_MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 # The largest exponent whose (exponent + 1)^2, a factor of the energy
 # coefficients, is a finite float.
 _EXPONENT_MAX = math.sqrt(sys.float_info.max)
@@ -345,7 +348,7 @@ def _largest_roots(c2, c1, c0, tol: float):
     s0 = np.full(c2.size, np.nan)
     failed: dict[int, str] = {}
 
-    f_lo = (4.0 - c2) * 4.0 + c1 * 2.0 - c0
+    f_lo = _quartic(2.0, c2, c1, c0)
     negative_at_2 = f_lo < 0
     for row in np.flatnonzero(~negative_at_2).tolist():
         failed[row] = f"expected L(2) < 0, got {float(f_lo[row])}"
@@ -429,6 +432,8 @@ def _check_dim(dim: int) -> None:
         raise DomainError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
+    if dim > sys.float_info.max:
+        raise DomainError(f"dim must be at most the largest float, got {dim}")
 
 
 def scaling_exponents(e: ExponentPair) -> ScalingExponents:
@@ -483,6 +488,8 @@ def check_polynomial_identities(
     """
     if sample_count < 1:
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
+    if sample_count > _MAX_FLOATS:
+        raise DomainError(f"sample_count must be at most {_MAX_FLOATS}, got {sample_count}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     p, theta = e.canonical()

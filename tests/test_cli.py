@@ -94,11 +94,12 @@ PARTIAL_PINS = (
 FALLBACK_CSV_SHA256 = "334ecdd4e0a155567c64175d9975f2f6a1d33bed4eb455d5f9d2ec6ba26a2a4a"
 # sha256 of `exle <command> --help` at 80 columns (Python 3.11's argparse),
 # taken while the required flags were still checked outside the table;
-# `continue` re-pinned when the --nodes help came to name the interval count.
+# `continue` re-pinned when the --nodes help came to name the interval count,
+# and again when its Newton --tol went.
 HELP_SHA256 = {
     "roots": "34afabe201617c3ff5fd60f3ccfa03e601d1667d67504ebaebac2f3bd1531de9",
     "thresholds": "14587a089fcdf62ae4dd5243bc023fcb4c5379fc5e850a041f233f734c237bc5",
-    "continue": "9063d5cf38314fe9932b841d75a5bca118db2d39b5f9effed5a43833f871fb2f",
+    "continue": "b1438612090a1617bcc42aaa50da80f10a92555ea13938787389efe51ce5b7f7",
     "verify": "a941c277f2ea10f7be8f661669a869321e2a92a5d143fd58a4fb5f496617a188",
     "partial": "d736111afce9443574e5871bd85b4ee23102c537659f7a3ad5328ac47e4a8926",
 }
@@ -152,6 +153,30 @@ class TestSurface:
 
         monkeypatch.setitem(cli._HANDLERS, "roots", raising)
         assert run(["roots"], capsys) == (code, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["continue", "--nodes", "64", "--dim", str(10**400)], "dim must be a finite real number >= 1"),
+            (["partial", "--dim", str(10**400)], "dim must be at most the largest float"),
+            (["continue", "--nodes", str(10**400)], "m must be below"),
+            (["continue", "--nodes", str(2**63)], "m must be below"),
+            (["verify", "--samples", str(10**400)], "sample_count must be at most"),
+            (["verify", "--samples", str(2**63)], "sample_count must be at most"),
+        ],
+        ids=["continue-dim", "partial-dim", "nodes-10e400", "nodes-2e63", "samples-10e400",
+             "samples-2e63"],
+    )
+    def test_count_beyond_float_or_array_range_exits_2(self, tmp_path, capsys, argv, message):
+        # Each raised OverflowError, ValueError or IndexError, a traceback
+        # and exit 1; every one of them fails before anything is allocated.
+        argv = [argv[0], "--p", "2", "--theta", "2", *argv[1:]]
+        if argv[0] == "continue":
+            argv += ["--out", str(tmp_path / "b.csv")]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(HELP_SHA256))
     def test_help_bytes_pinned(self, capsys, monkeypatch, command):
@@ -394,9 +419,11 @@ class TestConfigFile:
         cfg = tmp_path / "c.json"
         # max_iter and blowup_cap were the Picard knobs of continue, eigen_tol
         # the tolerance of its mu1 power iteration; lambda_init and growth
-        # set the geometric search for the first load without a solution
+        # set the geometric search for the first load without a solution;
+        # tol was its Newton tolerance, now each solve's own roundoff
         for command, key in (
             ("roots", "bogus"),
+            ("continue", "tol"),
             ("continue", "max_iter"),
             ("continue", "blowup_cap"),
             ("continue", "eigen_tol"),
@@ -707,7 +734,7 @@ class TestContinue:
         assert err == "# note: canonical order (p, theta) = (1, 1e+100) used for threshold quantities\n"
         pair = thresholds.ExponentPair(1e100, 1.0)
         grid = radial.RadialGrid.uniform(3, 64)
-        first = radial.continue_ray(pair, 1e-200, grid, radial.ContinuationConfig(tol=1e-12)).points[0]
+        first = radial.continue_ray(pair, 1e-200, grid).points[0]
         # -Lap w - F(w) with F at 50 digits, against the size of its terms;
         # 1 + v needs 101 digits, so the powers go through log1p there too.
         with mpmath.workdps(50):
@@ -732,20 +759,6 @@ class TestContinue:
         assert err == ""
         assert len(out.read_text().splitlines()) > 1
 
-    def test_tol_is_picard_step_tolerance(self, tmp_path, capsys):
-        sweeps = {}
-        for tol in ("1e-6", "1e-10"):
-            out = tmp_path / f"b{tol}.csv"
-            argv = [
-                "continue", "--p", "2", "--theta", "2", "--nodes", "64",
-                "--tol", tol, "--out", str(out),
-            ]
-            code, _, _ = run(argv, capsys)
-            assert code == 0
-            rows = out.read_text().splitlines()[1:]
-            sweeps[tol] = sum(int(row.split(",")[-1]) for row in rows)
-        assert sweeps["1e-6"] < sweeps["1e-10"]
-
     def test_newton_budget_exhaustion_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(radial, "_NEWTON_BUDGET", 1)
         out = tmp_path / "b.csv"
@@ -762,7 +775,7 @@ class TestContinue:
         [
             "--p 1.01 --theta 20 --sigma 8.336866576787306 --dim 12 --nodes 512 "
             "--bracket-tol 1e-8",
-            "--p 1.5 --theta 4 --sigma 1.8823529411764706 --dim 12 --nodes 256 --tol 1e-10 "
+            "--p 1.5 --theta 4 --sigma 1.8823529411764706 --dim 12 --nodes 256 "
             "--bracket-tol 1e-12",
         ],
         ids=["p1.01-theta20-N12", "p1.5-theta4-N12"],
@@ -772,24 +785,17 @@ class TestContinue:
 
     def test_eigen_tol_flag_exits_2(self, tmp_path, capsys):
         # mu1 comes from a direct eigen-solve; its power-iteration knob is
-        # gone, and so are the first trial load and the growth factor
-        for flag, value in (("--eigen-tol", "1e-10"), ("--lambda-init", "0.01"), ("--growth", "3")):
+        # gone, and so are the first trial load, the growth factor and the
+        # Newton tolerance (each solve stops at its own roundoff)
+        for flag, value in (
+            ("--eigen-tol", "1e-10"), ("--lambda-init", "0.01"), ("--growth", "3"), ("--tol", "1e-12"),
+        ):
             argv = ["continue", "--p", "2", "--theta", "2", flag, value]
             with pytest.raises(SystemExit) as info:
                 cli.main(argv + ["--out", str(tmp_path / "b.csv")])
             assert info.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not (tmp_path / "b.csv").exists()
-
-    def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
-        argv = [
-            "continue", "--p", "2", "--theta", "2", "--nodes", "16", "--tol", "0",
-            "--out", str(tmp_path / "b.csv"),
-        ]
-        code, _, err = run(argv, capsys)
-        assert code == 2
-        assert "tol must be positive" in err
-        assert not (tmp_path / "b.csv").exists()
 
     def test_nan_bracket_tol_exits_2(self, tmp_path, capsys):
         # nan > 0 is false: nan is not a positive width

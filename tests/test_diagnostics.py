@@ -7,7 +7,6 @@ import pytest
 
 from exle import (
     Branch,
-    ContinuationConfig,
     DiagnosticError,
     DomainError,
     ExponentPair,
@@ -50,7 +49,7 @@ def solved_23():
 def huge_p_first():
     """Grid and first point of `exle continue --p 1e100 --theta 1 --sigma 1e-200 --nodes 64`."""
     grid = RadialGrid.uniform(3, 64)
-    branch = continue_ray(HUGE_P, 1e-200, grid, ContinuationConfig(tol=1e-12))
+    branch = continue_ray(HUGE_P, 1e-200, grid)
     return grid, branch.points[0]
 
 

@@ -90,7 +90,6 @@ def test_accepted_state_near_fold_is_within_tol():
     lam = 2.343125
     zero = np.zeros(grid.m + 1)
     u, v = picard(e, lam, lam, op, zero, zero)
-    tol = 1e-6
-    res = solve_minimal(e, lam, lam, grid, tol=tol)
+    res = solve_minimal(e, lam, lam, grid)
     assert res.converged
-    assert np.abs(res.state - np.stack((u, v))).max() <= 0.01 * tol
+    assert np.abs(res.state - np.stack((u, v))).max() <= 1e-8

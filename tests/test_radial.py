@@ -1,5 +1,7 @@
 """Radial operator, monotone solver, eigenvalue, and continuation tests."""
 
+import dataclasses
+import inspect
 import math
 import re
 import sys
@@ -316,20 +318,12 @@ class TestSolveMinimal:
         sigma = 8.694929803671808
         g = RadialGrid.uniform(14, 16384)
         a = 2.468662109375
-        below = solve_minimal(e, a, sigma * a, g, tol=1e-12)
+        below = solve_minimal(e, a, sigma * a, g)
         assert below.converged
         lam = 2.777244873046875
-        res = solve_minimal(e, lam, sigma * lam, g, tol=1e-12, seed=below.state)
+        res = solve_minimal(e, lam, sigma * lam, g, seed=below.state)
         assert not res.converged
         assert res.state is None
-
-    def test_tol_below_roundoff_reads_as_roundoff(self):
-        # Here no Picard step falls below 1e-300; the solve must stop at roundoff.
-        g = RadialGrid.uniform(3, 1024)
-        res = solve_minimal(PAIR22, 2.3, 2.3, g, tol=1e-300)
-        ref = solve_minimal(PAIR22, 2.3, 2.3, g, tol=1e-10)
-        assert res.converged
-        assert np.abs(res.state[0] - ref.state[0]).max() < 1e-9
 
 
 class TestStabilityMu1:
@@ -380,12 +374,18 @@ class TestContinuation:
     def test_config_validation(self):
         for bad in (
             {"max_steps": 0},
-            {"tol": 0.0},
             {"bracket_tol": 0.0},
             {"bracket_tol": math.nan},
         ):
             with pytest.raises(ConfigurationError):
                 ContinuationConfig(**bad)
+
+    def test_newton_solves_have_no_tolerance_knob(self):
+        # solve_minimal stops at its own roundoff, the fold solve at sqrt(eps).
+        for fn in (solve_minimal, radial._fold_newton):
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+        fields = [field.name for field in dataclasses.fields(ContinuationConfig)]
+        assert fields == ["bracket_tol", "max_steps"]
 
     def test_sigma_validation(self):
         g = RadialGrid.uniform(3, 64)
@@ -528,7 +528,7 @@ class TestContinuation:
 
         monkeypatch.setattr(radial, "solve_minimal", recording)
         g = RadialGrid.uniform(dim, m)
-        branch = continue_ray(pair, sigma, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-8))
+        branch = continue_ray(pair, sigma, g, ContinuationConfig(bracket_tol=1e-8))
         # every trial after the first accepted point is seeded, and checked below
         first = next(i for i, t in enumerate(branch.trials) if t.converged)
         assert [lam for lam, _, _ in seeds] == [t.lam for t in branch.trials[first + 1 :]]
@@ -546,7 +546,7 @@ class TestContinuation:
         # the Picard step was already at roundoff.
         g = RadialGrid(20, np.linspace(0.0, 1.0, 513) ** 1.5)
         continue_ray(
-            ExponentPair(1.5, 4.0), 32.0 / 17.0, g, ContinuationConfig(tol=1e-12, bracket_tol=1e-9)
+            ExponentPair(1.5, 4.0), 32.0 / 17.0, g, ContinuationConfig(bracket_tol=1e-9)
         )
 
     @pytest.mark.parametrize(
@@ -556,7 +556,7 @@ class TestContinuation:
             (ExponentPair(1.5, 4.0), 32.0 / 17.0, 20, 256, {}),
             (PAIR22, 1.0, 3, 64, {"bracket_tol": 1e-12}),
             (ExponentPair(1.01, 20.0), 8.336866576787306, 12, 512, {"bracket_tol": 1e-8}),
-            (ExponentPair(1.5, 4.0), 32.0 / 17.0, 12, 256, {"bracket_tol": 1e-12, "tol": 1e-10}),
+            (ExponentPair(1.5, 4.0), 32.0 / 17.0, 12, 256, {"bracket_tol": 1e-12}),
             (PAIR22, 1.0, 16, 256, {}),
             (ExponentPair(3.0, 1.2), 0.5, 5, 256, {}),
         ],
@@ -568,7 +568,7 @@ class TestContinuation:
         # max |-Lap w - F(w)| <= n eps max(|Lap| |w| + |F|), with -Lap and F
         # formed apart from the solver, in long double.
         g = RadialGrid.uniform(dim, m)
-        branch = continue_ray(pair, sigma, g, ContinuationConfig(**{"tol": 1e-12, **cfg}))
+        branch = continue_ray(pair, sigma, g, ContinuationConfig(**cfg))
         lap = g.laplacian.to_dense().astype(np.longdouble)
         n = m + 1
         for pt in branch.points:
@@ -680,7 +680,7 @@ class TestContinuation:
     def test_secant_seeds_save_newton_iterations(self):
         # 76 iterations when each trial was seeded with the last accepted state.
         g = RadialGrid.uniform(3, 256)
-        branch = continue_ray(PAIR22, 1.0, g, ContinuationConfig(tol=1e-12))
+        branch = continue_ray(PAIR22, 1.0, g)
         assert sum(pt.iterations for pt in branch.points) < 76
 
     def test_newton_budget_exhaustion_never_sets_lambda_hi(self, monkeypatch):
@@ -1028,8 +1028,8 @@ class TestCyclicReduction:
 
 
 # (diag, off) that stability_mu1 built on `exle continue --p 2 --theta 2
-# --dim 10 --sigma 0.8817888451814433 --nodes 32 --bracket-tol 1e-4 --tol 1e-10`
-# at the walk load 4.096, where a shift of the inverse iteration landed on
+# --dim 10 --sigma 0.8817888451814433 --nodes 32 --bracket-tol 1e-4`, when
+# its Newton tolerance was set to 1e-10, at the walk load 4.096, where a shift of the inverse iteration landed on
 # mu1 in floating point and the factor divided by a zero pivot.
 ZERO_PIVOT_DIAG = [
     "0x1.0ac35fd65ce0ap+11", "0x1.0074788d0448cp+12", "0x1.91a83e8d2f634p+9",
