@@ -785,17 +785,27 @@ class TestContinue:
 
     def test_eigen_tol_flag_exits_2(self, tmp_path, capsys):
         # mu1 comes from a direct eigen-solve; its power-iteration knob is
-        # gone, and so are the first trial load, the growth factor and the
-        # Newton tolerance (each solve stops at its own roundoff)
-        for flag, value in (
-            ("--eigen-tol", "1e-10"), ("--lambda-init", "0.01"), ("--growth", "3"), ("--tol", "1e-12"),
-        ):
+        # gone, and so are the first trial load and the growth factor
+        for flag, value in (("--eigen-tol", "1e-10"), ("--lambda-init", "0.01"), ("--growth", "3")):
             argv = ["continue", "--p", "2", "--theta", "2", flag, value]
             with pytest.raises(SystemExit) as info:
                 cli.main(argv + ["--out", str(tmp_path / "b.csv")])
             assert info.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not (tmp_path / "b.csv").exists()
+
+    def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
+        # continue has no Newton --tol any more (each solve stops at its own
+        # roundoff): --tol 0 is an unrecognized flag and writes no branch
+        argv = [
+            "continue", "--p", "2", "--theta", "2", "--nodes", "16", "--tol", "0",
+            "--out", str(tmp_path / "b.csv"),
+        ]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_nan_bracket_tol_exits_2(self, tmp_path, capsys):
         # nan > 0 is false: nan is not a positive width
