@@ -32,7 +32,6 @@ _SUBMODULES = {
     ),
     "radial": (
         "Branch",
-        "ContinuationConfig",
         "RadialGrid",
         "RadialLaplacian",
         "Trial",

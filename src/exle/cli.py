@@ -25,8 +25,8 @@ placed the bracket, or null when the run fell back to bisection.
 
 Only `continue` loads radial, _cyclic and diagnostics; every other command
 needs numpy and thresholds alone.  The names cmd_continue calls from those
-modules (continue_ray, RadialGrid, ContinuationConfig, souplet_check,
-energy_report, extremal_extrapolate) are attributes of this module bound on
+modules (continue_ray, RadialGrid, souplet_check, energy_report,
+extremal_extrapolate) are attributes of this module bound on
 first access (PEP 562), so `exle.cli.continue_ray` still resolves, and a
 function set there, such as a tracing wrapper, is the one `continue` calls.
 `exle thresholds` keeps one root per pair and forms each 512-row chunk of
@@ -73,14 +73,14 @@ from .thresholds import ExponentPair, largest_root_L, threshold_report
 
 if TYPE_CHECKING:
     from .diagnostics import energy_report, extremal_extrapolate, souplet_check
-    from .radial import ContinuationConfig, RadialGrid, continue_ray
+    from .radial import RadialGrid, continue_ray
 
 # The names cmd_continue calls from the `continue` layers, each from its
 # module in the package's _HOME table.  They are bound on first access
 # (PEP 562), so only `continue` loads radial, _cyclic and diagnostics; a
 # value set on this module first is kept.
-_CONTINUE_NAMES = ("continue_ray", "RadialGrid", "ContinuationConfig",
-                   "souplet_check", "energy_report", "extremal_extrapolate")
+_CONTINUE_NAMES = ("continue_ray", "RadialGrid", "souplet_check", "energy_report",
+                   "extremal_extrapolate")
 
 
 def __getattr__(name: str):
@@ -100,13 +100,11 @@ EXIT_IO = 3
 # leaves an optional key without a value.
 _P = ("p", float, ..., "first exponent, the power of (v+1)")
 _THETA = ("theta", float, ..., "second exponent, the power of (u+1)")
-_ROOT_TOL = ("tol", float, thresholds._ROOT_TOL, "width of the root bracket")
 
 _OPTIONS = {
-    "roots": (_P, _THETA, _ROOT_TOL),
+    "roots": (_P, _THETA),
     "thresholds": (
         ("grid", str, ..., '"pmin:pmax:step"'),
-        _ROOT_TOL,
         ("out", str, None, "output CSV; stdout if unset"),
     ),
     "continue": (
@@ -115,20 +113,19 @@ _OPTIONS = {
         ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
         ("dim", int, 3, "space dimension N"),
         ("nodes", int, 256, "grid intervals m (m + 1 nodes)"),
-        # ContinuationConfig's defaults, written out so that building the
-        # parser loads no radial; a test pins them to the class.
+        # continue_ray's default, written out so that building the parser
+        # loads no radial; a test pins it to the signature.
         ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
         ("s", float, None, "energy integrability exponent"),
         ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
-        ("max_steps", int, 200, "trial budget per branch"),
     ),
     "verify": (
         _P,
         _THETA,
-        ("samples", int, 200, "sample points per check"),
+        ("samples", int, thresholds._SAMPLE_COUNT, "sample points per check"),
         ("seed", int, 0, "sampling seed"),
     ),
-    "partial": (_P, _THETA, ("dim", int, ..., "space dimension N"), _ROOT_TOL),
+    "partial": (_P, _THETA, ("dim", int, ..., "space dimension N")),
 }
 
 
@@ -229,7 +226,7 @@ def _pair_from(cfg: dict) -> ExponentPair:
 def cmd_roots(args: argparse.Namespace) -> int:
     """threshold constants for one exponent pair"""
     cfg = _effective(args, "roots")
-    rep = threshold_report(_pair_from(cfg), float(cfg["tol"]))
+    rep = threshold_report(_pair_from(cfg))
     _write_lines(None, [
         "t0,s0,x0,n_cowan,n_new,improvement",
         ",".join(_fmt(x) for x in (rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement)),
@@ -250,9 +247,11 @@ def _parse_grid(spec: str) -> list[float]:
     if not (lo < hi) or not (step > 0):
         raise DomainError(f"grid needs pmin < pmax and step > 0, got {spec!r}")
     span = (hi - lo) / step
-    if not math.isfinite(span):
+    count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else None
+    # The table holds a float for each of the n(n+1)/2 pairs of n values;
+    # refuse the grid before its list of values fills memory.
+    if count is None or count * (count + 1) // 2 > thresholds._MAX_FLOATS:
         raise DomainError(f"grid has too many values: {spec!r}")
-    count = int(math.floor(span + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 
 
@@ -263,14 +262,13 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     grid = np.array(values)
     # p <= theta, row by row; a grid index fits in 4 bytes.
     first, second = (index.astype(np.int32) for index in np.triu_indices(grid.size))
-    tol = float(cfg["tol"])
     # Every root is computed before any byte is written, so a failing pair
     # leaves no partial table behind.  Only s0 is kept; each chunk forms its
     # other columns, which are elementwise and so the same bits.
     s0 = np.empty(first.size)
     for start in range(0, first.size, _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
-        s0[rows] = thresholds.threshold_roots(grid[first[rows]], grid[second[rows]], tol)
+        s0[rows] = thresholds.threshold_roots(grid[first[rows]], grid[second[rows]])
     # p and theta are grid values, each formatted once; a chunk of rows is
     # one % over a template that holds them.
     labels = [_FLOAT % v for v in values]
@@ -299,7 +297,7 @@ def cmd_partial(args: argparse.Namespace) -> int:
     cfg = _effective(args, "partial")
     pair = _pair_from(cfg)
     dim = int(cfg["dim"])
-    rep = threshold_report(pair, float(cfg["tol"]))
+    rep = threshold_report(pair)
     bound, proof_form = thresholds._hausdorff_bounds(rep, dim)
     _write_lines(None, [
         "dim,n_new,bound,bound_proof_form",
@@ -340,7 +338,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
     sigma = float(cfg["sigma"])
     dim = int(cfg["dim"])
     grid = RadialGrid.uniform(dim, int(cfg["nodes"]))
-    run = ContinuationConfig(bracket_tol=float(cfg["bracket_tol"]), max_steps=int(cfg["max_steps"]))
     p_lo, _ = pair.canonical()
     s_energy = float(cfg["s"]) if cfg["s"] is not None else 0.5 * (
         p_lo + 1.0 + largest_root_L(pair)
@@ -350,7 +347,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
 
     budget_hit = False
     try:
-        branch = continue_ray(pair, sigma, grid, run)
+        branch = continue_ray(pair, sigma, grid, bracket_tol=float(cfg["bracket_tol"]))
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         branch = exc.partial

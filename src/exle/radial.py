@@ -60,6 +60,8 @@ _NEWTON_BUDGET = 50
 # the solve takes 12 to 29 and more as m grows (measured up to m = 1024),
 # and such rays mostly fall back to bisection.
 _FOLD_BUDGET = 12
+# Trial loads per branch: the walk, the certification loads and bisection.
+_TRIAL_BUDGET = 200
 # Inverse-iteration steps for the first null-vector guess of the fold solve.
 _NULL_STEPS = 3
 
@@ -369,26 +371,6 @@ def stability_mu1(
     return smallest_eigenvalue(diag, off)
 
 
-@dataclass(frozen=True)
-class ContinuationConfig:
-    """Knobs for continue_ray; defaults match the desk-scale studies.
-
-    `exle continue` has the same defaults, written out in its option table
-    so that its parser loads no radial; a test pins them to these.  Each
-    solve stops at its own roundoff (solve_minimal), so no Newton tolerance
-    is set here.
-    """
-
-    bracket_tol: float = 1e-4  # relative to lambda_lo
-    max_steps: int = 200
-
-    def __post_init__(self):
-        if not (self.bracket_tol > 0):
-            raise ConfigurationError(f"bracket_tol must be positive, got {self.bracket_tol}")
-        if self.max_steps < 1:
-            raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
-
-
 @dataclass
 class Branch:
     """Minimal branch along gamma = sigma * lambda up to the fold bracket.
@@ -457,8 +439,10 @@ def _fold_newton(
     places trial loads with the result.
     """
     op = grid.laplacian
-    # F(w) = lam f0 on the ray, (f0, f1, f2) at unit load, J = -Lap - lam f1
-    blocks = op.jacobian(lam * _reaction(e, 1.0, sigma, w)[1])
+    # F(w) = lam f0 on the ray, (f0, f1, f2) at unit load, J = -Lap - lam f1;
+    # each step forms them at the iterate it starts from.
+    f0, f1, f2 = _reaction(e, 1.0, sigma, w)
+    blocks = op.jacobian(lam * f1)
     phi = np.ones_like(w)
     phi[:, -1] = 0.0
     for _ in range(_NULL_STEPS):
@@ -469,8 +453,6 @@ def _fold_newton(
     # non-finite iterate ends the solve, so numpy need not warn of it.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(1, _FOLD_BUDGET + 1):
-            f0, f1, f2 = _reaction(e, 1.0, sigma, w)
-            blocks = op.jacobian(lam * f1)
             residual = op.apply(w) - lam * f0
             ab = solve_block_tridiagonal(*blocks, np.stack((-residual, f0), axis=1))
             a, b = ab[:, 0], ab[:, 1]
@@ -491,6 +473,8 @@ def _fold_newton(
             scale = max(1.0, abs(lam), float(np.max(np.abs(w))))
             if max(abs(dlam), float(np.max(np.abs(dw)))) < math.sqrt(_EPS) * scale:
                 return lam, k
+            f0, f1, f2 = _reaction(e, 1.0, sigma, w)
+            blocks = op.jacobian(lam * f1)
     return None, _FOLD_BUDGET
 
 
@@ -551,12 +535,15 @@ def continue_ray(
     e: ExponentPair,
     sigma: float,
     grid: RadialGrid,
-    config: ContinuationConfig = ContinuationConfig(),
+    *,
+    bracket_tol: float = 1e-4,
 ) -> Branch:
     """Walk the minimal branch along gamma = sigma * lambda to the fold.
 
-    Three phases run in turn; the bracket is done once it is
-    config.bracket_tol relative wide or its ends are adjacent floats.
+    Three phases run in turn; the bracket is done once it is bracket_tol
+    wide relative to lambda_lo, or its ends are adjacent floats.  A smaller
+    bracket_tol costs more solves.  `exle continue` has the same default,
+    written out in its option table so that its parser loads no radial.
     1. Walk: lambda starts at the load _torsion_load certifies to have a
        solution, a third to two thirds of the fold on the rays measured,
        and doubles until the first load without one.  A first trial
@@ -574,8 +561,8 @@ def continue_ray(
     Only the outcomes of solve_minimal move the bracket, so it is
     certified whichever phase closed it.  States are pointwise
     nondecreasing along the branch, which is asserted.  Running out of
-    trial loads or of Newton iterations in one solve raises BudgetError
-    carrying the partial branch.
+    trial loads (_TRIAL_BUDGET) or of Newton iterations in one solve raises
+    BudgetError carrying the partial branch.
 
     Each trial load lam is seeded with the secant z = w1 + (lam - lam1) s,
     s = (w1 - w0) / (lam1 - lam0), through the last two accepted points
@@ -590,14 +577,16 @@ def continue_ray(
     """
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    if not (bracket_tol > 0):
+        raise ConfigurationError(f"bracket_tol must be positive, got {bracket_tol}")
     branch = Branch()
     origin = (0.0, np.zeros((2, grid.m + 1)))
 
     def attempt(lam: float, chosen_by: str) -> bool:
         """Solve at lam and log the trial; True if solved."""
-        if len(branch.trials) >= config.max_steps:
+        if len(branch.trials) >= _TRIAL_BUDGET:
             raise BudgetError(
-                f"continuation budget of {config.max_steps} solves exhausted",
+                f"continuation budget of {_TRIAL_BUDGET} solves exhausted",
                 partial=branch,
             )
         # The last two accepted points, oldest first: (load, state).
@@ -623,7 +612,7 @@ def continue_ray(
     def done() -> bool:
         lo, hi = branch.lambda_lo, branch.lambda_hi
         # A midpoint equal to an end means the ends are adjacent floats.
-        return hi - lo <= config.bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi)
+        return hi - lo <= bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi)
 
     lam = _torsion_load(e, sigma, grid)
     while attempt(lam, "walk"):
@@ -636,7 +625,7 @@ def continue_ray(
         last = branch.points[-1]
         lam_fold, branch.fold_iterations = _fold_newton(e, sigma, last.lam, last.state, grid)
         if lam_fold is not None and branch.lambda_lo < lam_fold < branch.lambda_hi:
-            eps = max(config.bracket_tol / 8.0, _EPS)
+            eps = max(bracket_tol / 8.0, _EPS)
             for load, expected in (
                 (lam_fold * (1.0 - 8.0 * eps), True),
                 (lam_fold * (1.0 - eps), True),

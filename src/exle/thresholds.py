@@ -30,13 +30,13 @@ There is one root iteration, _largest_roots, on numpy arrays of pairs:
 threshold_roots runs it for a whole table, threshold_columns forms the
 other columns from the roots, threshold_rows is the two in turn, and
 threshold_report (and with it largest_root_L) runs threshold_rows on one
-row.  It replaced a scalar loop of the same steps and matched it to the
-last bit, so no output changed: +, -, *, /, sqrt and comparisons are
-correctly rounded in numpy as in Python.  Float powers are not: numpy's
-power loops may take a SIMD path that differs from the C library's pow in
-the last bit of a few percent of cubes.  So every float power is
-np.float_power, which calls the C library's pow for each element, as
-CPython's float pow does, on arrays and on floats alike.
+row.  Every root is bracketed to the one width _ROOT_TOL, 1e-12, or to
+adjacent floats where those lie farther apart.  +, -, *, /, sqrt and
+comparisons are correctly rounded in numpy as in Python.  Float powers
+are not: numpy's power loops may take a SIMD path that differs from the
+C library's pow in the last bit of a few percent of cubes.  So every
+float power is np.float_power, which calls the C library's pow for each
+element, as CPython's float pow does, on arrays and on floats alike.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 _BRACKET_CAP = 2.0 ** 60
-_ROOT_TOL = 1e-12  # default width of the root bracket, here and in the CLI
+_ROOT_TOL = 1e-12  # width of every root bracket
 _IDENTITY_TOL = 1e-9  # bound on each normalized identity residual
+_SAMPLE_COUNT = 200  # default sample points of each identity check, here and in the CLI
 _SIGN_GUARD = 1e-6  # the equivalence scan skips s with |L(s)| at most this
 # The most entries a float array can have; numpy refuses a longer one
 # before it allocates anything.
@@ -177,18 +178,19 @@ class IdentityReport:
         name = max(self.residuals, key=lambda k: _failure_rank(self.residuals[k]))
         return name, self.residuals[name]
 
-    def failures(self, tol: float = _IDENTITY_TOL) -> list[tuple[str, float]]:
-        """Every failed check as (name, weight), heaviest first: a residual weighs
-        its value, a sign inf, the scan its disagreements, nan most; ties keep order."""
-        checks = [(name, r, r <= tol) for name, r in self.residuals.items()]
+    def failures(self) -> list[tuple[str, float]]:
+        """Every failed check as (name, weight), heaviest first: a residual fails
+        above _IDENTITY_TOL and weighs its value, a sign inf, the scan its
+        disagreements, nan most; ties keep order."""
+        checks = [(name, r, r <= _IDENTITY_TOL) for name, r in self.residuals.items()]
         checks += [(name, math.inf, ok) for name, ok in self.signs.items()]
         checks.append(("equivalence_scan", float(self.scan[0]), self.scan[0] == 0))
-        checks.append(("scaling_identity", self.scaling, self.scaling <= tol))
+        checks.append(("scaling_identity", self.scaling, self.scaling <= _IDENTITY_TOL))
         failed = [(name, weight) for name, weight, passed in checks if not passed]
         return sorted(failed, key=lambda check: _failure_rank(check[1]), reverse=True)
 
-    def ok(self, tol: float = _IDENTITY_TOL) -> bool:
-        return not self.failures(tol)
+    def ok(self) -> bool:
+        return not self.failures()
 
 
 def _energy_coeffs(p, theta):
@@ -255,16 +257,16 @@ def largest_root_L(e: ExponentPair) -> float:
     return threshold_report(e).s0
 
 
-def threshold_report(e: ExponentPair, tol: float = _ROOT_TOL) -> ThresholdReport:
+def threshold_report(e: ExponentPair) -> ThresholdReport:
     """Full threshold summary: t0, s0, x0 and both dimension thresholds.
 
-    The one row of threshold_rows([e.p], [e.theta], tol), as Python floats.
+    The one row of threshold_rows([e.p], [e.theta]), as Python floats.
     """
-    rows = threshold_rows([e.p], [e.theta], tol)
+    rows = threshold_rows([e.p], [e.theta])
     return ThresholdReport(*(float(getattr(rows, f.name)[0]) for f in fields(ThresholdReport)))
 
 
-def threshold_rows(p, theta, tol: float = _ROOT_TOL) -> ThresholdReport:
+def threshold_rows(p, theta) -> ThresholdReport:
     """threshold_report for many exponent pairs at once.
 
     p and theta are 1-D arrays of equal length; each row may come in
@@ -273,12 +275,12 @@ def threshold_rows(p, theta, tol: float = _ROOT_TOL) -> ThresholdReport:
     fail, the first failing row raises the error it would raise on its
     own, with the pair named.
     """
-    s0 = threshold_roots(p, theta, tol)
+    s0 = threshold_roots(p, theta)
     return threshold_columns(np.asarray(p, dtype=float), np.asarray(theta, dtype=float), s0)
 
 
-def threshold_roots(p, theta, tol: float = _ROOT_TOL) -> np.ndarray:
-    """The s0 column of threshold_rows(p, theta, tol) alone, with its checks.
+def threshold_roots(p, theta) -> np.ndarray:
+    """The s0 column of threshold_rows(p, theta) alone, with its checks.
 
     threshold_columns forms the other columns from it, so a table can
     hold 8 B a pair and form the rest a chunk at a time.
@@ -295,12 +297,10 @@ def threshold_roots(p, theta, tol: float = _ROOT_TOL) -> np.ndarray:
         valid &= np.minimum(p, theta) <= _SMALLER_EXPONENT_MAX
         valid &= p * theta > 1.0
     n = p.size if valid.all() else int(np.argmin(valid))  # rows before the first invalid one
-    if n > 0 and not (tol > 0):
-        raise DomainError(f"tol must be positive, got {tol}")
     p_c, theta_c = np.minimum(p[:n], theta[:n]), np.maximum(p[:n], theta[:n])
     # Python floats overflow to inf and nan without a word; so do these.
     with np.errstate(all="ignore"):
-        s0, failure = _largest_roots(*_energy_coeffs(p_c, theta_c), tol)
+        s0, failure = _largest_roots(*_energy_coeffs(p_c, theta_c))
     if failure is not None:
         row, message = failure
         raise NumericalError(f"{message}; pair {ExponentPair(float(p[row]), float(theta[row]))}")
@@ -335,13 +335,14 @@ def _quartic(s, c2, c1, c0):
     return (ss - c2) * ss + c1 * s - c0
 
 
-def _largest_roots(c2, c1, c0, tol: float):
+def _largest_roots(c2, c1, c0):
     """Largest roots in (2, inf) for arrays of energy-quartic coefficients.
 
     Bracketing bisection with safeguarded Newton steps, on every row at
     once with masks; threshold_report passes one row.  A row is done, at
-    its bracket midpoint, once the bracket is at most tol wide or its ends
-    are adjacent floats (a width below roundoff counts as that roundoff).
+    its bracket midpoint, once the bracket is at most _ROOT_TOL wide or its
+    ends are adjacent floats (a width below roundoff counts as that
+    roundoff).
     Returns the roots and None, or the roots and (row, message) for the
     first row that fails.
     """
@@ -370,7 +371,7 @@ def _largest_roots(c2, c1, c0, tol: float):
     for _ in range(500):
         width = hi - lo
         x = 0.5 * (lo + hi)
-        done = (width <= tol) | (x == lo) | (x == hi)
+        done = (width <= _ROOT_TOL) | (x == lo) | (x == hi)
         if done.any():
             s0[idx[done]] = x[done]
             keep = ~done
@@ -476,7 +477,7 @@ def stability_product(e: ExponentPair, s):
 
 
 def check_polynomial_identities(
-    e: ExponentPair, sample_count: int = 64, seed: int = 0
+    e: ExponentPair, sample_count: int = _SAMPLE_COUNT, seed: int = 0
 ) -> IdentityReport:
     """Verify the algebraic identities tying the two quartics together.
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from exle import (
-    ContinuationConfig,
     ExponentPair,
     RadialGrid,
     assemble_radial_laplacian,
@@ -54,7 +53,7 @@ def grid_reports():
 def run_branch(m):
     grid = RadialGrid.uniform(3, m)
     start = time.perf_counter()
-    branch = continue_ray(PAIR22, 1.0, grid, ContinuationConfig(bracket_tol=1e-4))
+    branch = continue_ray(PAIR22, 1.0, grid, bracket_tol=1e-4)
     elapsed = time.perf_counter() - start
     return elapsed, grid, branch
 

@@ -1,6 +1,8 @@
 """CLI surface: formats, determinism, exit codes, and config handling."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -37,8 +39,8 @@ ROOTS_101_20_ROW = (
 ROOTS_100_5000_ROW = (
     "200.476165537,401.443784337,4.01524876144,10.0206664721,10.0304975229,0.00983105075113"
 )
-# Adjacent floats near s0 ~ 4e4 are 7.3e-12 apart, wider than the default
-# tol; the scalar root loop exited 1 here.
+# Adjacent floats near s0 ~ 4e4 are 7.3e-12 apart, wider than the root
+# bracket width; the scalar root loop exited 1 here.
 ROOTS_10000_ROW = "19999.4999875,39998.999975,4.0003000275,10.000600055,10.000600055,0"
 # `exle partial` rows, as written by the scalar root loop that preceded the
 # single array path.
@@ -68,8 +70,8 @@ CONTINUE_PINS = (
 )
 
 # sha256 of (branch CSV, summary JSON) of `exle continue --p 2 --theta 2
-# --nodes 64 --bracket-tol 1e-12 --max-steps <steps>`, which exits 4 with a
-# partial branch: after the first walk load the bracket is open (lambda_hi
+# --nodes 64 --bracket-tol 1e-12` with a trial budget (radial._TRIAL_BUDGET)
+# of <steps>, which exits 4 with a partial branch: after the first walk load the bracket is open (lambda_hi
 # null); after 4 loads (2 walk, 2 certification) both ends are set, 0.280
 # apart.  Taken when the CONTINUE_PINS were; the summaries again when the
 # energy integral came to form its powers as exp(c log1p(w)), which moved
@@ -95,13 +97,14 @@ FALLBACK_CSV_SHA256 = "334ecdd4e0a155567c64175d9975f2f6a1d33bed4eb455d5f9d2ec6ba
 # sha256 of `exle <command> --help` at 80 columns (Python 3.11's argparse),
 # taken while the required flags were still checked outside the table;
 # `continue` re-pinned when the --nodes help came to name the interval count,
-# and again when its Newton --tol went.
+# and again when its Newton --tol went; roots, thresholds, partial and
+# continue when the root width --tol and --max-steps went.
 HELP_SHA256 = {
-    "roots": "34afabe201617c3ff5fd60f3ccfa03e601d1667d67504ebaebac2f3bd1531de9",
-    "thresholds": "14587a089fcdf62ae4dd5243bc023fcb4c5379fc5e850a041f233f734c237bc5",
-    "continue": "b1438612090a1617bcc42aaa50da80f10a92555ea13938787389efe51ce5b7f7",
+    "roots": "358c7273ffe687e550fa1b9bbfd8963e1a1e9eb5d813966e3202f427385e48e0",
+    "thresholds": "48deae50d316a4b4a111fe5e81cddc666357e794e464c01c33351bfbbdf8f012",
+    "continue": "763fccaf91b248ce0972692c43db5fa5132d9e2f17eee9683ee9bbd7e1faa6b9",
     "verify": "a941c277f2ea10f7be8f661669a869321e2a92a5d143fd58a4fb5f496617a188",
-    "partial": "d736111afce9443574e5871bd85b4ee23102c537659f7a3ad5328ac47e4a8926",
+    "partial": "cc3ca89eb5d2f9745cbf77f0f1634f47d6b0572749c9adc2f7944d93b90b467f",
 }
 # The required flags of each command, in the order they are reported, and
 # a valid value for each.
@@ -112,7 +115,7 @@ REQUIRED_FLAGS = {
     "verify": ("p", "theta"),
     "partial": ("p", "theta", "dim"),
 }
-REQUIRED_VALUES = {"p": "2", "theta": "2", "dim": "5"}
+REQUIRED_VALUES = {"p": "2", "theta": "2", "dim": "5", "grid": "1.1:2:0.1"}
 # `exle verify --p 2 --theta 3 --samples 100 --seed 1`, as the per-sample
 # loops wrote it, with the rescale residual normalized by the monomials of H.
 VERIFY_23_STDOUT = """\
@@ -163,14 +166,17 @@ class TestSurface:
             (["continue", "--nodes", str(2**63)], "m must be below"),
             (["verify", "--samples", str(10**400)], "sample_count must be at most"),
             (["verify", "--samples", str(2**63)], "sample_count must be at most"),
+            (["thresholds", "--grid", "0:1e10:1"], "grid has too many values"),
         ],
         ids=["continue-dim", "partial-dim", "nodes-10e400", "nodes-2e63", "samples-10e400",
-             "samples-2e63"],
+             "samples-2e63", "grid-pairs"],
     )
     def test_count_beyond_float_or_array_range_exits_2(self, tmp_path, capsys, argv, message):
         # Each raised OverflowError, ValueError or IndexError, a traceback
-        # and exit 1; every one of them fails before anything is allocated.
-        argv = [argv[0], "--p", "2", "--theta", "2", *argv[1:]]
+        # and exit 1, or (the grid) built a list of 1e10 floats; every one
+        # of them fails before anything is allocated.
+        if argv[0] != "thresholds":
+            argv = [argv[0], "--p", "2", "--theta", "2", *argv[1:]]
         if argv[0] == "continue":
             argv += ["--out", str(tmp_path / "b.csv")]
         code, out, err = run(argv, capsys)
@@ -190,9 +196,38 @@ class TestSurface:
     def test_continue_defaults_are_the_library_defaults(self):
         # cli writes them out so that building the parser loads no radial.
         defaults = {key: default for key, _, default, _ in cli._OPTIONS["continue"]}
-        library = radial.ContinuationConfig()
-        assert defaults["bracket_tol"] == library.bracket_tol
-        assert defaults["max_steps"] == library.max_steps
+        library = inspect.signature(radial.continue_ray).parameters["bracket_tol"]
+        assert library.kind is inspect.Parameter.KEYWORD_ONLY
+        assert defaults["bracket_tol"] == library.default
+
+    def test_verify_samples_default_is_the_library_default(self):
+        defaults = {key: default for key, _, default, _ in cli._OPTIONS["verify"]}
+        library = inspect.signature(thresholds.check_polynomial_identities)
+        assert defaults["samples"] is library.parameters["sample_count"].default
+        assert defaults["samples"] is thresholds._SAMPLE_COUNT
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    def test_removed_knobs_are_unrecognized(self, tmp_path, capsys, command):
+        # The root-bracket width and the trial budget are constants now
+        # (thresholds._ROOT_TOL, radial._TRIAL_BUDGET): neither is a flag of
+        # any command, nor a config key.
+        argv = [command]
+        if command in ("thresholds", "continue"):
+            argv += ["--out", str(tmp_path / "b.csv")]
+        for key in REQUIRED_FLAGS[command]:
+            argv += ["--" + key, REQUIRED_VALUES[key]]
+        for flag, value in (("--tol", "1e-12"), ("--max-steps", "4")):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv + [flag, value])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = tmp_path / "c.json"
+        for key in ("tol", "max_steps"):
+            cfg.write_text(json.dumps({key: 4}))
+            code, out, err = run(argv + ["--config", str(cfg)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: unknown config keys for {command}: {key}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
         "command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items() for f in flags]
@@ -660,11 +695,14 @@ class TestContinue:
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha256
 
     @pytest.mark.parametrize("steps,csv_sha256,summary_sha256", PARTIAL_PINS)
-    def test_partial_branch_bytes_pinned(self, tmp_path, capsys, steps, csv_sha256, summary_sha256):
+    def test_partial_branch_bytes_pinned(
+        self, tmp_path, capsys, monkeypatch, steps, csv_sha256, summary_sha256
+    ):
+        monkeypatch.setattr(radial, "_TRIAL_BUDGET", int(steps))
         out = tmp_path / "branch.csv"
         argv = [
             "continue", "--p", "2", "--theta", "2", "--nodes", "64", "--bracket-tol", "1e-12",
-            "--max-steps", steps, "--out", str(out),
+            "--out", str(out),
         ]
         code, _, err = run(argv, capsys)
         assert (code, err) == (4, f"error: continuation budget of {steps} solves exhausted\n")
@@ -686,23 +724,21 @@ class TestContinue:
         summary = json.loads((tmp_path / "branch.summary.json").read_text())
         assert summary["lambda_fold"] is None
 
-    def test_budget_exhaustion_preserves_partial(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"max_steps": 1}))
+    def test_budget_exhaustion_preserves_partial(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(radial, "_TRIAL_BUDGET", 1)
         out = tmp_path / "partial.csv"
         argv = [
             "continue", "--p", "2", "--theta", "2", "--nodes", "64",
             "--dim", "3", "--out", str(out),
         ]
-        for budget in (["--config", str(cfg)], ["--max-steps", "1"]):
-            code, _, err = run(argv + budget, capsys)
-            assert code == 4
-            assert err == "error: continuation budget of 1 solves exhausted\n"
-            lines = out.read_text().splitlines()
-            assert len(lines) == 1 + 1
-            summary = json.loads((tmp_path / "partial.summary.json").read_text())
-            assert summary["budget_exhausted"] is True
-            assert summary["lambda_hi"] is None
+        code, _, err = run(argv, capsys)
+        assert code == 4
+        assert err == "error: continuation budget of 1 solves exhausted\n"
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 1
+        summary = json.loads((tmp_path / "partial.summary.json").read_text())
+        assert summary["budget_exhausted"] is True
+        assert summary["lambda_hi"] is None
 
     def test_subnormal_load_exits_2(self, tmp_path, capsys):
         # The torsion load of this ray is subnormal (about 3e-323): the
@@ -872,7 +908,7 @@ def test_lazy_namespace_resolves_every_public_name():
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] 36 module 'exle' has no attribute 'no_such_name'\n"
+    assert proc.stdout == "[] 35 module 'exle' has no attribute 'no_such_name'\n"
 
 
 CLI_THREADS = (
@@ -902,6 +938,16 @@ def test_cli_after_numpy_leaves_blas_threads_unset():
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "None\n"
+
+
+def test_console_script_entry_point():
+    # The `exle` script an install writes calls this function.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["exle"]
+    module, _, attr = target.partition(":")
+    assert (module, attr) == ("exle.cli", "console_main")
+    assert getattr(importlib.import_module(module), attr) is cli.console_main
 
 
 def test_console_script_installed():
@@ -1043,9 +1089,9 @@ def test_wrapper_set_before_loading_is_the_one_continue_runs(tmp_path):
     code = (
         "import sys, exle.cli\n"
         "calls = []\n"
-        "def wrapper(*args):\n"
+        "def wrapper(*args, **kwargs):\n"
         "    calls.append(args)\n"
-        "    return sys.modules['exle.radial'].continue_ray(*args)\n"
+        "    return sys.modules['exle.radial'].continue_ray(*args, **kwargs)\n"
         "exle.cli.continue_ray = wrapper\n"
         "code = exle.cli.main(['continue', '--p', '2', '--theta', '2', '--nodes', '32',\n"
         f"                      '--out', {str(branch)!r}])\n"

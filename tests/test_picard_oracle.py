@@ -10,7 +10,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from exle import (
-    ContinuationConfig,
     ExponentPair,
     RadialGrid,
     assemble_radial_laplacian,
@@ -74,7 +73,7 @@ def test_singular_ray_bracket_agrees_with_picard():
     e = ExponentPair(1.01, 20.0)
     sigma = 8.694929803671808
     grid = RadialGrid.uniform(14, 16384)
-    branch = continue_ray(e, sigma, grid, ContinuationConfig(bracket_tol=1e-8))
+    branch = continue_ray(e, sigma, grid, bracket_tol=1e-8)
     assert branch.lambda_lo > 2.4686621246337896
     last = branch.points[-1]
     op = assemble_radial_laplacian(grid)

@@ -1,6 +1,5 @@
 """Radial operator, monotone solver, eigenvalue, and continuation tests."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -18,7 +17,6 @@ from exle import (
     Branch,
     BudgetError,
     ConfigurationError,
-    ContinuationConfig,
     DomainError,
     ExponentPair,
     NumericalError,
@@ -372,20 +370,25 @@ class TestStabilityMu1:
 
 class TestContinuation:
     def test_config_validation(self):
-        for bad in (
-            {"max_steps": 0},
-            {"bracket_tol": 0.0},
-            {"bracket_tol": math.nan},
-        ):
-            with pytest.raises(ConfigurationError):
-                ContinuationConfig(**bad)
+        g = RadialGrid.uniform(3, 64)
+        for bad in (0.0, -1e-4, math.nan):
+            with pytest.raises(ConfigurationError, match="bracket_tol must be positive"):
+                continue_ray(PAIR22, 1.0, g, bracket_tol=bad)
 
     def test_newton_solves_have_no_tolerance_knob(self):
-        # solve_minimal stops at its own roundoff, the fold solve at sqrt(eps).
-        for fn in (solve_minimal, radial._fold_newton):
-            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
-        fields = [field.name for field in dataclasses.fields(ContinuationConfig)]
-        assert fields == ["bracket_tol", "max_steps"]
+        # solve_minimal stops at its own roundoff, the fold solve at sqrt(eps),
+        # and the trial budget is radial._TRIAL_BUDGET: no public radial
+        # signature takes tol, config or max_steps, and bracket_tol is the
+        # one keyword of continue_ray.
+        public = [getattr(radial, name) for name in exle._SUBMODULES["radial"]]
+        for fn in public + [radial._fold_newton]:
+            params = set(inspect.signature(fn).parameters)
+            assert not {"tol", "config", "max_steps"} & params, fn.__name__
+        params = inspect.signature(continue_ray).parameters
+        assert list(params) == ["e", "sigma", "grid", "bracket_tol"]
+        assert params["bracket_tol"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert not hasattr(radial, "ContinuationConfig")
+        assert len(exle.__all__) == 35
 
     def test_sigma_validation(self):
         g = RadialGrid.uniform(3, 64)
@@ -448,13 +451,14 @@ class TestContinuation:
         for pt in branch.points:
             assert pt.gam == pytest.approx(2.0 * pt.lam)
 
-    def test_budget_error_carries_partial_branch(self):
+    def test_budget_error_carries_partial_branch(self, monkeypatch):
         # One trial leaves the bracket open; after three, the walk's failed
         # load closes it and the first certification load has a solution.
         g = RadialGrid.uniform(3, 64)
         for steps, points in ((1, 1), (3, 2)):
+            monkeypatch.setattr(radial, "_TRIAL_BUDGET", steps)
             with pytest.raises(BudgetError) as info:
-                continue_ray(PAIR22, 1.0, g, ContinuationConfig(max_steps=steps))
+                continue_ray(PAIR22, 1.0, g)
             partial = info.value.partial
             assert isinstance(partial, Branch)
             assert len(partial.trials) == steps
@@ -466,7 +470,7 @@ class TestContinuation:
         # mu1 tends to 1 at the fold, so the eigensolver independently
         # checks that a tight bracket sits there and not below it.
         g = RadialGrid.uniform(3, 256)
-        branch = continue_ray(PAIR22, 1.0, g, ContinuationConfig(bracket_tol=1e-8))
+        branch = continue_ray(PAIR22, 1.0, g, bracket_tol=1e-8)
         assert branch.bracket_rel_width <= 1e-8
         assert 1.0 - 1e-6 <= branch.mu1_min <= 1.0 + 3e-4
 
@@ -481,7 +485,7 @@ class TestContinuation:
             return solve(e, lam, gam, grid, **kwargs)
 
         monkeypatch.setattr(radial, "solve_minimal", recording)
-        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), ContinuationConfig(bracket_tol=1e-300))
+        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), bracket_tol=1e-300)
         assert branch.lambda_lo < branch.lambda_hi
         assert np.nextafter(branch.lambda_lo, math.inf) == branch.lambda_hi
         assert len(set(trials)) == len(trials)
@@ -492,13 +496,12 @@ class TestContinuation:
         # the last two (t ~ 1e11) seeded the bisection with a state that is
         # no subsolution (NumericalError).
         g = RadialGrid.uniform(3, 64)
-        cfg = ContinuationConfig(bracket_tol=1e-300)
-        exact = continue_ray(PAIR22, 1.0, g, cfg)
+        exact = continue_ray(PAIR22, 1.0, g, bracket_tol=1e-300)
         fold = radial._fold_newton
         monkeypatch.setattr(
             radial, "_fold_newton", lambda *args: (fold(*args)[0] * (1.0 - 5e-5), 5)
         )
-        branch = continue_ray(PAIR22, 1.0, g, cfg)
+        branch = continue_ray(PAIR22, 1.0, g, bracket_tol=1e-300)
         chosen = [t.chosen_by for t in branch.trials]
         assert chosen[:5] == ["walk"] * 2 + ["predictor"] * 3
         assert all(t.converged for t in branch.trials[2:5])
@@ -528,7 +531,7 @@ class TestContinuation:
 
         monkeypatch.setattr(radial, "solve_minimal", recording)
         g = RadialGrid.uniform(dim, m)
-        branch = continue_ray(pair, sigma, g, ContinuationConfig(bracket_tol=1e-8))
+        branch = continue_ray(pair, sigma, g, bracket_tol=1e-8)
         # every trial after the first accepted point is seeded, and checked below
         first = next(i for i, t in enumerate(branch.trials) if t.converged)
         assert [lam for lam, _, _ in seeds] == [t.lam for t in branch.trials[first + 1 :]]
@@ -546,7 +549,7 @@ class TestContinuation:
         # the Picard step was already at roundoff.
         g = RadialGrid(20, np.linspace(0.0, 1.0, 513) ** 1.5)
         continue_ray(
-            ExponentPair(1.5, 4.0), 32.0 / 17.0, g, ContinuationConfig(bracket_tol=1e-9)
+            ExponentPair(1.5, 4.0), 32.0 / 17.0, g, bracket_tol=1e-9
         )
 
     @pytest.mark.parametrize(
@@ -568,7 +571,7 @@ class TestContinuation:
         # max |-Lap w - F(w)| <= n eps max(|Lap| |w| + |F|), with -Lap and F
         # formed apart from the solver, in long double.
         g = RadialGrid.uniform(dim, m)
-        branch = continue_ray(pair, sigma, g, ContinuationConfig(**cfg))
+        branch = continue_ray(pair, sigma, g, **cfg)
         lap = g.laplacian.to_dense().astype(np.longdouble)
         n = m + 1
         for pt in branch.points:
@@ -587,12 +590,11 @@ class TestContinuation:
     )
     def test_fold_lies_in_the_bisection_bracket(self, monkeypatch, pair, dim):
         g = RadialGrid.uniform(dim, 256)
-        cfg = ContinuationConfig(bracket_tol=1e-12)
-        branch = continue_ray(pair, 1.0, g, cfg)
+        branch = continue_ray(pair, 1.0, g, bracket_tol=1e-12)
         assert branch.lambda_fold is not None
         assert branch.lambda_lo < branch.lambda_fold < branch.lambda_hi
         monkeypatch.setattr(radial, "_fold_newton", lambda *args: (None, 0))
-        bisected = continue_ray(pair, 1.0, g, cfg)
+        bisected = continue_ray(pair, 1.0, g, bracket_tol=1e-12)
         assert bisected.lambda_fold is None
         assert bisected.bracket_rel_width <= 1e-12
         assert bisected.lambda_lo <= branch.lambda_fold <= bisected.lambda_hi
@@ -624,7 +626,7 @@ class TestContinuation:
         # A predicted fold 4 eps too low: lam_f (1 + eps), expected to have
         # no solution, has one, and the loop bisects the bracket it holds.
         g = RadialGrid.uniform(3, 64)
-        exact = continue_ray(PAIR22, 1.0, g, ContinuationConfig(bracket_tol=1e-10))
+        exact = continue_ray(PAIR22, 1.0, g, bracket_tol=1e-10)
         fold = radial._fold_newton
         monkeypatch.setattr(
             radial, "_fold_newton", lambda *args: (fold(*args)[0] * (1.0 - 4.0 * 1e-4 / 8.0), 7)
@@ -648,8 +650,7 @@ class TestContinuation:
 
     def test_walk_bracket_within_tolerance_skips_the_fold_solve(self):
         # the walk ends on a bracket one doubling wide
-        cfg = ContinuationConfig(bracket_tol=1.0)
-        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), cfg)
+        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), bracket_tol=1.0)
         assert [t.chosen_by for t in branch.trials] == ["walk"] * 2
         assert branch.bracket_rel_width == pytest.approx(1.0)
         assert branch.fold_iterations == 0
@@ -658,8 +659,7 @@ class TestContinuation:
     def test_certification_load_below_the_bracket_falls_back_to_bisection(self):
         # lam_f (1 - 8 eps) = 0.6 * 2.343 with eps = 0.4 / 8 lies below
         # lambda_lo = 1.5, the torsion load.
-        cfg = ContinuationConfig(bracket_tol=0.4)
-        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), cfg)
+        branch = continue_ray(PAIR22, 1.0, RadialGrid.uniform(3, 64), bracket_tol=0.4)
         assert [t.chosen_by for t in branch.trials] == ["walk"] * 2 + ["bisection"]
         assert branch.fold_iterations == 6
         assert branch.lambda_fold is None
@@ -668,8 +668,7 @@ class TestContinuation:
     def test_certification_stops_once_the_bracket_is_narrow(self):
         # lam_f (1 - eps) with eps = 0.35 / 8 lies within 0.35 of the walk's
         # failed load 1.28 lam_f, so the third certification load is not tried.
-        cfg = ContinuationConfig(bracket_tol=0.35)
-        branch = continue_ray(PAIR22, 0.5, RadialGrid.uniform(3, 64), cfg)
+        branch = continue_ray(PAIR22, 0.5, RadialGrid.uniform(3, 64), bracket_tol=0.35)
         trials = branch.trials
         assert [t.chosen_by for t in trials] == ["walk"] * 2 + ["predictor"] * 2
         assert all(t.converged for t in trials[2:])
@@ -701,9 +700,11 @@ class TestContinuation:
     max_steps=st.sampled_from([3, 8, 14, 200]),
 )
 def test_continuation_phases_and_certified_bracket(pair, dim, sigma, bracket_tol, max_steps):
-    cfg = ContinuationConfig(bracket_tol=bracket_tol, max_steps=max_steps)
+    grid = RadialGrid.uniform(dim, 32)
     try:
-        branch = continue_ray(ExponentPair(*pair), sigma, RadialGrid.uniform(dim, 32), cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(radial, "_TRIAL_BUDGET", max_steps)
+            branch = continue_ray(ExponentPair(*pair), sigma, grid, bracket_tol=bracket_tol)
         finished = True
     except BudgetError as exc:
         branch, finished = exc.partial, False
@@ -984,7 +985,7 @@ class TestCyclicReduction:
         # bracket 1e-8: J has a condition number of about 5e9 here
         g = RadialGrid.uniform(3, 64)
         op = assemble_radial_laplacian(g)
-        pt = continue_ray(PAIR22, 1.0, g, ContinuationConfig(bracket_tol=1e-8)).points[-1]
+        pt = continue_ray(PAIR22, 1.0, g, bracket_tol=1e-8).points[-1]
         fu, fv = coupling(PAIR22, pt.lam, pt.gam, pt.state)
         rhs = np.random.default_rng(4).standard_normal((2, 65))
         rhs[:, -1] = 0.0

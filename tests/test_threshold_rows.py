@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from exle import DomainError, ExponentPair, thresholds, threshold_report, threshold_rows
 
 FIELDS = ("t0", "s0", "x0", "n_cowan", "n_new", "improvement")
-TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5)
+TOL = thresholds._ROOT_TOL  # the width every root is bracketed to
 
 log_exponent = st.floats(0.0, 4.0).map(lambda t: 10.0**t)  # log-uniform in [1, 1e4]
 above_one = log_exponent.filter(lambda x: x > 1.0)
@@ -56,30 +56,30 @@ def exact_L(p, theta, s):
 ROUNDOFF = Fraction(16, 2**53)
 
 
-def brackets_root(p, theta, s0, tol):
-    """L < 0 at max(s0 - m, 2) and L > 0 at s0 + m, m = max(tol, 4 ulp(s0)).
+def brackets_root(p, theta, s0):
+    """L < 0 at max(s0 - m, 2) and L > 0 at s0 + m, m = max(TOL, 4 ulp(s0)).
 
     s0 is the largest root in (2, inf); near p = theta = 1 a smaller root
     lies just below 2, since L has a double root at s = 2 in the limit.
     There the root is ill-conditioned, and a sign may also be off where |L|
     is below the float roundoff bound.
     """
-    m = Fraction(max(tol, 4.0 * math.ulp(s0)))
+    m = Fraction(max(TOL, 4.0 * math.ulp(s0)))
     below, scale_below = exact_L(p, theta, max(Fraction(s0) - m, Fraction(2)))
     above, scale_above = exact_L(p, theta, Fraction(s0) + m)
     return below < ROUNDOFF * scale_below and above > -ROUNDOFF * scale_above
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(pairs(), min_size=1, max_size=24), tol=st.sampled_from(TOLS), swap=st.booleans())
-def test_rows_bracket_the_exact_root(rows, tol, swap):
+@given(rows=st.lists(pairs(), min_size=1, max_size=24), swap=st.booleans())
+def test_rows_bracket_the_exact_root(rows, swap):
     if swap:  # the user's order; the path reorders to p <= theta
         rows = [(b, a) for a, b in rows]
-    got = threshold_rows([a for a, _ in rows], [b for _, b in rows], tol)
+    got = threshold_rows([a for a, _ in rows], [b for _, b in rows])
     for (a, b), s0 in zip(rows, got.s0.tolist()):
-        assert brackets_root(a, b, s0, tol), (a, b, s0)
+        assert brackets_root(a, b, s0), (a, b, s0)
     # Either order of every pair gives the same row, to the last bit.
-    flipped = threshold_rows([b for _, b in rows], [a for a, _ in rows], tol)
+    flipped = threshold_rows([b for _, b in rows], [a for a, _ in rows])
     for name in FIELDS:
         assert hexes(getattr(got, name)) == hexes(getattr(flipped, name)), name
 
@@ -88,13 +88,11 @@ def test_rows_bracket_the_exact_root(rows, tol, swap):
 @given(rows=st.lists(pairs(), min_size=1, max_size=6))
 def test_one_pair_is_its_row_of_the_table(rows):
     rows = rows + [(b, a) for a, b in rows]  # both orders
-    p, theta = [a for a, _ in rows], [b for _, b in rows]
-    for tol in TOLS:
-        table = threshold_rows(p, theta, tol)
-        for i, (a, b) in enumerate(rows):
-            rep = threshold_report(ExponentPair(a, b), tol)
-            got = [getattr(rep, name) for name in FIELDS]
-            assert hexes(got) == hexes(getattr(table, name)[i] for name in FIELDS), (a, b, tol)
+    table = threshold_rows([a for a, _ in rows], [b for _, b in rows])
+    for i, (a, b) in enumerate(rows):
+        rep = threshold_report(ExponentPair(a, b))
+        got = [getattr(rep, name) for name in FIELDS]
+        assert hexes(got) == hexes(getattr(table, name)[i] for name in FIELDS), (a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,13 +119,13 @@ def _reference_quartic(s, c2, c1, c0):
     return (ss - c2) * ss + c1 * s - c0
 
 
-def reference_largest_roots(c2, c1, c0, tol):
+def reference_largest_roots(c2, c1, c0):
     """The root sweep of thresholds._largest_roots, frozen.
 
-    A verbatim copy of its loop, so any change to the sweep that moves a
-    bit or a failure message fails the test below.
+    A verbatim copy of its loop and its constants, so any change to the
+    sweep that moves a bit or a failure message fails the test below.
     """
-    _quartic, _BRACKET_CAP = _reference_quartic, 2.0 ** 60
+    _quartic, _BRACKET_CAP, _ROOT_TOL = _reference_quartic, 2.0 ** 60, 1e-12
     s0 = np.full(c2.size, np.nan)
     failed: dict[int, str] = {}
 
@@ -153,7 +151,7 @@ def reference_largest_roots(c2, c1, c0, tol):
     for _ in range(500):
         width = hi - lo
         x = 0.5 * (lo + hi)
-        done = (width <= tol) | (x == lo) | (x == hi)
+        done = (width <= _ROOT_TOL) | (x == lo) | (x == hi)
         if done.any():
             s0[idx[done]] = x[done]
             keep = ~done
@@ -204,44 +202,35 @@ EDGE_PAIRS = (
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(pairs() | st.sampled_from(EDGE_PAIRS), min_size=1, max_size=24),
-    tol=st.sampled_from(TOLS),
     swap=st.booleans(),
 )
-def test_sweep_matches_the_frozen_reference_bit_for_bit(rows, tol, swap):
+def test_sweep_matches_the_frozen_reference_bit_for_bit(rows, swap):
     p, theta = (np.array(column) for column in zip(*rows))
     if swap:
         p, theta = theta, p
     with np.errstate(all="ignore"):
         coeffs = thresholds._energy_coeffs(p, theta)
-        want, want_failure = reference_largest_roots(*coeffs, tol)
-        got, got_failure = thresholds._largest_roots(*coeffs, tol)
+        want, want_failure = reference_largest_roots(*coeffs)
+        got, got_failure = thresholds._largest_roots(*coeffs)
     assert hexes(got) == hexes(want)
     assert got_failure == want_failure
 
 
 def test_width_below_roundoff_counts_as_roundoff():
-    # At s0 ~ 4e4 the adjacent floats are 7.3e-12 apart, wider than tol.
-    s0 = threshold_report(ExponentPair(10000.0, 10000.0), 1e-12).s0
+    # At s0 ~ 4e4 the adjacent floats are 7.3e-12 apart, wider than TOL, so
+    # the sweep stops there on adjacent ends.
+    s0 = threshold_report(ExponentPair(10000.0, 10000.0)).s0
     assert s0 == 39998.99997499875
-    for tol in (1e-12, 1e-300):
-        for a, b in ((10000.0, 10000.0), (2.0, 3.0), (1.0, 7.5)):
-            assert brackets_root(a, b, threshold_report(ExponentPair(a, b), tol).s0, tol)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
-def test_nonpositive_tol_raises_domain_error_on_both_paths(tol):
-    with pytest.raises(DomainError, match="tol must be positive") as scalar:
-        threshold_report(ExponentPair(2.0, 3.0), tol)
-    with pytest.raises(DomainError) as rows:
-        threshold_rows([2.0], [3.0], tol)
-    assert str(rows.value) == str(scalar.value)
+    assert math.ulp(s0) > TOL
+    for a, b in ((10000.0, 10000.0), (2.0, 3.0), (1.0, 7.5)):
+        assert brackets_root(a, b, threshold_report(ExponentPair(a, b)).s0)
 
 
 def test_smaller_exponent_past_bound_raises_domain_error_on_both_paths():
     # s0 is about 4 min(p, theta); one ulp above 2^58 its bracket passed 2^60
     # and the pair raised NumericalError.
     edge = 2.0**58
-    rows = threshold_rows([2.0, edge, 1e154, edge], [3.0, edge, edge, 1.0], 1e-12)
+    rows = threshold_rows([2.0, edge, 1e154, edge], [3.0, edge, edge, 1.0])
     expected = [
         threshold_report(ExponentPair(a, b))
         for a, b in ((2.0, 3.0), (edge, edge), (1e154, edge), (edge, 1.0))
@@ -253,27 +242,26 @@ def test_smaller_exponent_past_bound_raises_domain_error_on_both_paths():
         with pytest.raises(DomainError, match="the smaller exponent must not exceed") as scalar:
             ExponentPair(p, theta)
         with pytest.raises(DomainError) as array:
-            threshold_rows([2.0, p, 1.0], [3.0, theta, 1.0], 1e-12)
+            threshold_rows([2.0, p, 1.0], [3.0, theta, 1.0])
         assert str(array.value) == str(scalar.value)
 
 
 def test_first_failing_row_decides_the_error():
     # An invalid pair raises the DomainError of ExponentPair ...
     with pytest.raises(DomainError, match=r"p >= 1 and theta >= 1, got \(0.5, 2.0\)"):
-        threshold_rows([2.0, 0.5, 1.0], [3.0, 2.0, 1.0], 1e-12)
+        threshold_rows([2.0, 0.5, 1.0], [3.0, 2.0, 1.0])
     with pytest.raises(DomainError, match="p\\*theta must exceed 1"):
-        threshold_rows([2.0, 1.0, 0.5], [3.0, 1.0, 2.0], 1e-12)
-    # ... unless an earlier row fails first, and a bad tol is never reached
-    # past an invalid first row, as in threshold_report(ExponentPair(...), tol).
+        threshold_rows([2.0, 1.0, 0.5], [3.0, 1.0, 2.0])
+    # ... unless an earlier row fails first, as in threshold_report(ExponentPair(...)).
     with pytest.raises(DomainError, match=r"must not exceed 2.8823e\+17, got \(1e\+18, 1e\+18\)"):
-        threshold_rows([2.0, 1e18, 0.5], [3.0, 1e18, 2.0], 1e-12)
+        threshold_rows([2.0, 1e18, 0.5], [3.0, 1e18, 2.0])
     with pytest.raises(DomainError, match="must be a finite number"):
-        threshold_rows([math.nan, 2.0], [2.0, 3.0], 0.0)
+        threshold_rows([math.nan, 2.0], [2.0, 3.0])
 
 
 def test_exponent_whose_square_overflows_raises_domain_error_on_both_paths():
     edge = math.sqrt(sys.float_info.max)  # (edge + 1)^2 is still finite
-    rows = threshold_rows([2.0, 1.5], [3.0, edge], 1e-12)
+    rows = threshold_rows([2.0, 1.5], [3.0, edge])
     expected = [threshold_report(ExponentPair(a, b)) for a, b in ((2.0, 3.0), (1.5, edge))]
     for name in FIELDS:
         assert hexes(getattr(rows, name)) == hexes(getattr(rep, name) for rep in expected), name
@@ -281,17 +269,17 @@ def test_exponent_whose_square_overflows_raises_domain_error_on_both_paths():
     with pytest.raises(DomainError, match="exponents must not exceed") as scalar:
         ExponentPair(over, 1.5)
     with pytest.raises(DomainError) as array:
-        threshold_rows([2.0, over, 1.0], [3.0, 1.5, 1.0], 1e-12)
+        threshold_rows([2.0, over, 1.0], [3.0, 1.5, 1.0])
     assert str(array.value) == str(scalar.value)
 
 
 def test_empty_and_misshaped_input():
-    rep = threshold_rows([], [], 1e-12)
+    rep = threshold_rows([], [])
     assert all(getattr(rep, name).shape == (0,) for name in FIELDS)
     with pytest.raises(DomainError, match="1-D arrays of one length"):
-        threshold_rows([2.0, 3.0], [3.0], 1e-12)
+        threshold_rows([2.0, 3.0], [3.0])
     with pytest.raises(DomainError, match="1-D arrays of one length"):
-        threshold_rows(np.full((2, 2), 2.0), np.full((2, 2), 3.0), 1e-12)
+        threshold_rows(np.full((2, 2), 2.0), np.full((2, 2), 3.0))
 
 
 def test_float_pow_matches_cpython_pow_bit_for_bit():
