@@ -14,10 +14,8 @@ with LF line endings, so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 verification failure, 3 I/O error, and otherwise
 the `exit_code` of the package error raised (errors.py: 2 for a domain or
 configuration error, 4 for an exhausted budget, where stderr names the
-budget and `continue` still writes the partial branch).  A JSON config
-file (flat keys mirroring the flags) can seed any command; explicit flags
-win.  Every config key is also a flag, and the option table marks the
-required ones.
+budget and `continue` still writes the partial branch).  Flags are the
+only input; the option table marks the required ones.
 
 The summary of `continue` holds the certified fold bracket lambda_lo <
 lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
@@ -32,11 +30,14 @@ function set there, such as a tracing wrapper, is the one `continue` calls.
 `exle thresholds` keeps one root per pair and forms each 512-row chunk of
 the table from it.
 
-No command calls BLAS, so this module sets OPENBLAS_NUM_THREADS=1 before
-it first imports numpy; otherwise numpy's OpenBLAS starts a worker thread
-that spins for about 0.1 s of CPU in every process.  It leaves the
-variable alone when the caller has set it, or when numpy was imported
-before this module, since the variable then no longer takes effect.
+The one LAPACK call of any command is the least-squares fit of
+extremal_extrapolate (np.polyfit, through numpy.linalg.lstsq) over at most
+8 tail points of a `continue` branch.  No command needs a second BLAS
+thread, so this module sets OPENBLAS_NUM_THREADS=1 before it first imports
+numpy; otherwise numpy's OpenBLAS starts a worker thread that spins for
+about 0.1 s of CPU in every process.  It leaves the variable alone when
+the caller has set it, or when numpy was imported before this module,
+since the variable then no longer takes effect.
 
 The `exle` script and `python -m exle.cli` end through console_main: once
 main() has returned and stdout and stderr are flushed, the process ends
@@ -67,7 +68,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError, DomainError, ExleError
+from .errors import BudgetError, DomainError, ExleError
 from . import _HOME, thresholds
 from .thresholds import ExponentPair, largest_root_L, threshold_report
 
@@ -95,9 +96,8 @@ EXIT_VERIFY = 1
 EXIT_IO = 3
 
 # Per command, the options it accepts as (key, type, default, help); the
-# table builds argparse and defines the keys a config file may set.  A
-# default of ... marks a required key (no config value can be ...); None
-# leaves an optional key without a value.
+# table builds argparse.  A default of ... marks a required flag (_require
+# checks it); None leaves an optional flag without a value.
 _P = ("p", float, ..., "first exponent, the power of (v+1)")
 _THETA = ("theta", float, ..., "second exponent, the power of (u+1)")
 
@@ -165,54 +165,15 @@ def _write_lines(path: str | None, blocks: Iterable[str]) -> None:
             fh.write("\n")
 
 
-def _convert(key: str, kind: type, value):
-    """Convert a JSON config value as argparse converts the flag's text.
-
-    So {"samples": 2.5} fails as --samples 2.5 does; a list, an object or
-    a boolean has no flag text and fails too.
-    """
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(ValueError):
-            return kind(str(value))
-    raise ConfigurationError(
-        f"config key {key}: invalid {kind.__name__} value: {json.dumps(value)}"
-    )
+def _require(args: argparse.Namespace) -> None:
+    """Raise DomainError for the first required flag, in table order, left unset."""
+    for key, _, default, _ in _OPTIONS[args.command]:
+        if default is ... and getattr(args, key) is None:
+            raise DomainError(f"{args.command} requires --{key.replace('_', '-')}")
 
 
-def _effective(args: argparse.Namespace, command: str) -> dict:
-    """Merge documented defaults, config-file values, then explicit flags.
-
-    Raises DomainError for the first required key, in table order, that
-    neither a flag nor the config file set.
-    """
-    merged = {key: default for key, _, default, _ in _OPTIONS[command]}
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(raw) - set(merged)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
-            )
-        kinds = {key: kind for key, kind, _, _ in _OPTIONS[command]}
-        for key, value in raw.items():
-            if value is not None:
-                merged[key] = _convert(key, kinds[key], value)
-    for key in merged:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-        elif merged[key] is ...:
-            raise DomainError(f"{command} requires --{key.replace('_', '-')}")
-    return merged
-
-
-def _pair_from(cfg: dict) -> ExponentPair:
-    pair = ExponentPair(cfg["p"], cfg["theta"])
+def _pair_from(args: argparse.Namespace) -> ExponentPair:
+    pair = ExponentPair(args.p, args.theta)
     if pair.p > pair.theta:
         lo, hi = pair.canonical()
         print(
@@ -225,8 +186,8 @@ def _pair_from(cfg: dict) -> ExponentPair:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     """threshold constants for one exponent pair"""
-    cfg = _effective(args, "roots")
-    rep = threshold_report(_pair_from(cfg))
+    _require(args)
+    rep = threshold_report(_pair_from(args))
     _write_lines(None, [
         "t0,s0,x0,n_cowan,n_new,improvement",
         ",".join(_fmt(x) for x in (rep.t0, rep.s0, rep.x0, rep.n_cowan, rep.n_new, rep.improvement)),
@@ -234,7 +195,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str) -> tuple[float, float, int]:
+    """(lo, step, count) of a "pmin:pmax:step" grid; value k is lo + k step."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f'grid must look like "pmin:pmax:step", got {spec!r}')
@@ -248,30 +210,47 @@ def _parse_grid(spec: str) -> list[float]:
         raise DomainError(f"grid needs pmin < pmax and step > 0, got {spec!r}")
     span = (hi - lo) / step
     count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else None
-    # The table holds a float for each of the n(n+1)/2 pairs of n values;
-    # refuse the grid before its list of values fills memory.
+    # The table holds a float for each of the n(n+1)/2 pairs of n values.
     if count is None or count * (count + 1) // 2 > thresholds._MAX_FLOATS:
         raise DomainError(f"grid has too many values: {spec!r}")
-    return [lo + k * step for k in range(count)]
+    return lo, step, count
+
+
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (i, j), i <= j < n, row by row, as int32 arrays.
+
+    The same pairs as np.triu_indices(n), without its n x n mask.
+    """
+    first = np.repeat(np.arange(n, dtype=np.int32), np.arange(n, 0, -1))
+    # j steps by 1 along a row and falls back to i where row i starts.
+    second = np.ones(first.size, dtype=np.int32)
+    second[0] = 0
+    second[np.cumsum(np.arange(n, 1, -1))] = np.arange(2 - n, 1)
+    np.cumsum(second, dtype=np.int32, out=second)
+    return first, second
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """threshold table over an exponent grid"""
-    cfg = _effective(args, "thresholds")
-    values = _parse_grid(str(cfg["grid"]))
-    grid = np.array(values)
-    # p <= theta, row by row; a grid index fits in 4 bytes.
-    first, second = (index.astype(np.int32) for index in np.triu_indices(grid.size))
+    _require(args)
+    lo, step, count = _parse_grid(args.grid)
+    # The per-pair arrays come first, s0 the largest of them, so a grid
+    # whose table does not fit in memory fails before anything is formed.
+    try:
+        s0 = np.empty(count * (count + 1) // 2)
+        first, second = _upper_pairs(count)  # p <= theta, row by row
+        grid = lo + np.arange(count) * step
+    except MemoryError:
+        raise DomainError(f"grid has too many values: {args.grid!r}") from None
     # Every root is computed before any byte is written, so a failing pair
     # leaves no partial table behind.  Only s0 is kept; each chunk forms its
     # other columns, which are elementwise and so the same bits.
-    s0 = np.empty(first.size)
     for start in range(0, first.size, _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
         s0[rows] = thresholds.threshold_roots(grid[first[rows]], grid[second[rows]])
     # p and theta are grid values, each formatted once; a chunk of rows is
     # one % over a template that holds them.
-    labels = [_FLOAT % v for v in values]
+    labels = [_FLOAT % v for v in grid.tolist()]
     tail = "," + ",".join([_FLOAT] * 6)
 
     def text():
@@ -288,31 +267,28 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             ])
             yield template % tuple(columns.ravel().tolist())
 
-    _write_lines(cfg["out"], text())
+    _write_lines(args.out, text())
     return EXIT_OK
 
 
 def cmd_partial(args: argparse.Namespace) -> int:
     """singular-set dimension bounds"""
-    cfg = _effective(args, "partial")
-    pair = _pair_from(cfg)
-    dim = int(cfg["dim"])
-    rep = threshold_report(pair)
-    bound, proof_form = thresholds._hausdorff_bounds(rep, dim)
+    _require(args)
+    rep = threshold_report(_pair_from(args))
+    bound, proof_form = thresholds._hausdorff_bounds(rep, args.dim)
     _write_lines(None, [
         "dim,n_new,bound,bound_proof_form",
-        ",".join(_fmt(x) for x in (dim, rep.n_new, bound, proof_form)),
+        ",".join(_fmt(x) for x in (args.dim, rep.n_new, bound, proof_form)),
     ])
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """identity and equivalence verification suite"""
-    cfg = _effective(args, "verify")
-    pair = _pair_from(cfg)
-    samples = int(cfg["samples"])
-    seed = int(cfg["seed"])
-    report = thresholds.check_polynomial_identities(pair, sample_count=samples, seed=seed)
+    _require(args)
+    report = thresholds.check_polynomial_identities(
+        _pair_from(args), sample_count=args.samples, seed=args.seed
+    )
     checks = [(name, f"residual {name} {value:.3e}") for name, value in report.residuals.items()]
     checks += [(name, f"sign {name}") for name in report.signs]
     checks.append(("equivalence_scan", "equivalence_scan disagreements %d of %d" % report.scan))
@@ -330,24 +306,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_continue(args: argparse.Namespace) -> int:
     """minimal-branch continuation along gamma = sigma*lambda"""
-    cfg = _effective(args, "continue")
+    _require(args)
     for name in _CONTINUE_NAMES:  # a name already set here is kept
         if name not in globals():
             __getattr__(name)
-    pair = _pair_from(cfg)
-    sigma = float(cfg["sigma"])
-    dim = int(cfg["dim"])
-    grid = RadialGrid.uniform(dim, int(cfg["nodes"]))
+    pair = _pair_from(args)
+    grid = RadialGrid.uniform(args.dim, args.nodes)
     p_lo, _ = pair.canonical()
-    s_energy = float(cfg["s"]) if cfg["s"] is not None else 0.5 * (
-        p_lo + 1.0 + largest_root_L(pair)
-    )
+    s_energy = args.s if args.s is not None else 0.5 * (p_lo + 1.0 + largest_root_L(pair))
     thresholds.check_energy_exponent(pair, s_energy)
-    out = str(cfg["out"])
 
     budget_hit = False
     try:
-        branch = continue_ray(pair, sigma, grid, bracket_tol=float(cfg["bracket_tol"]))
+        branch = continue_ray(pair, args.sigma, grid, bracket_tol=args.bracket_tol)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         branch = exc.partial
@@ -368,8 +339,8 @@ def cmd_continue(args: argparse.Namespace) -> int:
     summary = {
         "p": pair.p,
         "theta": pair.theta,
-        "sigma": sigma,
-        "dim": dim,
+        "sigma": args.sigma,
+        "dim": args.dim,
         "nodes": grid.m,
         "s_energy": s_energy,
         "lambda_lo": branch.lambda_lo,
@@ -382,8 +353,8 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "bounded_looking": extremal_extrapolate(branch),
         "budget_exhausted": budget_hit,
     }
-    _write_lines(out, lines)
-    summary_path = str(Path(out).with_suffix(".summary.json"))
+    _write_lines(args.out, lines)
+    summary_path = str(Path(args.out).with_suffix(".summary.json"))
     _write_lines(summary_path, [json.dumps(summary, sort_keys=True, indent=2)])
     return BudgetError.exit_code if budget_hit else EXIT_OK
 
@@ -402,11 +373,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _HANDLERS.items():
         cmd = sub.add_parser(name, help=handler.__doc__)
-        cmd.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
         for key, kind, default, help_text in _OPTIONS[name]:
-            if default not in (None, ...):
+            if default is ...:
+                default = None
+            elif default is not None:
                 help_text = f"{help_text} (default: {default})"
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_text)
+            cmd.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=kind, default=default, help=help_text
+            )
     return parser
 
 

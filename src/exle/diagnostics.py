@@ -52,14 +52,19 @@ def souplet_check(e: ExponentPair, state: np.ndarray, lam: float, gam: float) ->
     (v+1+alpha)^(p+1) >= kappa (u+1)^(theta+1) pointwise; the returned
     margin is min over nodes of (left - right).  In the symmetric case
     p == theta, lam == gam with u == v the margin vanishes identically.
-    Powers of the state are radial._pow1p, as in the reaction.
+    Powers of the state are radial._pow1p, as in the reaction.  Where
+    (u+1)^(theta+1) alone overflows, right is exp(log kappa + (theta+1)
+    log1p(u)), finite when a tiny kappa brings it back in range.
     """
     radial._check_load(lam, gam)
     p, theta, u, v, lam, gam = _orient(e, state, lam, gam)
     kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
     alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
-    margin = radial._pow1p(v + alpha, p + 1.0) - kappa * radial._pow1p(u, theta + 1.0)
-    return float(np.min(margin))
+    with np.errstate(over="ignore"):
+        right = kappa * radial._pow1p(u, theta + 1.0)
+        big = np.isinf(right)
+        right[big] = np.exp(math.log(kappa) + (theta + 1.0) * np.log1p(u[big]))
+    return float(np.min(radial._pow1p(v + alpha, p + 1.0) - right))
 
 
 def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: float) -> float:

@@ -22,7 +22,7 @@ class DomainError(ExleError, ValueError):
 
 
 class ConfigurationError(ExleError, ValueError):
-    """Structurally invalid configuration (grid too coarse, bad config key)."""
+    """Structurally invalid configuration (grid too coarse, misshapen state)."""
 
     exit_code = 2
 

@@ -1,4 +1,4 @@
-"""CLI surface: formats, determinism, exit codes, and config handling."""
+"""CLI surface: formats, determinism, exit codes, and flag handling."""
 
 import hashlib
 import importlib
@@ -98,13 +98,14 @@ FALLBACK_CSV_SHA256 = "334ecdd4e0a155567c64175d9975f2f6a1d33bed4eb455d5f9d2ec6ba
 # taken while the required flags were still checked outside the table;
 # `continue` re-pinned when the --nodes help came to name the interval count,
 # and again when its Newton --tol went; roots, thresholds, partial and
-# continue when the root width --tol and --max-steps went.
+# continue when the root width --tol and --max-steps went; all five when
+# --config went.
 HELP_SHA256 = {
-    "roots": "358c7273ffe687e550fa1b9bbfd8963e1a1e9eb5d813966e3202f427385e48e0",
-    "thresholds": "48deae50d316a4b4a111fe5e81cddc666357e794e464c01c33351bfbbdf8f012",
-    "continue": "763fccaf91b248ce0972692c43db5fa5132d9e2f17eee9683ee9bbd7e1faa6b9",
-    "verify": "a941c277f2ea10f7be8f661669a869321e2a92a5d143fd58a4fb5f496617a188",
-    "partial": "cc3ca89eb5d2f9745cbf77f0f1634f47d6b0572749c9adc2f7944d93b90b467f",
+    "roots": "f3e4027e6422d5d6e205c9d4e3fc151ff0bb30546aa6ce0e11d46e89eb5fce4e",
+    "thresholds": "0c61f57f5b33c775918d7dea52521e7bbfc0314c6c9d14aaf3d3ace16bd2e330",
+    "continue": "855686e4f620d27106edd899c9565b6fade9e1fb2148caabc904f4477aa1fb0b",
+    "verify": "c3aa517e89a82c0070447af9bfc1637e257fe93f8f9d736538bc603a95422063",
+    "partial": "9d21a5206581f24a1eebe167516cf0747fba6222e1d2a670676b34896f1dc306",
 }
 # The required flags of each command, in the order they are reported, and
 # a valid value for each.
@@ -209,25 +210,37 @@ class TestSurface:
     @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
     def test_removed_knobs_are_unrecognized(self, tmp_path, capsys, command):
         # The root-bracket width and the trial budget are constants now
-        # (thresholds._ROOT_TOL, radial._TRIAL_BUDGET): neither is a flag of
-        # any command, nor a config key.
+        # (thresholds._ROOT_TOL, radial._TRIAL_BUDGET), and flags are the
+        # only input: none of these is a flag of any command.
         argv = [command]
         if command in ("thresholds", "continue"):
             argv += ["--out", str(tmp_path / "b.csv")]
         for key in REQUIRED_FLAGS[command]:
             argv += ["--" + key, REQUIRED_VALUES[key]]
-        for flag, value in (("--tol", "1e-12"), ("--max-steps", "4")):
+        for flag, value in (
+            ("--tol", "1e-12"), ("--max-steps", "4"), ("--config", str(tmp_path / "c.json")),
+        ):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv + [flag, value])
             assert info.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        cfg = tmp_path / "c.json"
-        for key in ("tol", "max_steps"):
-            cfg.write_text(json.dumps({key: 4}))
-            code, out, err = run(argv + ["--config", str(cfg)], capsys)
-            assert (code, out) == (2, "")
-            assert err == f"error: unknown config keys for {command}: {key}\n"
-        assert list(tmp_path.iterdir()) == [cfg]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_values_are_typed(self, tmp_path, capsys):
+        # Each value converts by its option's type, or exits 2 before any
+        # file is written.
+        out = ["--out", str(tmp_path / "b.csv")]
+        for argv, flag, kind in (
+            (["continue", "--p", "2", "--theta", "2", "--nodes", "abc", *out], "--nodes", "int"),
+            (["roots", "--p", "[2]", "--theta", "2"], "--p", "float"),
+            (["verify", "--p", "2", "--theta", "3", "--samples", "2.5"], "--samples", "int"),
+            (["continue", "--p", "2", "--theta", "2", "--dim", "True", *out], "--dim", "int"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            assert f"argument {flag}: invalid {kind} value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, flag", [(c, f) for c, flags in REQUIRED_FLAGS.items() for f in flags]
@@ -437,80 +450,29 @@ class TestThresholds:
 
 
 class TestConfigFile:
-    def test_config_supplies_and_flags_override(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"p": 2.0, "theta": 3.0}))
-        code, from_cfg, _ = run(["roots", "--config", str(cfg)], capsys)
-        assert code == 0
-        code, overridden, _ = run(
-            ["roots", "--config", str(cfg), "--theta", "2"], capsys
-        )
-        assert code == 0
-        assert from_cfg != overridden
-        code, plain, _ = run(["roots", "--p", "2", "--theta", "2"], capsys)
-        assert overridden == plain
-
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        # max_iter and blowup_cap were the Picard knobs of continue, eigen_tol
-        # the tolerance of its mu1 power iteration; lambda_init and growth
-        # set the geometric search for the first load without a solution;
-        # tol was its Newton tolerance, now each solve's own roundoff
-        for command, key in (
-            ("roots", "bogus"),
-            ("continue", "tol"),
-            ("continue", "max_iter"),
-            ("continue", "blowup_cap"),
-            ("continue", "eigen_tol"),
-            ("continue", "lambda_init"),
-            ("continue", "growth"),
+        # No command reads a config file, so each key that one rejected as
+        # unknown is now an unrecognized flag.  max-iter and blowup-cap were
+        # the Picard knobs of continue, eigen-tol the tolerance of its mu1
+        # power iteration, lambda-init and growth its search for the first
+        # load without a solution.
+        out = ["--out", str(tmp_path / "b.csv")]
+        for command, flag, value in (
+            ("roots", "--bogus", "1"),
+            ("continue", "--max-iter", "4"),
+            ("continue", "--blowup-cap", "1e12"),
+            ("continue", "--eigen-tol", "1e-9"),
+            ("continue", "--lambda-init", "0.1"),
+            ("continue", "--growth", "2"),
         ):
-            cfg.write_text(json.dumps({"p": 2.0, "theta": 3.0, key: 1}))
-            code, _, err = run([command, "--config", str(cfg)], capsys)
-            assert code == 2
-            assert f"unknown config keys for {command}: {key}" in err
-
-    def test_invalid_json_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        code, _, err = run(["roots", "--config", str(cfg)], capsys)
-        assert code == 2
-
-    def test_non_object_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("[1, 2]")
-        code, _, err = run(["roots", "--config", str(cfg)], capsys)
-        assert code == 2
-
-    def test_values_typed_like_flags(self, tmp_path, capsys):
-        # These ended in a traceback with exit 1, or, for samples, were
-        # silently truncated although --samples 2.5 exits 2.
-        cfg = tmp_path / "c.json"
-        out = tmp_path / "b.csv"
-        for command, raw, key in (
-            ("continue", {"p": 2, "theta": 2, "nodes": "abc", "out": str(out)}, "nodes"),
-            ("roots", {"p": [2], "theta": 2}, "p"),
-            ("verify", {"p": 2, "theta": 3, "samples": 2.5}, "samples"),
-            ("continue", {"p": 2, "theta": 2, "dim": True, "out": str(out)}, "dim"),
-            ("partial", {"p": 2, "theta": 2, "dim": {"n": 16}}, "dim"),
-        ):
-            cfg.write_text(json.dumps(raw))
-            code, stdout, err = run([command, "--config", str(cfg)], capsys)
-            assert code == 2, (raw, err)
-            assert f"config key {key}: invalid" in err
-            assert stdout == ""
-            assert not out.exists()
-
-    def test_numeric_text_converts_like_a_flag(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"p": "2", "theta": 2}))
-        code, out, _ = run(["roots", "--config", str(cfg)], capsys)
-        assert code == 0
-        assert out.splitlines()[1] == ROOTS_22_ROW
-
-    def test_missing_config_file_exits_3(self, capsys):
-        code, _, _ = run(["roots", "--config", "/no/such/file.json"], capsys)
-        assert code == 3
+            argv = [command, "--p", "2", "--theta", "3"]
+            if command == "continue":
+                argv += out
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv + [flag, value])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
@@ -988,14 +950,40 @@ def test_console_exit_writes_what_main_writes(capsysbinary):
             "usage: exle [-h] {roots,thresholds,continue,verify,partial} ...\n"
             "exle: error: unrecognized arguments: --bogus\n",
         ),
+        (
+            ["continue", "--p", "2", "--theta", "2", "--config", "c.json"],
+            "usage: exle [-h] {roots,thresholds,continue,verify,partial} ...\n"
+            "exle: error: unrecognized arguments: --config c.json\n",
+        ),
     ],
-    ids=["domain-error", "bad-flag"],
+    ids=["domain-error", "bad-flag", "config"],
 )
 def test_console_error_exits_2(argv, err):
     proc = run_child("-m", "exle.cli", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs setrlimit")
+@pytest.mark.parametrize("spec", ["1.5:1e8:1", "1.5:2e5:1"])
+def test_grid_past_memory_exits_2(spec):
+    # In a child capped at a 1 GiB address space both died with a
+    # MemoryError traceback and exit 1: the first building a list of 1e8
+    # floats, the second the 37 GiB n x n mask of np.triu_indices.
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "exle.cli", "thresholds", "--grid", spec],
+        capture_output=True, text=True, env=child_env(), preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: grid has too many values: {spec!r}\n"
 
 
 BROKEN_PIPE_AT_EXIT = (

@@ -1,10 +1,12 @@
 """Pointwise and integral diagnostics on manufactured and computed states."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from exle import cli
 from exle import (
     Branch,
     DiagnosticError,
@@ -31,6 +33,14 @@ PAIR23 = ExponentPair(2.0, 3.0)
 # A ray whose first state has max v = 3e-101 against p = 1e100: 1 + v rounds
 # to 1, so a power of it formed as (1 + v) ** p loses the factor e^(p v).
 HUGE_P = ExponentPair(1e100, 1.0)
+# `exle continue` rays whose comparison margin the plain powers get wrong, as
+# (pair, sigma, nodes).  huge-p is the HUGE_P ray.  On tiny-sigma kappa is
+# 1e-320, so (u+1)^3 overflows where kappa (u+1)^3 does not: the margin read
+# -inf with an overflow warning, and the summary -Infinity.
+MARGIN_RAYS = {
+    "huge-p": (HUGE_P, 1e-200, 64),
+    "tiny-sigma": (PAIR22, 1e-320, 16),
+}
 
 
 def ball_volume(dim):
@@ -89,22 +99,37 @@ class TestSouplet:
         with pytest.raises(DomainError, match="must be positive and finite"):
             souplet_check(PAIR23, np.zeros((2, 33)), lam, gam)
 
-    def test_huge_exponent_margin_matches_mpmath(self, huge_p_first):
+    def test_huge_exponent_margin_matches_mpmath(self, tmp_path, capsys):
         mpmath = pytest.importorskip("mpmath")
-        _, pt = huge_p_first
-        # canonical order (1, 1e100): rows and loads swap
-        p, theta, u, v, lam, gam = 1.0, 1e100, pt.state[1], pt.state[0], pt.gam, pt.lam
-        kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
-        alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
-        with mpmath.workdps(50):
-            terms = [
-                (mp_pow1p(mpmath, mpmath.mpf(vi) + mpmath.mpf(alpha), p + 1.0),
-                 kappa * mp_pow1p(mpmath, ui, theta + 1.0))
-                for ui, vi in zip(u, v)
-            ]
-            left, right = min(terms, key=lambda t: t[0] - t[1])
-            gap = abs(mpmath.mpf(souplet_check(HUGE_P, pt.state, pt.lam, pt.gam)) - (left - right))
-            assert gap <= 1e-12 * max(left, right)
+        for ray, (e, sigma, nodes) in MARGIN_RAYS.items():
+            out = tmp_path / f"{ray}.csv"
+            argv = ["continue", "--p", repr(e.p), "--theta", repr(e.theta),
+                    "--sigma", repr(sigma), "--nodes", str(nodes), "--out", str(out)]
+            assert cli.main(argv) == 0, ray
+            # stderr holds at most the canonical-order note: no warning
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if not line.startswith("# note:")] == []
+            summary = json.loads(
+                out.with_suffix(".summary.json").read_text(), parse_constant=pytest.fail
+            )
+            margins = []
+            for pt in continue_ray(e, sigma, RadialGrid.uniform(3, nodes)).points:
+                margins.append(souplet_check(e, pt.state, pt.lam, pt.gam))
+                p, theta, (u, v), lam, gam = e.p, e.theta, pt.state, pt.lam, pt.gam
+                if p > theta:  # canonical order: rows and loads swap
+                    p, theta, u, v, lam, gam = theta, p, v, u, gam, lam
+                kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
+                alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
+                with mpmath.workdps(50):
+                    terms = [
+                        (mp_pow1p(mpmath, mpmath.mpf(vi) + mpmath.mpf(alpha), p + 1.0),
+                         kappa * mp_pow1p(mpmath, ui, theta + 1.0))
+                        for ui, vi in zip(u, v)
+                    ]
+                    left, right = min(terms, key=lambda t: t[0] - t[1])
+                    gap = abs(mpmath.mpf(margins[-1]) - (left - right))
+                    assert gap <= 1e-12 * max(left, right), ray
+            assert summary["souplet_margin_min"] == min(margins), ray
 
 
 class TestEnergyReport:
