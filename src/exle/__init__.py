@@ -24,8 +24,6 @@ _SUBMODULES = {
     ),
     "errors": (
         "BudgetError",
-        "ConfigurationError",
-        "DiagnosticError",
         "DomainError",
         "ExleError",
         "NumericalError",

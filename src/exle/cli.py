@@ -12,10 +12,11 @@ the modules that own them.  Tables print 12 significant digits, verify
 residuals 4, and the `continue` summary JSON full-precision floats, all
 with LF line endings, so identical inputs give byte-identical output.
 Exit codes: 0 success, 1 verification failure, 3 I/O error, and otherwise
-the `exit_code` of the package error raised (errors.py: 2 for a domain or
-configuration error, 4 for an exhausted budget, where stderr names the
-budget and `continue` still writes the partial branch).  Flags are the
-only input; the option table marks the required ones.
+the `exit_code` of the package error raised (errors.py: 2 for bad input,
+4 for an exhausted budget, where stderr names the budget and `continue`
+still writes the partial branch).  Flags are the only input; the option
+table marks the required ones, and a flag is only read by its full name,
+so a removed flag is not taken for another that it prefixes.
 
 The summary of `continue` holds the certified fold bracket lambda_lo <
 lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
@@ -116,7 +117,6 @@ _OPTIONS = {
         # continue_ray's default, written out so that building the parser
         # loads no radial; a test pins it to the signature.
         ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
-        ("s", float, None, "energy integrability exponent"),
         ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
     ),
     "verify": (
@@ -312,9 +312,10 @@ def cmd_continue(args: argparse.Namespace) -> int:
             __getattr__(name)
     pair = _pair_from(args)
     grid = RadialGrid.uniform(args.dim, args.nodes)
+    # The midpoint of p+1 and s0 (canonical p) exceeds p+1: L(p+1) < 0,
+    # and L > 0 past its largest root s0.
     p_lo, _ = pair.canonical()
-    s_energy = args.s if args.s is not None else 0.5 * (p_lo + 1.0 + largest_root_L(pair))
-    thresholds.check_energy_exponent(pair, s_energy)
+    s_energy = 0.5 * (p_lo + 1.0 + largest_root_L(pair))
 
     budget_hit = False
     try:
@@ -372,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="exle", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _HANDLERS.items():
-        cmd = sub.add_parser(name, help=handler.__doc__)
+        cmd = sub.add_parser(name, help=handler.__doc__, allow_abbrev=False)
         for key, kind, default, help_text in _OPTIONS[name]:
             if default is ...:
                 default = None

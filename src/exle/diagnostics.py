@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DiagnosticError, DomainError
+from .errors import DomainError
 from .radial import Branch, RadialGrid
 from . import radial, thresholds
 from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents
@@ -37,8 +37,9 @@ _TAIL_POINTS = 8
 def _orient(
     e: ExponentPair, state: np.ndarray, lam: float | None, gam: float | None
 ):
-    """Return (p, theta, u, v, lam, gam) in canonical order p <= theta."""
-    u, v = radial._as_state(state)
+    """Return (p, theta, u, v, lam, gam) in canonical order p <= theta for
+    a state that radial._as_state has checked."""
+    u, v = state
     if e.p <= e.theta:
         return e.p, e.theta, u, v, lam, gam
     return e.theta, e.p, v, u, gam, lam
@@ -57,7 +58,7 @@ def souplet_check(e: ExponentPair, state: np.ndarray, lam: float, gam: float) ->
     log1p(u)), finite when a tiny kappa brings it back in range.
     """
     radial._check_load(lam, gam)
-    p, theta, u, v, lam, gam = _orient(e, state, lam, gam)
+    p, theta, u, v, lam, gam = _orient(e, radial._as_state(state), lam, gam)
     kappa = gam * (p + 1.0) / (lam * (theta + 1.0))
     alpha = max(0.0, kappa ** (1.0 / (p + 1.0)) - 1.0)
     with np.errstate(over="ignore"):
@@ -82,9 +83,7 @@ def energy_report(
     powers by radial._pow1p; the zero state makes it the ball volume.
     """
     check_energy_exponent(e, s)
-    p, theta, u, v, _, _ = _orient(e, state, None, None)
-    if u.size != grid.m + 1:
-        raise DomainError("state does not match the grid")
+    p, theta, u, v, _, _ = _orient(e, radial._as_state(state, grid.m + 1), None, None)
     return _ball_integral(
         radial._pow1p(u, (theta - 1.0) / 2.0) * radial._pow1p(v, (p + 2.0 * s - 1.0) / 2.0),
         grid.nodes,
@@ -94,7 +93,7 @@ def energy_report(
 
 def restrict_state(state: np.ndarray, grid: RadialGrid, r0: float) -> np.ndarray:
     """Slice a (2, n) state to the nodes with r <= r0; r0 must be a grid node."""
-    state = radial._as_state(state)
+    state = radial._as_state(state, grid.m + 1)
     if not (0.0 < r0 <= 1.0):
         raise DomainError(f"r0 must lie in (0, 1], got {r0}")
     idx = int(np.argmin(np.abs(grid.nodes - r0)))
@@ -122,7 +121,7 @@ def rescale(e: ExponentPair, state: np.ndarray, r0: float) -> np.ndarray:
 
 
 def singular_profile(
-    e: ExponentPair, dim: int, lam: float, gam: float
+    e: ExponentPair, dim: float, lam: float, gam: float
 ) -> tuple[float, float]:
     """Amplitudes (A, B) of the exact singular pair (A r^-alpha, B r^-beta).
 
@@ -131,7 +130,7 @@ def singular_profile(
     b = beta (N-2-beta); both need N > 2 + max(alpha, beta).  Solved in
     log2 space so power-of-two data stays exact.
     """
-    thresholds._check_dim(dim)
+    dim = thresholds._check_dim(dim)
     radial._check_load(lam, gam)
     se = scaling_exponents(e)
     if dim <= 2 + max(se.alpha, se.beta):
@@ -157,7 +156,7 @@ def extremal_extrapolate(branch: Branch) -> bool | None:
     residual weighted by 1/(lambda_hi - lambda).  A plateauing branch has
     slopes near 0; a branch heading for an unbounded extremal state keeps
     a markedly negative one.  The verdict is None while the bracket is
-    open or with fewer than 5 points.  Raises DiagnosticError for points
+    open or with fewer than 5 points.  Raises DomainError for points
     not strictly below lambda_hi.
     """
     pts = branch.points[-_TAIL_POINTS:]
@@ -165,7 +164,7 @@ def extremal_extrapolate(branch: Branch) -> bool | None:
         return None
     gaps = np.array([branch.lambda_hi - pt.lam for pt in pts])
     if np.any(gaps <= 0.0):
-        raise DiagnosticError("branch points are not strictly below lambda_hi")
+        raise DomainError("branch points are not strictly below lambda_hi")
     log_gap = np.log(gaps)
     # The slope is an exponent as the gap closes, so the doubling walk's
     # far, pre-asymptotic points count little next to those at the fold.

@@ -1,9 +1,9 @@
 """Exception vocabulary shared across the package.
 
-Each class carries the CLI exit code it maps to (`exit_code`): 1 for a
-failed guarantee or diagnostic, 2 for bad input or configuration, 4 for
-an exhausted budget.  Distinct classes let callers tell an invalid
-exponent pair apart from a solver that ran out of budget.
+Each class carries the CLI exit code of its outcome (`exit_code`): 1 for
+a failed numerical guarantee, 2 for bad input, 4 for an exhausted budget.
+Distinct classes let callers tell an invalid exponent pair apart from a
+solver that ran out of budget.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ class ExleError(Exception):
 
 
 class DomainError(ExleError, ValueError):
-    """Input outside the mathematical domain (bad exponents, bad dimension)."""
-
-    exit_code = 2
-
-
-class ConfigurationError(ExleError, ValueError):
-    """Structurally invalid configuration (grid too coarse, misshapen state)."""
+    """Bad input: a value outside its domain (exponents, dimension, loads,
+    grid size) or a state that does not fit its grid."""
 
     exit_code = 2
 
@@ -39,7 +34,3 @@ class BudgetError(ExleError, RuntimeError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class DiagnosticError(ExleError, RuntimeError):
-    """A diagnostic was requested on data that cannot support it."""

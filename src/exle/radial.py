@@ -27,27 +27,22 @@ A state is a float array of shape (2, n) sampled on the n grid nodes,
 row 0 = u and row 1 = v; its sups are `state.max(axis=1)`.  Solver
 states are nonnegative with zero boundary values, which nothing enforces
 (rescaled restrictions legitimately violate both); `_as_state` checks the
-shape wherever a caller hands a state in.
+shape wherever a caller hands a state in, and its length too where the
+state comes with a grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._cyclic import _EPS, Tridiagonal, smallest_eigenvalue, solve_block_tridiagonal
-from .errors import (
-    BudgetError,
-    ConfigurationError,
-    DomainError,
-    NumericalError,
-)
-from .thresholds import _MAX_FLOATS, ExponentPair
+from .errors import BudgetError, DomainError, NumericalError
+from .thresholds import _MAX_FLOATS, ExponentPair, _check_dim, _real
 
 _MIN_INTERVALS = 16
 # Newton iterations per nonlinear solve.  Most loads take at most about 15;
@@ -75,32 +70,22 @@ class RadialGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        dim = self.dim
-        real = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
-        try:
-            value = float(dim) if real else math.nan
-        except OverflowError:  # an int beyond the float range
-            value = math.inf
-        if not 1 <= value < math.inf:
-            raise DomainError(f"dim must be a finite real number >= 1, got {dim!r}")
-        object.__setattr__(self, "dim", value)
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < _MIN_INTERVALS + 1:
-            raise ConfigurationError(
+            raise DomainError(
                 f"grid needs at least {_MIN_INTERVALS} intervals, got {nodes.size - 1}"
             )
         if nodes[0] != 0.0 or nodes[-1] != 1.0 or np.any(np.diff(nodes) <= 0):
-            raise ConfigurationError(
-                "nodes must increase strictly from 0.0 to 1.0"
-            )
+            raise DomainError("nodes must increase strictly from 0.0 to 1.0")
 
     @classmethod
     def uniform(cls, dim: float, m: int) -> "RadialGrid":
         if not isinstance(m, (int, np.integer)) or m < _MIN_INTERVALS:
-            raise ConfigurationError(f"m must be an integer >= {_MIN_INTERVALS}, got {m}")
+            raise DomainError(f"m must be an integer >= {_MIN_INTERVALS}, got {m}")
         if m >= _MAX_FLOATS:
-            raise ConfigurationError(f"m must be below {_MAX_FLOATS}, got {m}")
+            raise DomainError(f"m must be below {_MAX_FLOATS}, got {m}")
         return cls(dim=dim, nodes=np.linspace(0.0, 1.0, int(m) + 1))
 
     @property
@@ -118,11 +103,12 @@ class RadialGrid:
         return assemble_radial_laplacian(self)
 
 
-def _as_state(state) -> np.ndarray:
-    """state as a float array of shape (2, n): row 0 is u, row 1 is v."""
+def _as_state(state, n: int | None = None) -> np.ndarray:
+    """state as a float array of shape (2, n): row 0 is u, row 1 is v.
+    Given n, the node count of the state's grid, it must have n columns."""
     state = np.asarray(state, dtype=float)
-    if state.ndim != 2 or state.shape[0] != 2:
-        raise ConfigurationError(f"a state must be a (2, n) array, got shape {state.shape}")
+    if state.ndim != 2 or state.shape[0] != 2 or state.shape[1] != (n or state.shape[1]):
+        raise DomainError(f"a state must be a (2, {n or 'n'}) array, got shape {state.shape}")
     return state
 
 
@@ -252,8 +238,8 @@ class Trial:
 def _check_load(lam: float, gam: float) -> None:
     # subnormal loads give states whose stability_mu1 weights underflow
     for name, value in (("lam", lam), ("gam", gam)):
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 < _real(value) < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if value < sys.float_info.min:
             raise DomainError(f"{name} must be at least {sys.float_info.min} (normal), got {value}")
 
@@ -319,9 +305,7 @@ def solve_minimal(
     _check_load(lam, gam)
     op = grid.laplacian
     n = grid.m + 1
-    w = np.zeros((2, n)) if seed is None else _as_state(np.array(seed, dtype=float))
-    if w.shape[1] != n:
-        raise ConfigurationError("seed state does not match the grid")
+    w = np.zeros((2, n)) if seed is None else _as_state(seed, n)
     for k in range(1, _NEWTON_BUDGET + 1):
         f, coupling, _ = _reaction(e, lam, gam, w)
         d = op.solve_dirichlet(f) - w
@@ -365,7 +349,8 @@ def stability_mu1(
     """
     _check_load(lam, gam)
     op = grid.laplacian
-    w = np.sqrt(np.prod(_reaction(e, lam, gam, _as_state(state))[1, :, :-1], axis=0))
+    state = _as_state(state, grid.m + 1)
+    w = np.sqrt(np.prod(_reaction(e, lam, gam, state)[1, :, :-1], axis=0))
     diag = op._diag[:-1] / w
     off = -np.sqrt(op._upper[:-2] * op._lower[1:-1] / (w[:-1] * w[1:]))
     return smallest_eigenvalue(diag, off)
@@ -575,10 +560,11 @@ def continue_ray(
     d >= 0 and its "no solution" certificate.  If lam1 - lam0 <= 4 eps lam1,
     the seed is w1 (t = 0), a subsolution at every lam > lam1 too.
     """
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if not (bracket_tol > 0):
-        raise ConfigurationError(f"bracket_tol must be positive, got {bracket_tol}")
+    if not 0.0 < _real(sigma) < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+    tol = _real(bracket_tol)  # an int past the float range is an infinite width
+    if not tol > 0.0:
+        raise DomainError(f"bracket_tol must be positive, got {bracket_tol!r}")
     branch = Branch()
     origin = (0.0, np.zeros((2, grid.m + 1)))
 
@@ -612,7 +598,7 @@ def continue_ray(
     def done() -> bool:
         lo, hi = branch.lambda_lo, branch.lambda_hi
         # A midpoint equal to an end means the ends are adjacent floats.
-        return hi - lo <= bracket_tol * lo or 0.5 * (lo + hi) in (lo, hi)
+        return hi - lo <= tol * lo or 0.5 * (lo + hi) in (lo, hi)
 
     lam = _torsion_load(e, sigma, grid)
     while attempt(lam, "walk"):
@@ -625,7 +611,7 @@ def continue_ray(
         last = branch.points[-1]
         lam_fold, branch.fold_iterations = _fold_newton(e, sigma, last.lam, last.state, grid)
         if lam_fold is not None and branch.lambda_lo < lam_fold < branch.lambda_hi:
-            eps = max(bracket_tol / 8.0, _EPS)
+            eps = max(tol / 8.0, _EPS)
             for load, expected in (
                 (lam_fold * (1.0 - 8.0 * eps), True),
                 (lam_fold * (1.0 - eps), True),

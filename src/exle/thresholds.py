@@ -66,6 +66,18 @@ _EXPONENT_MAX = math.sqrt(sys.float_info.max)
 _SMALLER_EXPONENT_MAX = 2.0 ** 58
 
 
+def _real(value) -> float:
+    """value as a float if it is a real number but a bool (numpy scalars
+    too), else nan, which fails every range check; an int beyond the
+    float range reads as +-inf."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """Validated reaction exponents (p, theta).
@@ -83,14 +95,11 @@ class ExponentPair:
     def __post_init__(self):
         for name in ("p", "theta"):
             value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            try:
-                finite = real and math.isfinite(value)
-            except OverflowError:  # an int beyond the float range reads as inf
-                finite, value = False, math.inf if value > 0 else -math.inf
-            if not finite:
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            number = _real(value)
+            if not math.isfinite(number):
+                shown = value if math.isnan(number) else number  # 10**400 shows as inf
+                raise DomainError(f"{name} must be a finite number, got {shown!r}")
+            object.__setattr__(self, name, number)
         if self.p < 1 or self.theta < 1:
             raise DomainError(
                 f"exponents must satisfy p >= 1 and theta >= 1, got ({self.p}, {self.theta})"
@@ -404,12 +413,12 @@ def _largest_roots(c2, c1, c0):
     return s0, None
 
 
-def hausdorff_bound(e: ExponentPair, dim: int) -> float:
+def hausdorff_bound(e: ExponentPair, dim: float) -> float:
     """Upper bound max(N - (2 + 2*x0), 0) on the singular-set dimension."""
     return _hausdorff_bounds(threshold_report(e), dim)[0]
 
 
-def hausdorff_bound_proof_form(e: ExponentPair, dim: int) -> float:
+def hausdorff_bound_proof_form(e: ExponentPair, dim: float) -> float:
     """Diagnostic variant max(N - (2N/(N-2))*x0, 0).
 
     This is the expression the dimension-reduction argument produces
@@ -419,22 +428,21 @@ def hausdorff_bound_proof_form(e: ExponentPair, dim: int) -> float:
     return _hausdorff_bounds(threshold_report(e), dim)[1]
 
 
-def _hausdorff_bounds(rep: ThresholdReport, dim: int) -> tuple[float, float]:
+def _hausdorff_bounds(rep: ThresholdReport, dim: float) -> tuple[float, float]:
     """hausdorff_bound and hausdorff_bound_proof_form at dim from one report."""
-    _check_dim(dim)
-    bound = max(float(dim) - rep.n_new, 0.0)
+    dim = _check_dim(dim)
+    bound = max(dim - rep.n_new, 0.0)
     if dim <= 2:
         return bound, 0.0
-    return bound, max(float(dim) - (2.0 * dim / (dim - 2.0)) * rep.x0, 0.0)
+    return bound, max(dim - (2.0 * dim / (dim - 2.0)) * rep.x0, 0.0)
 
 
-def _check_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
-        raise DomainError(f"dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    if dim > sys.float_info.max:
-        raise DomainError(f"dim must be at most the largest float, got {dim}")
+def _check_dim(dim) -> float:
+    """The space dimension N as a float: any finite real number >= 1 but a bool."""
+    value = _real(dim)
+    if not 1 <= value < math.inf:
+        raise DomainError(f"dim must be a finite real number >= 1, got {dim!r}")
+    return value
 
 
 def scaling_exponents(e: ExponentPair) -> ScalingExponents:

@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from exle import cli, radial, thresholds
-from exle.errors import (
-    BudgetError,
-    ConfigurationError,
-    DiagnosticError,
-    DomainError,
-    NumericalError,
-)
+from exle.errors import BudgetError, DomainError, NumericalError
 from exle.thresholds import threshold_rows
 
 # sha256 of `exle thresholds --grid 1.1:6:0.1` (1275 pairs), as written by
@@ -99,11 +93,11 @@ FALLBACK_CSV_SHA256 = "334ecdd4e0a155567c64175d9975f2f6a1d33bed4eb455d5f9d2ec6ba
 # `continue` re-pinned when the --nodes help came to name the interval count,
 # and again when its Newton --tol went; roots, thresholds, partial and
 # continue when the root width --tol and --max-steps went; all five when
-# --config went.
+# --config went; `continue` when --s went.
 HELP_SHA256 = {
     "roots": "f3e4027e6422d5d6e205c9d4e3fc151ff0bb30546aa6ce0e11d46e89eb5fce4e",
     "thresholds": "0c61f57f5b33c775918d7dea52521e7bbfc0314c6c9d14aaf3d3ace16bd2e330",
-    "continue": "855686e4f620d27106edd899c9565b6fade9e1fb2148caabc904f4477aa1fb0b",
+    "continue": "1a2ef956f4f0b5b9fdfead75728603a7852fa57cdf492976eefc6a3b51b0cc3f",
     "verify": "c3aa517e89a82c0070447af9bfc1637e257fe93f8f9d736538bc603a95422063",
     "partial": "9d21a5206581f24a1eebe167516cf0747fba6222e1d2a670676b34896f1dc306",
 }
@@ -140,15 +134,14 @@ def run(argv, capsys):
 
 
 class TestSurface:
+    # The ids are pinned, so a case keeps its name when others come or go.
     @pytest.mark.parametrize(
         "exc, code",
         [
-            (DomainError("bad pair"), 2),
-            (ConfigurationError("bad key"), 2),
-            (NumericalError("no bracket"), 1),
-            (DiagnosticError("too few points"), 1),
-            (BudgetError("budget of 3 solves exhausted"), 4),
-            (OSError("disk full"), 3),
+            pytest.param(DomainError("bad pair"), 2, id="exc0-2"),
+            pytest.param(NumericalError("no bracket"), 1, id="exc2-1"),
+            pytest.param(BudgetError("budget of 3 solves exhausted"), 4, id="exc4-4"),
+            pytest.param(OSError("disk full"), 3, id="exc5-3"),
         ],
     )
     def test_error_class_sets_the_exit_code(self, capsys, monkeypatch, exc, code):
@@ -162,7 +155,7 @@ class TestSurface:
         "argv, message",
         [
             (["continue", "--nodes", "64", "--dim", str(10**400)], "dim must be a finite real number >= 1"),
-            (["partial", "--dim", str(10**400)], "dim must be at most the largest float"),
+            (["partial", "--dim", str(10**400)], "dim must be a finite real number >= 1"),
             (["continue", "--nodes", str(10**400)], "m must be below"),
             (["continue", "--nodes", str(2**63)], "m must be below"),
             (["verify", "--samples", str(10**400)], "sample_count must be at most"),
@@ -210,8 +203,9 @@ class TestSurface:
     @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
     def test_removed_knobs_are_unrecognized(self, tmp_path, capsys, command):
         # The root-bracket width and the trial budget are constants now
-        # (thresholds._ROOT_TOL, radial._TRIAL_BUDGET), and flags are the
-        # only input: none of these is a flag of any command.
+        # (thresholds._ROOT_TOL, radial._TRIAL_BUDGET), flags are the only
+        # input, and the energy exponent is (p+1+s0)/2: none of these is a
+        # flag of any command, nor taken for a flag it prefixes (--sigma).
         argv = [command]
         if command in ("thresholds", "continue"):
             argv += ["--out", str(tmp_path / "b.csv")]
@@ -219,6 +213,7 @@ class TestSurface:
             argv += ["--" + key, REQUIRED_VALUES[key]]
         for flag, value in (
             ("--tol", "1e-12"), ("--max-steps", "4"), ("--config", str(tmp_path / "c.json")),
+            ("--s", "4"),
         ):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv + [flag, value])
@@ -817,22 +812,6 @@ class TestContinue:
         assert not (tmp_path / "b.csv").exists()
 
 
-    def test_bad_energy_exponent_exits_2_before_the_branch(self, tmp_path, capsys, monkeypatch):
-        # s = 2.5 is below p + 1 = 3; it failed only after the whole branch.
-        # s = inf wrote nan energies and a NaN into the summary JSON.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("continue_ray called")
-
-        monkeypatch.setattr(cli, "continue_ray", forbidden)
-        out = tmp_path / "b.csv"
-        for s in ("inf", "nan", "2.5"):
-            argv = ["continue", "--p", "2", "--theta", "2", "--s", s, "--out", str(out)]
-            code, _, err = run(argv, capsys)
-            assert code == 2
-            assert "s must be finite and exceed p+1 = 3" in err
-            assert list(tmp_path.iterdir()) == []
-
-
 def child_env(**env):
     """This process's environment plus env; OPENBLAS_NUM_THREADS is set
     only when given (this process may have set it)."""
@@ -870,7 +849,7 @@ def test_lazy_namespace_resolves_every_public_name():
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] 35 module 'exle' has no attribute 'no_such_name'\n"
+    assert proc.stdout == "[] 33 module 'exle' has no attribute 'no_such_name'\n"
 
 
 CLI_THREADS = (

@@ -9,7 +9,6 @@ import pytest
 from exle import cli
 from exle import (
     Branch,
-    DiagnosticError,
     DomainError,
     ExponentPair,
     RadialGrid,
@@ -91,11 +90,13 @@ class TestSouplet:
         assert fwd == rev
 
     @pytest.mark.parametrize(
-        "lam,gam", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)]
+        "lam,gam",
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf), ("1", 1.0),
+         (1.0, None), (True, 1.0)],
     )
     def test_loads_are_validated(self, lam, gam):
-        # These raised ZeroDivisionError, a complex-power TypeError, or
-        # returned 1.0 or nan.
+        # These raised ZeroDivisionError, a TypeError (complex power, str,
+        # None), or returned 1.0 or nan; True ran as a load of 1.
         with pytest.raises(DomainError, match="must be positive and finite"):
             souplet_check(PAIR23, np.zeros((2, 33)), lam, gam)
 
@@ -255,8 +256,11 @@ class TestSingularProfile:
     def test_load_and_dim_validation(self):
         with pytest.raises(DomainError):
             singular_profile(PAIR22, 5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            singular_profile(PAIR22, 5.5, 1.0, 1.0)
+        with pytest.raises(DomainError, match="dim must be a finite real number >= 1"):
+            singular_profile(PAIR22, True, 1.0, 1.0)
+        # N is any real >= 1, as in RadialGrid: at N = 5.5, a = b = 3 and
+        # the pair is (3, 3).
+        assert singular_profile(PAIR22, 5.5, 1.0, 1.0) == pytest.approx((3.0, 3.0), rel=1e-15)
 
     def test_profile_solves_system_away_from_axis(self):
         # the pair (A r^-alpha - 1, B r^-beta - 1) satisfies the discrete
@@ -349,5 +353,5 @@ class TestExtremalExtrapolate:
         trials = synthetic_trials(-0.3)[:-1]
         branch = Branch(trials=trials + [synthetic_trial(trials[-1].lam)])
         assert branch.lambda_hi == branch.lambda_lo
-        with pytest.raises(DiagnosticError):
+        with pytest.raises(DomainError):
             extremal_extrapolate(branch)

@@ -16,15 +16,17 @@ import exle
 from exle import (
     Branch,
     BudgetError,
-    ConfigurationError,
     DomainError,
     ExponentPair,
     NumericalError,
     RadialGrid,
     assemble_radial_laplacian,
     continue_ray,
+    energy_report,
+    hausdorff_bound,
     rescale,
     restrict_state,
+    singular_profile,
     solve_minimal,
     souplet_check,
     stability_mu1,
@@ -66,7 +68,7 @@ class TestRadialGrid:
         assert g.laplacian is g.laplacian
 
     def test_too_few_intervals_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             RadialGrid.uniform(3, 8)
 
     def test_bad_dim_rejected(self):
@@ -85,39 +87,99 @@ class TestRadialGrid:
             g = RadialGrid.uniform(dim, 64)
             assert type(g.dim) is float and g.dim == float(dim)
 
+    @settings(deadline=None)
+    @given(
+        x=st.one_of(
+            st.integers(-3, 40),
+            st.floats(),
+            st.floats(0.0, 40.0),
+            st.booleans(),
+            st.integers(-3, 40).map(np.int64),
+            st.floats(-3.0, 40.0, width=32).map(np.float32),
+            st.sampled_from([10**400, -(10**400), 10**300]),
+            st.text(max_size=3),
+            st.none(),
+        )
+    )
+    def test_one_dimension_rule(self, x):
+        # RadialGrid took 2.5, which hausdorff_bound and singular_profile
+        # rejected, and 10**400 got two messages.  All three read N through
+        # thresholds._check_dim: each takes x as grid.dim, or each raises
+        # its one message.
+        pair = ExponentPair(1.5, 4.0)
+        users = (
+            lambda dim: hausdorff_bound(pair, dim),
+            lambda dim: singular_profile(pair, dim, 1.0, 1.0),
+        )
+
+        def outcome(f, dim):
+            # singular_profile overflows for N near 1e300, whether N is an
+            # int or a float; that is not a question of the dimension rule.
+            try:
+                return repr(f(dim))
+            except (DomainError, OverflowError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        try:
+            dim = RadialGrid.uniform(x, 16).dim
+        except DomainError as exc:
+            assert str(exc) == f"dim must be a finite real number >= 1, got {x!r}"
+            assert all(outcome(f, x) == f"DomainError: {exc}" for f in users)
+            return
+        assert type(dim) is float and dim == float(x)
+        assert all(outcome(f, x) == outcome(f, dim) for f in users)
+
     def test_bad_nodes_rejected(self):
         nodes = np.linspace(0.0, 1.0, 65)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             RadialGrid(3, nodes[::-1].copy())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             RadialGrid(3, nodes + 0.1)
         shuffled = nodes.copy()
         shuffled[5], shuffled[6] = shuffled[6], shuffled[5]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             RadialGrid(3, shuffled)
 
 
 class TestStateArray:
-    """A state is a (2, n) float array; every entry point checks the shape."""
+    """A state is a (2, n) float array; every entry point checks the shape,
+    and one that takes a grid too checks n against its nodes, all through
+    radial._as_state."""
 
-    ENTRY_POINTS = {
+    ON_A_GRID = {
         "solve_minimal": lambda w, g: solve_minimal(PAIR22, 0.5, 0.5, g, seed=w),
         "stability_mu1": lambda w, g: stability_mu1(PAIR22, w, 0.5, 0.5, g),
-        "souplet_check": lambda w, g: souplet_check(PAIR22, w, 0.5, 0.5),
+        "energy_report": lambda w, g: energy_report(PAIR22, w, 4.0, g),
         "restrict_state": lambda w, g: restrict_state(w, g, 0.5),
+    }
+    ENTRY_POINTS = {
+        **ON_A_GRID,
+        "souplet_check": lambda w, g: souplet_check(PAIR22, w, 0.5, 0.5),
         "rescale": lambda w, g: rescale(PAIR22, w, 0.5),
     }
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_bad_shapes_rejected(self, name):
         g = RadialGrid.uniform(3, 64)
+        n = "65" if name in self.ON_A_GRID else "n"
         for bad in (np.zeros(65), np.zeros((3, 65))):
-            with pytest.raises(ConfigurationError, match=r"\(2, n\) array"):
+            with pytest.raises(DomainError, match=rf"^a state must be a \(2, {n}\) array, got"):
                 self.ENTRY_POINTS[name](bad, g)
+
+    @pytest.mark.parametrize("name", ON_A_GRID)
+    def test_state_of_the_wrong_length_rejected(self, name):
+        # stability_mu1 raised numpy's broadcast ValueError, and
+        # restrict_state sliced a (2, 33) state as if it had 65 nodes.
+        g = RadialGrid.uniform(3, 64)
+        for cols in (20, 33, 66):
+            message = rf"^a state must be a \(2, 65\) array, got shape \(2, {cols}\)$"
+            with pytest.raises(DomainError, match=message):
+                self.ON_A_GRID[name](np.zeros((2, cols)), g)
 
     def test_seed_off_the_grid_rejected(self):
         g = RadialGrid.uniform(3, 64)
-        with pytest.raises(ConfigurationError, match="seed state does not match the grid"):
+        message = r"^a state must be a \(2, 65\) array, got shape \(2, 66\)$"
+        with pytest.raises(DomainError, match=message):
             solve_minimal(PAIR22, 0.5, 0.5, g, seed=np.zeros((2, 66)))
 
     def test_sups_are_row_maxima(self):
@@ -282,6 +344,11 @@ class TestSolveMinimal:
         for lam, gam in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)):
             with pytest.raises(DomainError, match="must be positive and finite"):
                 solve_minimal(PAIR22, lam, gam, g)
+        # None and "1" raised TypeError, True ran as 1.0, and 10**400
+        # raised OverflowError.
+        for lam, gam in ((None, 1.0), ("1", 1.0), (1.0, True), (10**400, 1.0)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                solve_minimal(PAIR22, lam, gam, g)
         tiny = sys.float_info.min
         for lam, gam in ((5e-324, 1.0), (1.0, tiny / 2.0)):
             with pytest.raises(DomainError, match="must be at least"):
@@ -372,8 +439,18 @@ class TestContinuation:
     def test_config_validation(self):
         g = RadialGrid.uniform(3, 64)
         for bad in (0.0, -1e-4, math.nan):
-            with pytest.raises(ConfigurationError, match="bracket_tol must be positive"):
+            with pytest.raises(DomainError, match="bracket_tol must be positive"):
                 continue_ray(PAIR22, 1.0, g, bracket_tol=bad)
+        # Non-numbers are rejected as exponents and N are: "x" and None
+        # raised TypeError, and True ran as a width of 1.
+        for bad in ("x", None, True):
+            with pytest.raises(DomainError, match="bracket_tol must be positive"):
+                continue_ray(PAIR22, 1.0, g, bracket_tol=bad)
+        # 10**400 passed the check and raised OverflowError; it is an
+        # infinite width, as ExponentPair reads it.
+        trials = [len(continue_ray(PAIR22, 1.0, g, bracket_tol=tol).trials)
+                  for tol in (10**400, math.inf)]
+        assert trials[0] == trials[1]
 
     def test_newton_solves_have_no_tolerance_knob(self):
         # solve_minimal stops at its own roundoff, the fold solve at sqrt(eps),
@@ -388,12 +465,17 @@ class TestContinuation:
         assert list(params) == ["e", "sigma", "grid", "bracket_tol"]
         assert params["bracket_tol"].kind is inspect.Parameter.KEYWORD_ONLY
         assert not hasattr(radial, "ContinuationConfig")
-        assert len(exle.__all__) == 35
+        assert len(exle.__all__) == 33
 
     def test_sigma_validation(self):
         g = RadialGrid.uniform(3, 64)
         with pytest.raises(DomainError):
             continue_ray(PAIR22, 0.0, g)
+        # "1" and None raised TypeError, 10**400 OverflowError, and True
+        # ran as sigma = 1.0.
+        for bad in ("1", True, None, 10**400):
+            with pytest.raises(DomainError, match="sigma must be positive and finite"):
+                continue_ray(PAIR22, bad, g)
 
     def test_real_dimension_reaches_a_closed_bracket(self):
         # N = 12.5 runs as 12.5: its bracket closes strictly between the

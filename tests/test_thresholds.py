@@ -440,9 +440,11 @@ class TestDimensionBounds:
 
     def test_dim_validation(self):
         pair = ExponentPair(2.0, 2.0)
-        for bad in (0, -3, 2.5, True):
-            with pytest.raises(DomainError):
+        for bad in (0, -3, 0.5, True, "16", 10**400):
+            with pytest.raises(DomainError, match="dim must be a finite real number >= 1"):
                 hausdorff_bound(pair, bad)
+        # N is any real >= 1, as in RadialGrid; n_new = 10 + 4 sqrt 2 here.
+        assert hausdorff_bound(pair, 16.5) == pytest.approx(6.5 - 4.0 * SQRT2, rel=1e-12)
 
 
 def test_k_certificate_positive_on_grid():
