@@ -811,6 +811,23 @@ class TestContinue:
         assert "bracket_tol must be positive" in err
         assert not (tmp_path / "b.csv").exists()
 
+    def test_bad_energy_exponent_exits_2_before_the_branch(self, tmp_path, capsys, monkeypatch):
+        # The energy exponent is (p+1+s0)/2, which exceeds p+1, so continue
+        # has no --s: s = 2.5 (below p + 1 = 3) failed only after the whole
+        # branch, s = inf wrote nan energies; each is now unrecognized.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("continue_ray called")
+
+        monkeypatch.setattr(cli, "continue_ray", forbidden)
+        out = tmp_path / "b.csv"
+        for s in ("inf", "nan", "2.5"):
+            argv = ["continue", "--p", "2", "--theta", "2", "--s", s, "--out", str(out)]
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            assert "unrecognized arguments: --s" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
 
 def child_env(**env):
     """This process's environment plus env; OPENBLAS_NUM_THREADS is set
