@@ -31,14 +31,12 @@ function set there, such as a tracing wrapper, is the one `continue` calls.
 `exle thresholds` keeps one root per pair and forms each 512-row chunk of
 the table from it.
 
-The one LAPACK call of any command is the least-squares fit of
-extremal_extrapolate (np.polyfit, through numpy.linalg.lstsq) over at most
-8 tail points of a `continue` branch.  No command needs a second BLAS
-thread, so this module sets OPENBLAS_NUM_THREADS=1 before it first imports
-numpy; otherwise numpy's OpenBLAS starts a worker thread that spins for
-about 0.1 s of CPU in every process.  It leaves the variable alone when
-the caller has set it, or when numpy was imported before this module,
-since the variable then no longer takes effect.
+No command needs a second BLAS thread, so this module sets
+OPENBLAS_NUM_THREADS=1 before it first imports numpy; otherwise numpy's
+OpenBLAS starts a worker thread that spins for about 0.1 s of CPU in every
+process.  It leaves the variable alone when the caller has set it, or when
+numpy was imported before this module, since the variable then no longer
+takes effect.
 
 The `exle` script and `python -m exle.cli` end through console_main: once
 main() has returned and stdout and stderr are flushed, the process ends

@@ -4,8 +4,8 @@ These routines check, on discrete solutions, the pointwise and integral
 estimates that the threshold algebra promises for stable solutions: the
 shifted comparison inequality between the two components, the weighted
 energy integral, scaling covariance of the system, the explicit
-singular profile, and a growth heuristic whose verdict on a branch end
-is True (bounded-looking), False (unbounded-looking) or None (undecided).
+singular profile, and the verdict on a branch end, which no single run
+decides yet (None).
 
 A state is a (2, n) float array with rows u and v, as `radial` makes it.
 All asymmetric formulas assume the canonical order p <= theta with u
@@ -26,12 +26,6 @@ from . import radial, thresholds
 from .thresholds import ExponentPair, check_energy_exponent, scaling_exponents
 # Unused here, but bench/tracer.py wraps exle.diagnostics.threshold_report.
 from .thresholds import threshold_report  # noqa: F401
-
-# Log-log growth slope separating plateauing from blowing-up branch
-# tails; desk-scale runs sit near -0.04 (bounded) and -0.6 (unbounded).
-_GROWTH_SLOPE_CUT = -0.15
-# Accepted branch points the tail slope is fitted over.
-_TAIL_POINTS = 8
 
 
 def _orient(
@@ -128,7 +122,8 @@ def singular_profile(
     Matching -Lap(A r^-alpha) = lam (B r^-beta)^p and its partner gives
     A a = lam B^p and B b = gam A^theta with a = alpha (N-2-alpha),
     b = beta (N-2-beta); both need N > 2 + max(alpha, beta).  Solved in
-    log2 space so power-of-two data stays exact.
+    log2 space throughout, so power-of-two data stays exact and a huge N
+    overflows nothing: an amplitude is inf only where its log2 reaches 1024.
     """
     dim = thresholds._check_dim(dim)
     radial._check_load(lam, gam)
@@ -137,38 +132,23 @@ def singular_profile(
         raise DomainError(
             f"dim must exceed 2 + max(alpha, beta) = {2 + max(se.alpha, se.beta)}, got {dim}"
         )
-    a = se.alpha * (dim - 2.0 - se.alpha)
-    b = se.beta * (dim - 2.0 - se.beta)
+    log2_a = math.log2(se.alpha) + math.log2(dim - 2.0 - se.alpha)
+    log2_b = math.log2(se.beta) + math.log2(dim - 2.0 - se.beta)
     p, theta = e.p, e.theta
     log2_b_amp = (
-        theta * math.log2(a) + math.log2(b) - math.log2(gam) - theta * math.log2(lam)
+        theta * log2_a + log2_b - math.log2(gam) - theta * math.log2(lam)
     ) / (p * theta - 1.0)
-    b_amp = 2.0 ** log2_b_amp
-    a_amp = lam * b_amp ** p / a
-    return a_amp, b_amp
+    log2_a_amp = math.log2(lam) + p * log2_b_amp - log2_a
+    return tuple(math.inf if x >= 1024.0 else 2.0 ** x for x in (log2_a_amp, log2_b_amp))
 
 
 def extremal_extrapolate(branch: Branch) -> bool | None:
-    """Read the branch tail as bounded (True), unbounded (False) or undecided (None).
+    """Whether the extremal solution past the branch end is bounded; None,
+    undecided, for every branch.
 
-    Fits the slopes of log sup u and log sup v against
-    log(lambda_hi - lambda) over the last 8 accepted points, each squared
-    residual weighted by 1/(lambda_hi - lambda).  A plateauing branch has
-    slopes near 0; a branch heading for an unbounded extremal state keeps
-    a markedly negative one.  The verdict is None while the bracket is
-    open or with fewer than 5 points.  Raises DomainError for points
-    not strictly below lambda_hi.
+    No single run decides this: a decided reading compares branches on
+    several grids, as ROADMAP items 8 and 16 will.  The function keeps its
+    name and its call from `exle continue` for that reading, and because
+    bench/tracer.py wraps exle.cli.extremal_extrapolate.
     """
-    pts = branch.points[-_TAIL_POINTS:]
-    if branch.lambda_hi is None or len(pts) < 5:
-        return None
-    gaps = np.array([branch.lambda_hi - pt.lam for pt in pts])
-    if np.any(gaps <= 0.0):
-        raise DomainError("branch points are not strictly below lambda_hi")
-    log_gap = np.log(gaps)
-    # The slope is an exponent as the gap closes, so the doubling walk's
-    # far, pre-asymptotic points count little next to those at the fold.
-    weight = 1.0 / np.sqrt(gaps)
-    sups = np.array([np.max(pt.state, axis=1) for pt in pts]).T
-    slope = min(np.polyfit(log_gap, np.log(sup), 1, w=weight)[0] for sup in sups)
-    return bool(slope > _GROWTH_SLOPE_CUT)
+    return None

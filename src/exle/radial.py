@@ -143,13 +143,15 @@ class RadialLaplacian:
         denom = hm * hp * (hm + hp)
         w = -2.0 * hp / denom + (dim - 1.0) / ri * hp * hp / denom
         e = -2.0 * hm / denom - (dim - 1.0) / ri * hm * hm / denom
-        # Flux form over the cell [r - hm/2, r + hp/2] where w > 0; float_power
-        # calls the C library's pow, as a Python float power does.
+        # Flux form over the cell [r - hm/2, r + hp/2] where w > 0, the face
+        # weights (r -+ h/2)^(N-1) / r^(N-1) formed as one power of their
+        # ratio: near the axis the powers alone underflow from N ~ 100.
+        # float_power calls the C library's pow, as a Python float power does.
         flux = w > 0.0
         rf, hmf, hpf = ri[flux], hm[flux], hp[flux]
-        cell = 0.5 * (hmf + hpf) * np.float_power(rf, dim - 1.0)
-        w[flux] = -np.float_power(rf - 0.5 * hmf, dim - 1.0) / (hmf * cell)
-        e[flux] = -np.float_power(rf + 0.5 * hpf, dim - 1.0) / (hpf * cell)
+        cell = 0.5 * (hmf + hpf)
+        w[flux] = -np.float_power(1.0 - 0.5 * hmf / rf, dim - 1.0) / (hmf * cell)
+        e[flux] = -np.float_power(1.0 + 0.5 * hpf / rf, dim - 1.0) / (hpf * cell)
         lower[1:-1] = w
         diag[1:-1] = -(w + e)
         upper[1:-1] = e

@@ -239,6 +239,7 @@ class TestRescale:
 class TestSingularProfile:
     def test_power_of_two_case_exact(self):
         assert singular_profile(PAIR22, 5, 1.0, 1.0) == (2.0, 2.0)
+        assert singular_profile(PAIR22, 16, 1.0, 1.0) == (24.0, 24.0)
 
     def test_symmetry_swap(self):
         a, b = singular_profile(PAIR23, 8, 0.75, 1.25)
@@ -261,6 +262,30 @@ class TestSingularProfile:
         # N is any real >= 1, as in RadialGrid: at N = 5.5, a = b = 3 and
         # the pair is (3, 3).
         assert singular_profile(PAIR22, 5.5, 1.0, 1.0) == pytest.approx((3.0, 3.0), rel=1e-15)
+
+    @pytest.mark.parametrize("dim", (16, 1e200, 1e300, 8e307, 1.7e308))
+    @pytest.mark.parametrize(
+        "pair", (PAIR22, ExponentPair(1.5, 4.0), ExponentPair(1.01, 20.0)),
+        ids=("p2-theta2", "p1.5-theta4", "p1.01-theta20"),
+    )
+    def test_huge_dim_matches_mpmath(self, pair, dim):
+        # These raised OverflowError from N = 1e200, or returned (nan, inf)
+        # once alpha (N-2-alpha) overflowed.  An amplitude is inf exactly
+        # where its log2 reaches 1024.
+        mpmath = pytest.importorskip("mpmath")
+        got = singular_profile(pair, dim, 1.0, 1.0)
+        with mpmath.workdps(50):
+            p, theta = mpmath.mpf(pair.p), mpmath.mpf(pair.theta)
+            alpha = 2 * (p + 1) / (p * theta - 1)
+            beta = 2 * (theta + 1) / (p * theta - 1)
+            log2_a = mpmath.log(alpha * (dim - 2 - alpha), 2)
+            log2_b = mpmath.log(beta * (dim - 2 - beta), 2)
+            log2_b_amp = (theta * log2_a + log2_b) / (p * theta - 1)
+            for amp, log2_amp in zip(got, (p * log2_b_amp - log2_a, log2_b_amp)):
+                if log2_amp >= 1024:
+                    assert amp == math.inf
+                else:
+                    assert abs(amp / mpmath.power(2, log2_amp) - 1) <= 5e-13
 
     def test_profile_solves_system_away_from_axis(self):
         # the pair (A r^-alpha - 1, B r^-beta - 1) satisfies the discrete
@@ -302,43 +327,45 @@ def synthetic_branch(slope, n_points=10, lam_star=1.0):
     return Branch(trials=synthetic_trials(slope, n_points, lam_star))
 
 
+def tail_branch(pair, sigma, dim, m):
+    """The minimal solutions at 6 loads closing in on the bracket that
+    continue_ray finds, then a failure at its lambda_hi."""
+    grid = RadialGrid.uniform(dim, m)
+    bracket = continue_ray(pair, sigma, grid)
+    trials = []
+    for gap in (0.5, 0.25, 0.1, 0.03, 0.01, 0.0):
+        lam = bracket.lambda_lo * (1.0 - gap)
+        res = solve_minimal(pair, lam, sigma * lam, grid)
+        trials.append(Trial(lam, sigma * lam, res.iterations, "walk", res.state))
+    hi = bracket.lambda_hi
+    return Branch(trials=trials + [Trial(hi, sigma * hi, 1, "walk")])
+
+
+def malformed_branch():
+    """A bracket whose top point sits at lambda_hi itself."""
+    trials = synthetic_trials(-0.3)[:-1]
+    return Branch(trials=trials + [synthetic_trial(trials[-1].lam)])
+
+
 class TestExtremalExtrapolate:
     @pytest.mark.parametrize(
         "pair, sigma, dim, m",
         [
-            pytest.param(PAIR22, 1.0, 3, 64, id="p2-theta2-dim3"),
             # N = 12 lies below n_new = 12.75, so the extremal solution is
-            # bounded, but the tail fit reads slope_v -0.385 (ROADMAP item 8).
+            # bounded, but no single run decides that yet (ROADMAP item 8).
             pytest.param(
                 ExponentPair(1.01, 20.0), 8.336866576787306, 12, 256,
                 id="p1.01-theta20-dim12",
                 marks=pytest.mark.xfail(
-                    strict=True, raises=AssertionError, reason="tail slope misreads N < n_new"
+                    strict=True, raises=AssertionError,
+                    reason="no single run reads bounded below n_new yet",
                 ),
             ),
         ],
     )
     def test_computed_branch_low_dim_is_bounded_looking(self, pair, sigma, dim, m):
-        # continue_ray reaches the fold in a few points, too few to fit; the
-        # tail is the minimal solutions at 6 loads closing in on its bracket.
         assert dim < threshold_report(pair).n_new
-        grid = RadialGrid.uniform(dim, m)
-        bracket = continue_ray(pair, sigma, grid)
-        trials = []
-        for gap in (0.5, 0.25, 0.1, 0.03, 0.01, 0.0):
-            lam = bracket.lambda_lo * (1.0 - gap)
-            res = solve_minimal(pair, lam, sigma * lam, grid)
-            trials.append(Trial(lam, sigma * lam, res.iterations, "walk", res.state))
-        hi = bracket.lambda_hi
-        branch = Branch(trials=trials + [Trial(hi, sigma * hi, 1, "walk")])
-        assert extremal_extrapolate(branch) is True
-
-    # Slopes 0.01 either side of the cut -0.15 pin the fit to that width.
-    def test_synthetic_flat_tail_reads_bounded(self):
-        assert extremal_extrapolate(synthetic_branch(-0.14)) is True
-
-    def test_synthetic_growing_tail_reads_unbounded(self):
-        assert extremal_extrapolate(synthetic_branch(-0.16)) is False
+        assert extremal_extrapolate(tail_branch(pair, sigma, dim, m)) is True
 
     def test_requires_bracket_and_enough_points(self):
         trials = synthetic_trials(-0.3)
@@ -349,9 +376,17 @@ class TestExtremalExtrapolate:
         assert (short.lambda_lo, short.lambda_hi) == (trials[3].lam, 1.0)
         assert extremal_extrapolate(short) is None
 
-    def test_rejects_points_at_or_above_bracket(self):
-        trials = synthetic_trials(-0.3)[:-1]
-        branch = Branch(trials=trials + [synthetic_trial(trials[-1].lam)])
-        assert branch.lambda_hi == branch.lambda_lo
-        with pytest.raises(DomainError):
-            extremal_extrapolate(branch)
+    @pytest.mark.parametrize(
+        "make_branch",
+        [
+            pytest.param(lambda: Branch(trials=synthetic_trials(-0.3)[:-1]), id="open"),
+            pytest.param(lambda: Branch(trials=synthetic_trials(-0.3, n_points=4)), id="short"),
+            pytest.param(lambda: synthetic_branch(-0.01), id="synthetic-flat"),
+            pytest.param(lambda: synthetic_branch(-0.6), id="synthetic-growing"),
+            pytest.param(malformed_branch, id="malformed"),
+            pytest.param(lambda: tail_branch(PAIR22, 1.0, 3, 64), id="p2-theta2-dim3"),
+        ],
+    )
+    def test_reads_undecided(self, make_branch):
+        # No single run decides boundedness (ROADMAP items 8 and 16).
+        assert extremal_extrapolate(make_branch()) is None

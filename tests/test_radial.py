@@ -195,7 +195,7 @@ class TestStateArray:
 
 
 def loop_assembly(grid):
-    """The rows of -Lap built one at a time, as the operator first did."""
+    """The rows of -Lap built one at a time, in Python floats."""
     r, dim, n = grid.nodes, grid.dim, grid.m + 1
     lower, diag, upper = np.zeros(n), np.zeros(n), np.zeros(n)
     h1 = r[1] - r[0]
@@ -208,9 +208,9 @@ def loop_assembly(grid):
         e = -2.0 * hm / denom - (dim - 1.0) / r[i] * hm * hm / denom
         if w > 0.0:
             ri = float(r[i])
-            cell = 0.5 * (hm + hp) * ri ** (dim - 1.0)
-            w = -((ri - 0.5 * hm) ** (dim - 1.0)) / (hm * cell)
-            e = -((ri + 0.5 * hp) ** (dim - 1.0)) / (hp * cell)
+            cell = 0.5 * (hm + hp)
+            w = -((1.0 - 0.5 * hm / ri) ** (dim - 1.0)) / (hm * cell)
+            e = -((1.0 + 0.5 * hp / ri) ** (dim - 1.0)) / (hp * cell)
         lower[i], diag[i], upper[i] = w, -(w + e), e
     diag[-1] = 1.0
     return lower, diag, upper
