@@ -23,11 +23,12 @@ lambda_hi and lambda_fold, the fold load of the Moore-Spence solve that
 placed the bracket, or null when the run fell back to bisection.
 
 Only `continue` loads radial, _cyclic and diagnostics; every other command
-needs numpy and thresholds alone.  The names cmd_continue calls from those
-modules (continue_ray, RadialGrid, souplet_check, energy_report,
-extremal_extrapolate) are attributes of this module bound on
-first access (PEP 562), so `exle.cli.continue_ray` still resolves, and a
-function set there, such as a tracing wrapper, is the one `continue` calls.
+needs numpy and thresholds alone.  cmd_continue reads the names it calls
+from those modules (continue_ray, RadialGrid, souplet_check, energy_report,
+extremal_extrapolate) as attributes of this module object: a function set
+there, such as a tracing wrapper, is the one `continue` calls, and a name
+not set is loaded on first use (PEP 562), so `exle.cli.continue_ray`
+resolves before any command has run.
 `exle thresholds` keeps one root per pair and forms each 512-row chunk of
 the table from it.
 
@@ -63,7 +64,6 @@ import json
 import math
 from collections.abc import Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -71,14 +71,11 @@ from .errors import BudgetError, DomainError, ExleError
 from . import _HOME, thresholds
 from .thresholds import ExponentPair, largest_root_L, threshold_report
 
-if TYPE_CHECKING:
-    from .diagnostics import energy_report, extremal_extrapolate, souplet_check
-    from .radial import RadialGrid, continue_ray
-
-# The names cmd_continue calls from the `continue` layers, each from its
-# module in the package's _HOME table.  They are bound on first access
-# (PEP 562), so only `continue` loads radial, _cyclic and diagnostics; a
-# value set on this module first is kept.
+# The names cmd_continue reads from the `continue` layers, each from its
+# module in the package's _HOME table.  Module attribute lookup tries the
+# globals first, so a value set on this module is the one used; an unset
+# name is loaded and bound here on first access (PEP 562), so only
+# `continue` loads radial, _cyclic and diagnostics.
 _CONTINUE_NAMES = ("continue_ray", "RadialGrid", "souplet_check", "energy_report",
                    "extremal_extrapolate")
 
@@ -94,37 +91,11 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_IO = 3
 
-# Per command, the options it accepts as (key, type, default, help); the
-# table builds argparse.  A default of ... marks a required flag (_require
-# checks it); None leaves an optional flag without a value.
+# An option is (key, type, default, help).  A default of ... marks a
+# required flag (_require checks it); None leaves an optional flag without
+# a value.  _COMMANDS, after the handlers, lists each command's options.
 _P = ("p", float, ..., "first exponent, the power of (v+1)")
 _THETA = ("theta", float, ..., "second exponent, the power of (u+1)")
-
-_OPTIONS = {
-    "roots": (_P, _THETA),
-    "thresholds": (
-        ("grid", str, ..., '"pmin:pmax:step"'),
-        ("out", str, None, "output CSV; stdout if unset"),
-    ),
-    "continue": (
-        _P,
-        _THETA,
-        ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
-        ("dim", int, 3, "space dimension N"),
-        ("nodes", int, 256, "grid intervals m (m + 1 nodes)"),
-        # continue_ray's default, written out so that building the parser
-        # loads no radial; a test pins it to the signature.
-        ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
-        ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
-    ),
-    "verify": (
-        _P,
-        _THETA,
-        ("samples", int, thresholds._SAMPLE_COUNT, "sample points per check"),
-        ("seed", int, 0, "sampling seed"),
-    ),
-    "partial": (_P, _THETA, ("dim", int, ..., "space dimension N")),
-}
 
 
 # Every float of a CSV or stdout table: 12 significant digits.
@@ -165,7 +136,7 @@ def _write_lines(path: str | None, blocks: Iterable[str]) -> None:
 
 def _require(args: argparse.Namespace) -> None:
     """Raise DomainError for the first required flag, in table order, left unset."""
-    for key, _, default, _ in _OPTIONS[args.command]:
+    for key, _, default, _ in _COMMANDS[args.command][1]:
         if default is ... and getattr(args, key) is None:
             raise DomainError(f"{args.command} requires --{key.replace('_', '-')}")
 
@@ -184,7 +155,6 @@ def _pair_from(args: argparse.Namespace) -> ExponentPair:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     """threshold constants for one exponent pair"""
-    _require(args)
     rep = threshold_report(_pair_from(args))
     _write_lines(None, [
         "t0,s0,x0,n_cowan,n_new,improvement",
@@ -214,29 +184,14 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
     return lo, step, count
 
 
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices (i, j), i <= j < n, row by row, as int32 arrays.
-
-    The same pairs as np.triu_indices(n), without its n x n mask.
-    """
-    first = np.repeat(np.arange(n, dtype=np.int32), np.arange(n, 0, -1))
-    # j steps by 1 along a row and falls back to i where row i starts.
-    second = np.ones(first.size, dtype=np.int32)
-    second[0] = 0
-    second[np.cumsum(np.arange(n, 1, -1))] = np.arange(2 - n, 1)
-    np.cumsum(second, dtype=np.int32, out=second)
-    return first, second
-
-
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """threshold table over an exponent grid"""
-    _require(args)
     lo, step, count = _parse_grid(args.grid)
-    # The per-pair arrays come first, s0 the largest of them, so a grid
+    # The per-pair arrays, s0 and the pair indices, come first, so a grid
     # whose table does not fit in memory fails before anything is formed.
     try:
         s0 = np.empty(count * (count + 1) // 2)
-        first, second = _upper_pairs(count)  # p <= theta, row by row
+        first, second = np.triu_indices(count)  # p <= theta, row by row
         grid = lo + np.arange(count) * step
     except MemoryError:
         raise DomainError(f"grid has too many values: {args.grid!r}") from None
@@ -271,7 +226,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def cmd_partial(args: argparse.Namespace) -> int:
     """singular-set dimension bounds"""
-    _require(args)
     rep = threshold_report(_pair_from(args))
     bound, proof_form = thresholds._hausdorff_bounds(rep, args.dim)
     _write_lines(None, [
@@ -283,7 +237,6 @@ def cmd_partial(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """identity and equivalence verification suite"""
-    _require(args)
     report = thresholds.check_polynomial_identities(
         _pair_from(args), sample_count=args.samples, seed=args.seed
     )
@@ -304,12 +257,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_continue(args: argparse.Namespace) -> int:
     """minimal-branch continuation along gamma = sigma*lambda"""
-    _require(args)
-    for name in _CONTINUE_NAMES:  # a name already set here is kept
-        if name not in globals():
-            __getattr__(name)
+    layers = sys.modules[__name__]  # a name set here, else loaded (_CONTINUE_NAMES)
     pair = _pair_from(args)
-    grid = RadialGrid.uniform(args.dim, args.nodes)
+    grid = layers.RadialGrid.uniform(args.dim, args.nodes)
     # The midpoint of p+1 and s0 (canonical p) exceeds p+1: L(p+1) < 0,
     # and L > 0 past its largest root s0.
     p_lo, _ = pair.canonical()
@@ -317,7 +267,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
 
     budget_hit = False
     try:
-        branch = continue_ray(pair, args.sigma, grid, bracket_tol=args.bracket_tol)
+        branch = layers.continue_ray(pair, args.sigma, grid, bracket_tol=args.bracket_tol)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         branch = exc.partial
@@ -327,8 +277,8 @@ def cmd_continue(args: argparse.Namespace) -> int:
     margins = []
     energies = []
     for pt in branch.points:
-        margin = souplet_check(pair, pt.state, pt.lam, pt.gam)
-        energy = energy_report(pair, pt.state, s_energy, grid)
+        margin = layers.souplet_check(pair, pt.state, pt.lam, pt.gam)
+        energy = layers.energy_report(pair, pt.state, s_energy, grid)
         margins.append(margin)
         energies.append(energy)
         sup_u, sup_v = np.max(pt.state, axis=1)
@@ -349,7 +299,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "mu1_min": branch.mu1_min,
         "souplet_margin_min": min(margins) if margins else None,
         "observed_C_s": max(energies) if energies else None,
-        "bounded_looking": extremal_extrapolate(branch),
+        "bounded_looking": layers.extremal_extrapolate(branch),
         "budget_exhausted": budget_hit,
     }
     _write_lines(args.out, lines)
@@ -358,21 +308,41 @@ def cmd_continue(args: argparse.Namespace) -> int:
     return BudgetError.exit_code if budget_hit else EXIT_OK
 
 
-_HANDLERS = {
-    "roots": cmd_roots,
-    "thresholds": cmd_thresholds,
-    "continue": cmd_continue,
-    "verify": cmd_verify,
-    "partial": cmd_partial,
+# Per command, in usage order, its handler and the options it accepts; the
+# table builds argparse, and main checks the required flags and dispatches.
+_COMMANDS = {
+    "roots": (cmd_roots, (_P, _THETA)),
+    "thresholds": (cmd_thresholds, (
+        ("grid", str, ..., '"pmin:pmax:step"'),
+        ("out", str, None, "output CSV; stdout if unset"),
+    )),
+    "continue": (cmd_continue, (
+        _P,
+        _THETA,
+        ("sigma", float, 1.0, "ray slope, gamma = sigma*lambda"),
+        ("dim", int, 3, "space dimension N"),
+        ("nodes", int, 256, "grid intervals m (m + 1 nodes)"),
+        # continue_ray's default, written out so that building the parser
+        # loads no radial; a test pins it to the signature.
+        ("bracket_tol", float, 1e-4, "relative width of the fold bracket"),
+        ("out", str, "branch.csv", "branch CSV; the summary goes beside it"),
+    )),
+    "verify": (cmd_verify, (
+        _P,
+        _THETA,
+        ("samples", int, thresholds._SAMPLE_COUNT, "sample points per check"),
+        ("seed", int, 0, "sampling seed"),
+    )),
+    "partial": (cmd_partial, (_P, _THETA, ("dim", int, ..., "space dimension N"))),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="exle", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
+    for name, (handler, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=handler.__doc__, allow_abbrev=False)
-        for key, kind, default, help_text in _OPTIONS[name]:
+        for key, kind, default, help_text in options:
             if default is ...:
                 default = None
             elif default is not None:
@@ -386,9 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        _require(args)
+        return _COMMANDS[args.command][0](args)
     except (ExleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, ExleError) else EXIT_IO

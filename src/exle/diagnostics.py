@@ -64,7 +64,10 @@ def souplet_check(e: ExponentPair, state: np.ndarray, lam: float, gam: float) ->
 
 def _ball_integral(values: np.ndarray, nodes: np.ndarray, dim: float) -> float:
     """Integral over the ball of a radial function sampled on nodes."""
-    solid_angle = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    try:
+        solid_angle = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    except OverflowError:  # gamma overflows from N = 344 on
+        solid_angle = 2.0 * math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0))
     return solid_angle * float(np.trapezoid(values * nodes ** (dim - 1.0), nodes))
 
 

@@ -152,8 +152,10 @@ class TestSurface:
         def raising(args):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "roots", raising)
-        assert run(["roots"], capsys) == (code, "", f"error: {exc}\n")
+        monkeypatch.setitem(cli._COMMANDS, "roots", (raising, cli._COMMANDS["roots"][1]))
+        # main checks the required flags before the handler runs.
+        argv = ["roots", "--p", "2", "--theta", "3"]
+        assert run(argv, capsys) == (code, "", f"error: {exc}\n")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -193,13 +195,13 @@ class TestSurface:
 
     def test_continue_defaults_are_the_library_defaults(self):
         # cli writes them out so that building the parser loads no radial.
-        defaults = {key: default for key, _, default, _ in cli._OPTIONS["continue"]}
+        defaults = {key: default for key, _, default, _ in cli._COMMANDS["continue"][1]}
         library = inspect.signature(radial.continue_ray).parameters["bracket_tol"]
         assert library.kind is inspect.Parameter.KEYWORD_ONLY
         assert defaults["bracket_tol"] == library.default
 
     def test_verify_samples_default_is_the_library_default(self):
-        defaults = {key: default for key, _, default, _ in cli._OPTIONS["verify"]}
+        defaults = {key: default for key, _, default, _ in cli._COMMANDS["verify"][1]}
         library = inspect.signature(thresholds.check_polynomial_identities)
         assert defaults["samples"] is library.parameters["sample_count"].default
         assert defaults["samples"] is thresholds._SAMPLE_COUNT
@@ -409,6 +411,10 @@ class TestThresholds:
             code, _, err = run(["thresholds", "--grid", bad], capsys)
             assert code == 2
             assert "grid" in err
+
+    def test_non_numeric_grid_value_exits_2(self, capsys):
+        code, out, err = run(["thresholds", "--grid", "a:2:0.1"], capsys)
+        assert (code, out, err) == (2, "", "error: grid values must be numeric: 'a:2:0.1'\n")
 
     def test_invalid_pair_exits_2(self, capsys):
         for grid, message in (
@@ -663,6 +669,16 @@ class TestContinue:
         argv = ["continue", "--p", "2", "--theta", "2", "--dim", "120", "--nodes", "1024",
                 "--out", str(tmp_path / "branch.csv")]
         assert run(argv, capsys)[::2] == (0, "")
+
+    def test_dim_past_gamma_overflow_runs_clean(self, tmp_path, capsys):
+        # math.gamma(N/2) overflows from N = 344: the ball integral of the
+        # energy_J2 column raised OverflowError, a traceback and exit 1.
+        out = tmp_path / "branch.csv"
+        argv = ["continue", "--p", "2", "--theta", "2", "--dim", "345", "--nodes", "64",
+                "--out", str(out)]
+        assert run(argv, capsys)[::2] == (0, "")
+        observed = json.loads(out.with_suffix(".summary.json").read_text())["observed_C_s"]
+        assert np.isfinite(observed) and observed > 0.0
 
     @pytest.mark.parametrize("steps,csv_sha256,summary_sha256", PARTIAL_PINS)
     def test_partial_branch_bytes_pinned(

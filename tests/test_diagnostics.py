@@ -194,6 +194,12 @@ class TestRescale:
         assert half.shape == (2, 65)
         assert np.array_equal(half[:, 0], state[:, 0])
 
+    def test_restrict_rejects_radius_outside_the_ball(self, solved_23):
+        grid, state = solved_23
+        for outside in (0.0, 1.5):
+            with pytest.raises(DomainError, match=r"r0 must lie in \(0, 1\]"):
+                restrict_state(state, grid, outside)
+
     def test_sup_scaling_exact(self, solved_23):
         _, state = solved_23
         se = scaling_exponents(PAIR23)

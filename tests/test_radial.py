@@ -71,6 +71,10 @@ class TestRadialGrid:
         with pytest.raises(DomainError):
             RadialGrid.uniform(3, 8)
 
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(DomainError, match="grid needs at least 16 intervals, got 9"):
+            RadialGrid(3, np.linspace(0.0, 1.0, 10))
+
     def test_bad_dim_rejected(self):
         # N is any finite real >= 1, so 2.5 is a dimension; these are not.
         with pytest.raises(DomainError):

@@ -38,7 +38,7 @@ def test_library_example_runs(capsys):
 
 
 def test_command_line_block_lists_every_command():
-    assert sorted(shlex.split(line)[1] for line in command_lines()) == sorted(cli._HANDLERS)
+    assert sorted(shlex.split(line)[1] for line in command_lines()) == sorted(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("line", command_lines(), ids=lambda line: shlex.split(line)[1])

@@ -475,5 +475,5 @@ def test_root_tolerance_has_one_home():
     for fn in public + others:
         params = set(inspect.signature(fn).parameters)
         assert not {"tol", "config", "max_steps"} & params, fn.__name__
-    for command, options in cli._OPTIONS.items():
+    for command, (_, options) in cli._COMMANDS.items():
         assert not {"tol", "max_steps"} & {key for key, *_ in options}, command
